@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <iostream>
+#include <memory>
 
 #include "benchutil/cli.h"
 #include "benchutil/table.h"
@@ -14,6 +15,7 @@
 #include "core/trim_b.h"
 #include "diffusion/world.h"
 #include "graph/datasets.h"
+#include "parallel/thread_pool.h"
 
 int main(int argc, char** argv) {
   using namespace asti;
@@ -23,6 +25,8 @@ int main(int argc, char** argv) {
       EnvSize("ASM_BENCH_REALIZATIONS", static_cast<size_t>(cli.GetInt("realizations", 3)));
   const uint64_t seed = static_cast<uint64_t>(cli.GetInt("seed", 7));
   const size_t num_threads = NumThreadsOverride(cli);
+  std::unique_ptr<ThreadPool> pool;  // 1 = no pool
+  if (num_threads != 1) pool = std::make_unique<ThreadPool>(num_threads);
 
   auto graph = MakeSurrogateDataset(DatasetId::kEpinions, scale, seed);
   if (!graph.ok()) {
@@ -44,7 +48,7 @@ int main(int argc, char** argv) {
       TrimBOptions options;
       options.epsilon = 0.5;
       options.batch_size = batch;
-      options.num_threads = num_threads;
+      options.pool = pool.get();
       TrimB trim_b(*graph, DiffusionModel::kIndependentCascade, options);
       Rng rng(seed * 57 + run * 3 + batch);
       traces.push_back(RunAdaptivePolicy(world, trim_b, rng));

@@ -7,6 +7,7 @@
 // the chosen node, across several shortfall levels.
 
 #include <iostream>
+#include <memory>
 #include <numeric>
 
 #include "benchutil/cli.h"
@@ -16,6 +17,7 @@
 #include "core/trim_two_group.h"
 #include "diffusion/monte_carlo.h"
 #include "graph/datasets.h"
+#include "parallel/thread_pool.h"
 
 int main(int argc, char** argv) {
   using namespace asti;
@@ -23,6 +25,8 @@ int main(int argc, char** argv) {
   const double scale = EnvDouble("ASM_BENCH_SCALE", cli.GetDouble("scale", 0.5));
   const uint64_t seed = static_cast<uint64_t>(cli.GetInt("seed", 7));
   const size_t num_threads = NumThreadsOverride(cli);
+  std::unique_ptr<ThreadPool> pool;  // 1 = no pool
+  if (num_threads != 1) pool = std::make_unique<ThreadPool>(num_threads);
   const size_t repeats =
       EnvSize("ASM_BENCH_REALIZATIONS", static_cast<size_t>(cli.GetInt("repeats", 3)));
 
@@ -58,7 +62,7 @@ int main(int argc, char** argv) {
         SelectionResult result;
         TrimOptions options;
         options.epsilon = 0.5;
-        options.num_threads = num_threads;
+        options.pool = pool.get();
         if (design == 0) {
           Trim one(*graph, DiffusionModel::kIndependentCascade, options);
           result = one.SelectBatch(view, rng);

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <iostream>
+#include <memory>
 
 #include "benchutil/cli.h"
 #include "benchutil/table.h"
@@ -18,6 +19,7 @@
 #include "core/trim.h"
 #include "diffusion/world.h"
 #include "graph/datasets.h"
+#include "parallel/thread_pool.h"
 #include "stats/truncation.h"
 
 int main(int argc, char** argv) {
@@ -27,6 +29,9 @@ int main(int argc, char** argv) {
   const size_t realizations =
       EnvSize("ASM_BENCH_REALIZATIONS", static_cast<size_t>(cli.GetInt("realizations", 3)));
   const uint64_t seed = static_cast<uint64_t>(cli.GetInt("seed", 7));
+  const size_t num_threads = NumThreadsOverride(cli);
+  std::unique_ptr<ThreadPool> pool;  // 1 = no pool
+  if (num_threads != 1) pool = std::make_unique<ThreadPool>(num_threads);
 
   std::cout << "Ablation: randomized rounding of the mRR root count (DESIGN.md §4)\n";
   std::cout << "\nPart 1: worst-case bias ratio f(x) = E[Gamma~]/Gamma over x\n";
@@ -70,7 +75,7 @@ int main(int argc, char** argv) {
       AdaptiveWorld world(*graph, DiffusionModel::kIndependentCascade, eta, world_rng);
       TrimOptions options;
       options.rounding = rounding;
-      options.num_threads = NumThreadsOverride(cli);
+      options.pool = pool.get();
       Trim trim(*graph, DiffusionModel::kIndependentCascade, options);
       Rng rng(seed * 77 + run);
       traces.push_back(RunAdaptivePolicy(world, trim, rng));

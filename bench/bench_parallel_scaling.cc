@@ -6,11 +6,12 @@
 // (the TRIM workload) at each requested thread count, reporting sets/s and
 // speedup over one thread. Phase 2: LazyGreedyMaxCoverage seed selection
 // over one shared collection (the TRIM-B per-round subproblem), reporting
-// picks/s. Checksums are printed per row; identical checksums across
-// thread counts demonstrate both determinism contracts (per-set RNG
-// streams + index-ordered merge for sampling; batched stale-drain with
-// exact (gain, lowest-id) tie-breaking for coverage — neither result
-// depends on the pool size).
+// picks/s. Both phases run t = 1 without a pool, on the calling thread.
+// Checksums are printed per row; identical checksums across thread counts
+// demonstrate both determinism contracts (per-set RNG streams +
+// index-ordered merge for sampling; batched stale-drain with exact
+// (gain, lowest-id) tie-breaking for coverage — neither result depends on
+// the pool size, or on whether there is a pool).
 //
 //   --threads 1,2,4,8     thread counts to sweep (ASM_BENCH_THREADS adds one)
 //   --sets 20000          RR-sets per timed sampling batch
@@ -110,17 +111,18 @@ int main(int argc, char** argv) {
   uint64_t reference_checksum = 0;
   bool deterministic = true;
   for (size_t t : threads) {
-    ThreadPool pool(t);
-    ParallelRrSampler sampler(*graph, model, pool);
+    std::unique_ptr<ThreadPool> pool;
+    if (t != 1) pool = std::make_unique<ThreadPool>(t);
+    ParallelRrSampler sampler(*graph, model, pool.get());
     RrCollection collection(graph->NumNodes());
     Rng rng(seed + 1);
 
     // Warm up worker scratch (first-touch allocation), then time.
-    sampler.GenerateBatch(candidates, nullptr, sets / 10 + 1, collection, rng);
+    sampler.GenerateIndexed(candidates, nullptr, 0, sets / 10 + 1, collection, rng.Split());
     collection.Clear();
     Rng rr_rng(seed + 2);
     WallTimer rr_timer;
-    sampler.GenerateBatch(candidates, nullptr, sets, collection, rr_rng);
+    sampler.GenerateIndexed(candidates, nullptr, 0, sets, collection, rr_rng.Split());
     const double rr_seconds = rr_timer.Seconds();
     const uint64_t checksum = CoverageChecksum(collection);
     if (reference_checksum == 0) reference_checksum = checksum;
@@ -129,7 +131,8 @@ int main(int argc, char** argv) {
     collection.Clear();
     Rng mrr_rng(seed + 3);
     WallTimer mrr_timer;
-    sampler.GenerateMrrBatch(candidates, nullptr, root_size, sets, collection, mrr_rng);
+    sampler.GenerateMrrIndexed(candidates, nullptr, root_size, 0, sets, collection,
+                               mrr_rng.Split());
     const double mrr_seconds = mrr_timer.Seconds();
 
     const double rr_rate = sets / rr_seconds;
@@ -147,9 +150,8 @@ int main(int argc, char** argv) {
 
   // --- Phase 2: parallel greedy coverage (the TRIM-B selection phase) -------
   // One shared collection (deterministic regardless of how it was sampled),
-  // then LazyGreedyMaxCoverage at each thread count. t = 1 runs the
-  // sequential reference path (no pool), mirroring ParallelEngine's
-  // engagement policy, so speedups are against the true sequential CELF.
+  // then LazyGreedyMaxCoverage at each thread count. t = 1 runs without a
+  // pool, so speedups are against the sequential CELF.
   const size_t coverage_sets = EnvSize(
       "ASM_BENCH_COVERAGE_SETS",
       static_cast<size_t>(cli.GetInt("coverage-sets", static_cast<int>(sets * 5))));
@@ -157,9 +159,10 @@ int main(int argc, char** argv) {
   RrCollection coverage_instance(graph->NumNodes());
   {
     ThreadPool pool(threads.back());
-    ParallelRrSampler sampler(*graph, model, pool);
+    ParallelRrSampler sampler(*graph, model, &pool);
     Rng rng(seed + 4);
-    sampler.GenerateBatch(candidates, nullptr, coverage_sets, coverage_instance, rng);
+    sampler.GenerateIndexed(candidates, nullptr, 0, coverage_sets, coverage_instance,
+                            rng.Split());
   }
   std::cout << "\nParallel greedy coverage (LazyGreedyMaxCoverage, |R|="
             << coverage_instance.NumSets() << ", entries="

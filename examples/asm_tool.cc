@@ -27,7 +27,7 @@
 // --save-snapshot writes one), --scale S (surrogate size
 // multiplier), --eta N | --eta-fraction F, --model IC|LT,
 // --algorithm NAME (see --list-algorithms; ASTI-b accepts any b >= 1),
-// --epsilon E, --threads T (1 = sequential, 0 = all cores), --runs R,
+// --epsilon E, --threads T (1 = no pool, 0 = all cores), --runs R,
 // --seed S, --timeout SECONDS (abandon the run with DeadlineExceeded past
 // the budget; unset = no deadline), --no-cache (sample full-residual
 // collections into a request-private cache instead of the engine's shared
@@ -362,8 +362,7 @@ int Run(int argc, char** argv) {
   }
 
   // --threads read directly (not NumThreadsOverride): a lingering
-  // ASM_BENCH_THREADS export must not silently flip the user's run onto a
-  // different (sequential vs pooled) stream protocol.
+  // ASM_BENCH_THREADS export must not silently change the user's pool.
   SeedMinEngine engine(catalog, {static_cast<size_t>(threads)});
   StatusOr<SolveResult> solved = engine.Solve(request);
   if (!solved.ok()) {

@@ -94,7 +94,6 @@ StatusOr<std::unique_ptr<RoundSelector>> AlgorithmRegistry::Make(
         TrimOptions options;
         options.epsilon = ctx.epsilon;
         options.rounding = ctx.rounding;
-        options.num_threads = ctx.num_threads;
         options.pool = ctx.pool;
         options.cancel = ctx.cancel;
         options.profile = ctx.profile;
@@ -106,7 +105,6 @@ StatusOr<std::unique_ptr<RoundSelector>> AlgorithmRegistry::Make(
       options.epsilon = ctx.epsilon;
       options.batch_size = batch;
       options.rounding = ctx.rounding;
-      options.num_threads = ctx.num_threads;
       options.pool = ctx.pool;
       options.cancel = ctx.cancel;
       options.profile = ctx.profile;
@@ -117,7 +115,6 @@ StatusOr<std::unique_ptr<RoundSelector>> AlgorithmRegistry::Make(
     case AlgorithmId::kAdaptIm: {
       AdaptImOptions options;
       options.epsilon = ctx.epsilon;
-      options.num_threads = ctx.num_threads;
       options.pool = ctx.pool;
       options.cancel = ctx.cancel;
       options.profile = ctx.profile;

@@ -71,10 +71,9 @@ struct AlgorithmContext {
   NodeId batch_size = 0;     // 0 = the algorithm id's default batch
   RootRounding rounding = RootRounding::kRandomized;
   size_t oracle_trials = 200;  // MC trials per candidate (kOracle only)
-  /// Sampling/coverage workers when `pool` is null: 1 = sequential, 0 =
-  /// all hardware threads, k = k private workers.
-  size_t num_threads = 1;
-  /// Shared resident pool (overrides num_threads); the SeedMinEngine mode.
+  /// Shared sampling/coverage pool (not owned; null = run on the calling
+  /// thread). Results are identical at every pool size; see
+  /// TrimOptions::pool.
   ThreadPool* pool = nullptr;
   /// Cooperative stop condition threaded into the selector's sampling and
   /// coverage loops (not owned; must outlive the selector). See

@@ -689,7 +689,6 @@ StatusOr<SolveResult> SeedMinEngine::RunAdaptive(GraphState& state,
   ctx.batch_size = request.batch_size;
   ctx.rounding = request.rounding;
   ctx.oracle_trials = request.oracle_trials;
-  ctx.num_threads = options_.num_threads;
   ctx.pool = pool_.get();
   ctx.cancel = &scope;
   ctx.profile = profile;
@@ -760,7 +759,6 @@ StatusOr<SolveResult> SeedMinEngine::RunAteucRequest(GraphState& state,
   Rng select_rng = StreamFor(request.seed, kAteucDomain, 0);
   std::optional<SamplerCache> private_cache;
   AteucOptions options;
-  options.num_threads = options_.num_threads;
   options.pool = pool_.get();
   options.cancel = &scope;
   options.profile = profile;
@@ -786,7 +784,6 @@ StatusOr<SolveResult> SeedMinEngine::RunBisectionRequest(GraphState& state,
   Rng select_rng = StreamFor(request.seed, kBisectionDomain, 0);
   std::optional<SamplerCache> private_cache;
   BisectionOptions options;
-  options.num_threads = options_.num_threads;
   options.pool = pool_.get();
   options.cancel = &scope;
   options.profile = profile;

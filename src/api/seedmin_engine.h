@@ -60,9 +60,8 @@
 // them — whether a request runs solo, in SolveBatch, queued behind other
 // requests, interleaved with requests against other catalog graphs,
 // against a cold or warm cache, or with the cache disabled, at any pool
-// size != 1 (pool size 1 uses the sequential reference sampling path,
-// which is deterministic too but follows the paper's in-place stream
-// protocol). See src/api/README.md.
+// size — including 1, which samples on the driving thread with the same
+// index-derived streams. See src/api/README.md.
 
 #pragma once
 
@@ -108,8 +107,9 @@ class SeedMinEngine {
 
   /// How the engine SERVES: pool size, drivers, queue depth, metrics.
   struct ServingOptions {
-    /// Shared sampling/coverage workers for all requests: 1 = sequential
-    /// reference path (no pool), 0 = one per hardware thread, k = k workers.
+    /// Shared sampling/coverage workers for all requests: 1 = no pool (work
+    /// runs on the driving thread), 0 = one per hardware thread, k = k
+    /// workers. Results are identical at every setting.
     /// Sharded catalog entries divide the resolved count across their
     /// per-shard pools (each shard gets at least one worker).
     size_t num_threads = 1;

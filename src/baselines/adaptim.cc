@@ -12,10 +12,8 @@ AdaptIm::AdaptIm(const DirectedGraph& graph, DiffusionModel model, AdaptImOption
     : graph_(&graph),
       model_(model),
       options_(options),
-      sampler_(graph, model),
-      collection_(graph.NumNodes()),
-      engine_(graph, model, options.num_threads, options.pool, options.cancel,
-              options.profile) {
+      parallel_sampler_(graph, model, options.pool, options.cancel, options.profile),
+      collection_(graph.NumNodes()) {
   ASM_CHECK(options_.epsilon > 0.0 && options_.epsilon < 1.0);
 }
 
@@ -43,59 +41,22 @@ SelectionResult AdaptIm::SelectBatch(const ResidualView& view, Rng& rng) {
   // Round 1 (full residual): serve the doubling ladder from the shared
   // single-root RR entry — the same (kRr, model) entry ATEUC and Bisection
   // read — consuming zero draws from `rng` (see Trim::SelectBatch).
-  if (options_.sampler_cache != nullptr && ni == graph_->NumNodes()) {
-    const SamplerCacheKey key = SamplerCacheKey::Rr(model_);
-    SelectionResult result;
-    for (size_t t = 1; t <= max_iterations; ++t) {
-      const size_t want = DoublingLadderSets(theta_zero, t);
-      const CollectionView sets = options_.sampler_cache->Acquire(
-          key, want, engine_.pool(), options_.cancel, options_.profile);
-      if (sets.NumSets() < want || Fired(options_.cancel)) return SelectionResult{};
-      const NodeId v_star = ArgMaxCoverage(sets, engine_.pool(), options_.profile);
-      const double coverage = static_cast<double>(sets.Coverage(v_star));
-      double lower, upper;
-      {
-        PhaseSpan certify(options_.profile, RequestPhase::kCertify);
-        lower = CoverageLowerBound(coverage, a1);
-        upper = CoverageUpperBound(coverage, a2);
-      }
-      result.iterations = t;
-      if (lower / upper >= 1.0 - eps_hat || t == max_iterations) {
-        result.seeds = {v_star};
-        result.estimated_marginal_gain = n_d * coverage / static_cast<double>(want);
-        result.num_samples = want;
-        return result;
-      }
-    }
-    ASM_CHECK(false) << "unreachable: AdaptIM always returns by iteration T";
-  }
-
-  collection_.Clear();
-  auto generate = [&](size_t count) {
-    if (ParallelRrSampler* parallel = engine_.get()) {
-      parallel->GenerateBatch(*view.inactive_nodes, view.active, count, collection_,
-                              rng);
-      return;
-    }
-    PhaseSpan span(options_.profile, RequestPhase::kSampling);
-    collection_.Reserve(count);
-    for (size_t i = 0; i < count; ++i) {
-      if (i % 64 == 0 && Fired(options_.cancel)) return;
-      sampler_.Generate(*view.inactive_nodes, view.active, collection_, rng);
-    }
-    NoteSampling(options_.profile, count, collection_.MemoryBytes());
-  };
-  generate(theta_zero);
+  const LadderSource ladder =
+      options_.sampler_cache != nullptr && ni == graph_->NumNodes()
+          ? CachedLadder(*options_.sampler_cache, SamplerCacheKey::Rr(model_),
+                         options_.pool, options_.cancel, options_.profile)
+          : OwnedLadder(parallel_sampler_, collection_, *view.inactive_nodes, view.active,
+                        /*root_size=*/nullptr, rng);
 
   SelectionResult result;
   for (size_t t = 1; t <= max_iterations; ++t) {
-    if (Fired(options_.cancel)) return SelectionResult{};  // empty seeds = cancelled round
-    const NodeId v_star =
-        ArgMaxCoverage(collection_, engine_.pool(), options_.profile);
-    const double coverage = static_cast<double>(collection_.Coverage(v_star));
+    const size_t want = DoublingLadderSets(theta_zero, t);
+    const CollectionView sets = ladder(want);
+    if (sets.NumSets() < want || Fired(options_.cancel)) return SelectionResult{};
+    const NodeId v_star = ArgMaxCoverage(sets, options_.pool, options_.profile);
+    const double coverage = static_cast<double>(sets.Coverage(v_star));
     double lower, upper;
     {
-      // Scoped so certify time excludes the doubling generate() below.
       PhaseSpan certify(options_.profile, RequestPhase::kCertify);
       lower = CoverageLowerBound(coverage, a1);
       upper = CoverageUpperBound(coverage, a2);
@@ -103,12 +64,10 @@ SelectionResult AdaptIm::SelectBatch(const ResidualView& view, Rng& rng) {
     result.iterations = t;
     if (lower / upper >= 1.0 - eps_hat || t == max_iterations) {
       result.seeds = {v_star};
-      result.estimated_marginal_gain =
-          n_d * coverage / static_cast<double>(collection_.NumSets());
-      result.num_samples = collection_.NumSets();
+      result.estimated_marginal_gain = n_d * coverage / static_cast<double>(want);
+      result.num_samples = want;
       return result;
     }
-    generate(collection_.NumSets());
   }
   ASM_CHECK(false) << "unreachable: AdaptIM always returns by iteration T";
   return result;

@@ -11,15 +11,12 @@
 
 #pragma once
 
-#include <memory>
-
 #include "core/selector.h"
 #include "diffusion/model.h"
 #include "graph/graph.h"
 #include "parallel/parallel_sampler.h"
 #include "parallel/thread_pool.h"
 #include "sampling/rr_collection.h"
-#include "sampling/rr_set.h"
 #include "sampling/sampler_cache.h"
 
 namespace asti {
@@ -27,8 +24,6 @@ namespace asti {
 /// Tuning knobs for AdaptIM.
 struct AdaptImOptions {
   double epsilon = 0.5;  // certification slack ε ∈ (0, 1)
-  /// RR generation workers; semantics as TrimOptions::num_threads.
-  size_t num_threads = 1;
   /// Shared external pool; semantics as TrimOptions::pool.
   ThreadPool* pool = nullptr;
   /// Cooperative stop condition; semantics as TrimOptions::cancel.
@@ -55,9 +50,8 @@ class AdaptIm : public RoundSelector {
   const DirectedGraph* graph_;
   DiffusionModel model_;
   AdaptImOptions options_;
-  RrSampler sampler_;
+  ParallelRrSampler parallel_sampler_;
   RrCollection collection_;
-  ParallelEngine engine_;
 };
 
 }  // namespace asti

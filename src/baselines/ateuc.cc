@@ -9,7 +9,6 @@
 #include "parallel/thread_pool.h"
 #include "sampling/rr_collection.h"
 #include "sampling/shared_collection.h"
-#include "sampling/rr_set.h"
 #include "stats/concentration.h"
 #include "util/bit_vector.h"
 #include "util/check.h"
@@ -67,10 +66,18 @@ AteucResult RunAteuc(const DirectedGraph& graph, DiffusionModel model, NodeId et
   std::vector<NodeId> all_nodes(n);
   std::iota(all_nodes.begin(), all_nodes.end(), 0);
 
-  RrSampler sampler(graph, model);
   RrCollection collection(n);
-  ParallelEngine engine(graph, model, options.num_threads, options.pool,
-                        options.cancel, options.profile);
+  ParallelRrSampler parallel_sampler(graph, model, options.pool, options.cancel,
+                                     options.profile);
+  // ATEUC samples the full graph throughout, so with a cache its entire
+  // run reads the shared (kRr, model) entry at the exact ladder lengths,
+  // independent of how many sets the cache already held.
+  const LadderSource ladder =
+      options.sampler_cache != nullptr
+          ? CachedLadder(*options.sampler_cache, SamplerCacheKey::Rr(model), options.pool,
+                         options.cancel, options.profile)
+          : OwnedLadder(parallel_sampler, collection, all_nodes, /*active=*/nullptr,
+                        /*root_size=*/nullptr, rng);
   const double n_d = static_cast<double>(n);
   // Failure budget per bound evaluation; the union bound over greedy
   // prefixes and doubling iterations follows Han et al.'s recipe.
@@ -84,36 +91,12 @@ AteucResult RunAteuc(const DirectedGraph& graph, DiffusionModel model, NodeId et
     // A fired scope short-circuits the doubling ladder: return the best
     // candidate so far (possibly no seeds) and let the caller discard it.
     if (Fired(options.cancel)) return result;
-    CollectionView sets;
-    if (options.sampler_cache != nullptr) {
-      // Whole-run reuse: the exact ladder length keeps the result
-      // independent of how many sets the cache already held.
-      sets = options.sampler_cache->Acquire(SamplerCacheKey::Rr(model), target_samples,
-                                            engine.pool(), options.cancel,
-                                            options.profile);
-      if (sets.NumSets() < target_samples) return result;  // cancelled mid-extension
-    } else if (ParallelRrSampler* parallel = engine.get()) {
-      parallel->GenerateBatch(all_nodes, nullptr, target_samples - collection.NumSets(),
-                              collection, rng);
-      if (Fired(options.cancel)) return result;  // batch aborted at a stride boundary
-      sets = collection;
-    } else {
-      PhaseSpan span(options.profile, RequestPhase::kSampling);
-      const size_t before = collection.NumSets();
-      collection.Reserve(target_samples - before);
-      size_t generated = 0;
-      while (collection.NumSets() < target_samples) {
-        if (generated++ % 64 == 0 && Fired(options.cancel)) return result;
-        sampler.Generate(all_nodes, nullptr, collection, rng);
-      }
-      NoteSampling(options.profile, collection.NumSets() - before,
-                   collection.MemoryBytes());
-      sets = collection;
-    }
+    const CollectionView sets = ladder(target_samples);
+    if (sets.NumSets() < target_samples || Fired(options.cancel)) return result;
     const double theta = static_cast<double>(sets.NumSets());
     // Greedy can never need more than η picks: each pick either covers a
     // new set or coverage is exhausted.
-    const GreedyCurve curve = GreedyCoverageCurve(sets, eta, engine.pool(),
+    const GreedyCurve curve = GreedyCoverageCurve(sets, eta, options.pool,
                                                   options.cancel, options.profile);
     if (Fired(options.cancel)) return result;  // curve truncated mid-pick; bounds unusable
     // Everything from here to the doubling decision is bound evaluation.
@@ -158,7 +141,7 @@ AteucResult RunAteuc(const DirectedGraph& graph, DiffusionModel model, NodeId et
           n_d * static_cast<double>(curve.cumulative_coverage[s_u - 1]) / theta;
       const bool gap_met = s_u <= 2 * s_l;
       const bool stabilized =
-          s_u == previous_s_u && collection.NumSets() >= options.stable_after;
+          s_u == previous_s_u && sets.NumSets() >= options.stable_after;
       if (gap_met || stabilized || round == options.max_doublings) return result;
       previous_s_u = s_u;
     } else if (round == options.max_doublings) {

@@ -48,8 +48,6 @@ struct AteucOptions {
   /// high probability, which in practice lands E[I(S)] slightly above η —
   /// this models that margin.
   double target_slack = 1.2;
-  /// RR generation workers; semantics as TrimOptions::num_threads.
-  size_t num_threads = 1;
   /// Shared external pool; semantics as TrimOptions::pool.
   ThreadPool* pool = nullptr;
   /// Cooperative stop condition; polled per doubling round, generation

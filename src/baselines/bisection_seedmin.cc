@@ -6,7 +6,6 @@
 #include "parallel/parallel_sampler.h"
 #include "sampling/rr_collection.h"
 #include "sampling/shared_collection.h"
-#include "sampling/rr_set.h"
 #include "util/check.h"
 
 namespace asti {
@@ -25,32 +24,17 @@ BisectionResult RunBisectionSeedMin(const DirectedGraph& graph, DiffusionModel m
   // k, so a single greedy pass would suffice — but we keep the literal
   // bisection protocol, whose cost profile is what this baseline is for).
   RrCollection collection(n);
-  ParallelEngine engine(graph, model, options.num_threads, options.pool,
-                        options.cancel, options.profile);
+  ParallelRrSampler parallel_sampler(graph, model, options.pool, options.cancel,
+                                     options.profile);
+  const LadderSource ladder =
+      options.sampler_cache != nullptr
+          ? CachedLadder(*options.sampler_cache, SamplerCacheKey::Rr(model), options.pool,
+                         options.cancel, options.profile)
+          : OwnedLadder(parallel_sampler, collection, all_nodes, /*active=*/nullptr,
+                        /*root_size=*/nullptr, rng);
   BisectionResult result;
-  CollectionView sets;
-  if (options.sampler_cache != nullptr) {
-    sets = options.sampler_cache->Acquire(SamplerCacheKey::Rr(model), options.samples,
-                                          engine.pool(), options.cancel,
-                                          options.profile);
-    if (sets.NumSets() < options.samples) return result;  // cancelled mid-extension
-  } else {
-    if (ParallelRrSampler* parallel = engine.get()) {
-      parallel->GenerateBatch(all_nodes, nullptr, options.samples, collection, rng);
-    } else {
-      PhaseSpan span(options.profile, RequestPhase::kSampling);
-      RrSampler sampler(graph, model);
-      collection.Reserve(options.samples);
-      size_t generated = 0;
-      while (collection.NumSets() < options.samples) {
-        if (generated++ % 64 == 0 && Fired(options.cancel)) break;
-        sampler.Generate(all_nodes, nullptr, collection, rng);
-      }
-      NoteSampling(options.profile, collection.NumSets(), collection.MemoryBytes());
-    }
-    sets = collection;
-  }
-  if (Fired(options.cancel) || sets.NumSets() == 0) return result;  // doomed; discard
+  const CollectionView sets = ladder(options.samples);
+  if (sets.NumSets() < options.samples || Fired(options.cancel)) return result;  // discard
   result.num_samples = sets.NumSets();
   const double theta = static_cast<double>(sets.NumSets());
   const double target = options.target_slack * static_cast<double>(eta);
@@ -58,7 +42,7 @@ BisectionResult RunBisectionSeedMin(const DirectedGraph& graph, DiffusionModel m
   auto spread_of_k = [&](NodeId k) {
     ++result.im_evaluations;
     const MaxCoverageResult greedy = GreedyMaxCoverage(
-        sets, k, nullptr, engine.pool(), options.cancel, options.profile);
+        sets, k, nullptr, options.pool, options.cancel, options.profile);
     return static_cast<double>(n) * static_cast<double>(greedy.covered_sets) / theta;
   };
 
@@ -82,7 +66,7 @@ BisectionResult RunBisectionSeedMin(const DirectedGraph& graph, DiffusionModel m
   if (Fired(options.cancel)) return result;
 
   const MaxCoverageResult final_greedy = GreedyMaxCoverage(
-      sets, high, nullptr, engine.pool(), options.cancel, options.profile);
+      sets, high, nullptr, options.pool, options.cancel, options.profile);
   result.seeds = final_greedy.selected;
   result.estimated_spread =
       static_cast<double>(n) * static_cast<double>(final_greedy.covered_sets) / theta;

@@ -29,10 +29,8 @@ class ThreadPool;
 struct BisectionOptions {
   size_t samples = 8192;      // RR-sets per IM evaluation
   double target_slack = 1.2;  // aim E[I(S)] at slack·η, like ATEUC
-  /// RR generation + greedy coverage workers; semantics as
-  /// TrimOptions::num_threads (one shared pool, per-batch TaskGroups).
-  size_t num_threads = 1;
-  /// Shared external pool; semantics as TrimOptions::pool.
+  /// Shared external pool for RR generation and greedy coverage;
+  /// semantics as TrimOptions::pool.
   ThreadPool* pool = nullptr;
   /// Cooperative stop condition; polled per IM evaluation, generation
   /// stride, and greedy pick. A fired scope returns a partial result the

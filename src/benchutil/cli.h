@@ -36,7 +36,7 @@ double EnvDouble(const char* name, double fallback);
 size_t EnvSize(const char* name, size_t fallback);
 
 /// Sampling worker count for a bench binary: ASM_BENCH_THREADS env wins,
-/// then the --threads flag, then `fallback` (1 = sequential, 0 = all
+/// then the --threads flag, then `fallback` (1 = no pool, 0 = all
 /// hardware threads).
 size_t NumThreadsOverride(const CommandLine& cli, size_t fallback = 1);
 

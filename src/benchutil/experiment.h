@@ -38,7 +38,7 @@ struct CellConfig {
   uint64_t seed = 1;           // governs hidden realizations & selector RNG
   bool keep_traces = false;    // retain full per-round traces (Fig. 10)
   /// Sampling workers for RR/mRR-based selectors (TRIM, TRIM-B, AdaptIM,
-  /// ATEUC): 1 = sequential, 0 = all hardware threads, k = k workers.
+  /// ATEUC): 1 = no pool, 0 = all hardware threads, k = k workers.
   size_t num_threads = 1;
 
   /// The engine query this cell describes.

@@ -39,7 +39,7 @@ struct SweepOptions {
   /// Surrogate scale (ASM_BENCH_SCALE / --scale overrides; see cli.h).
   double scale = 0.5;
   /// Engine pool size per dataset (ASM_BENCH_THREADS / --threads overrides;
-  /// 1 = sequential, 0 = all hardware threads).
+  /// 1 = no pool, 0 = all hardware threads).
   size_t num_threads = 1;
 };
 

@@ -40,23 +40,39 @@ Trim::Trim(const DirectedGraph& graph, DiffusionModel model, TrimOptions options
     : graph_(&graph),
       model_(model),
       options_(options),
-      sampler_(graph, model),
-      collection_(graph.NumNodes()),
-      engine_(graph, model, options.num_threads, options.pool, options.cancel,
-              options.profile) {
+      parallel_sampler_(graph, model, options.pool, options.cancel, options.profile),
+      collection_(graph.NumNodes()) {
   ASM_CHECK(options_.epsilon > 0.0 && options_.epsilon < 1.0);
 }
 
-SelectionResult Trim::SelectCached(const TrimSchedule& schedule, NodeId shortfall) {
-  const SamplerCacheKey key = SamplerCacheKey::Mrr(model_, shortfall, options_.rounding);
+SelectionResult Trim::SelectBatch(const ResidualView& view, Rng& rng) {
+  const NodeId ni = view.NumInactive();
+  const NodeId eta_i = view.shortfall;
+  ASM_CHECK(eta_i >= 1 && eta_i <= ni);
+
+  const TrimSchedule schedule = ComputeTrimSchedule(ni, eta_i, options_.epsilon);
+  const RootSizeSampler root_size(ni, eta_i, options_.rounding);
+
+  // Round 1 samples the full residual (every node inactive) — the only
+  // round whose distribution is request-independent, hence cacheable. The
+  // cached ladder consumes ZERO draws from `rng`, so all later rounds see
+  // identical request streams whether this round hit, extended, or (with a
+  // request-private cache, --no-cache) freshly sampled.
+  const LadderSource ladder =
+      options_.sampler_cache != nullptr && ni == graph_->NumNodes()
+          ? CachedLadder(*options_.sampler_cache,
+                         SamplerCacheKey::Mrr(model_, eta_i, options_.rounding),
+                         options_.pool, options_.cancel, options_.profile)
+          : OwnedLadder(parallel_sampler_, collection_, *view.inactive_nodes, view.active,
+                        &root_size, rng);
+
   SelectionResult result;
   for (size_t t = 1; t <= schedule.max_iterations; ++t) {
     const size_t want = DoublingLadderSets(schedule.theta_zero, t);
-    const CollectionView sets = options_.sampler_cache->Acquire(
-        key, want, engine_.pool(), options_.cancel, options_.profile);
-    // A short view means cancellation fired before the extension published.
+    const CollectionView sets = ladder(want);
+    // Short sets or a fired scope: cancelled round, empty seeds.
     if (sets.NumSets() < want || Fired(options_.cancel)) return SelectionResult{};
-    const NodeId v_star = ArgMaxCoverage(sets, engine_.pool(), options_.profile);
+    const NodeId v_star = ArgMaxCoverage(sets, options_.pool, options_.profile);
     const double coverage = static_cast<double>(sets.Coverage(v_star));
     double lower, upper;
     {
@@ -68,76 +84,10 @@ SelectionResult Trim::SelectCached(const TrimSchedule& schedule, NodeId shortfal
     if (lower / upper >= 1.0 - schedule.eps_hat || t == schedule.max_iterations) {
       result.seeds = {v_star};
       result.estimated_marginal_gain =
-          static_cast<double>(shortfall) * coverage / static_cast<double>(want);
+          static_cast<double>(eta_i) * coverage / static_cast<double>(want);
       result.num_samples = want;
       return result;
     }
-  }
-  ASM_CHECK(false) << "unreachable: TRIM always returns by iteration T";
-  return result;
-}
-
-SelectionResult Trim::SelectBatch(const ResidualView& view, Rng& rng) {
-  const NodeId ni = view.NumInactive();
-  const NodeId eta_i = view.shortfall;
-  ASM_CHECK(eta_i >= 1 && eta_i <= ni);
-
-  const TrimSchedule schedule = ComputeTrimSchedule(ni, eta_i, options_.epsilon);
-
-  // Round 1 samples the full residual (every node inactive) — the only
-  // round whose distribution is request-independent, hence cacheable. The
-  // cached path consumes ZERO draws from `rng`, so all later rounds see
-  // identical request streams whether this round hit, extended, or (with a
-  // request-private cache, --no-cache) freshly sampled.
-  if (options_.sampler_cache != nullptr && ni == graph_->NumNodes()) {
-    return SelectCached(schedule, eta_i);
-  }
-
-  const RootSizeSampler root_size(ni, eta_i, options_.rounding);
-
-  collection_.Clear();
-  auto generate = [&](size_t count) {
-    if (ParallelRrSampler* parallel = engine_.get()) {
-      parallel->GenerateMrrBatch(*view.inactive_nodes, view.active, root_size, count,
-                                 collection_, rng);
-      return;
-    }
-    PhaseSpan span(options_.profile, RequestPhase::kSampling);
-    collection_.Reserve(count);
-    for (size_t i = 0; i < count; ++i) {
-      // Sequential analogue of the parallel sampler's stride poll; the
-      // run is unwinding, so the truncated stream consumption is moot.
-      if (i % 64 == 0 && Fired(options_.cancel)) return;
-      sampler_.Generate(*view.inactive_nodes, view.active, root_size.Sample(rng),
-                        collection_, rng);
-    }
-    NoteSampling(options_.profile, count, collection_.MemoryBytes());
-  };
-  generate(schedule.theta_zero);
-
-  SelectionResult result;
-  for (size_t t = 1; t <= schedule.max_iterations; ++t) {
-    if (Fired(options_.cancel)) return SelectionResult{};  // empty seeds = cancelled round
-    const NodeId v_star =
-        ArgMaxCoverage(collection_, engine_.pool(), options_.profile);
-    const double coverage = static_cast<double>(collection_.Coverage(v_star));
-    double lower, upper;
-    {
-      // Scoped so the certify slot sees only the bound evaluation, not the
-      // doubling generate() at the bottom of the iteration.
-      PhaseSpan certify(options_.profile, RequestPhase::kCertify);
-      lower = CoverageLowerBound(coverage, schedule.a1);
-      upper = CoverageUpperBound(coverage, schedule.a2);
-    }
-    result.iterations = t;
-    if (lower / upper >= 1.0 - schedule.eps_hat || t == schedule.max_iterations) {
-      result.seeds = {v_star};
-      result.estimated_marginal_gain = static_cast<double>(eta_i) * coverage /
-                                       static_cast<double>(collection_.NumSets());
-      result.num_samples = collection_.NumSets();
-      return result;
-    }
-    generate(collection_.NumSets());  // double |R|
   }
   ASM_CHECK(false) << "unreachable: TRIM always returns by iteration T";
   return result;

@@ -9,33 +9,26 @@
 
 #pragma once
 
-#include <memory>
-
 #include "core/selector.h"
 #include "diffusion/model.h"
 #include "graph/graph.h"
 #include "parallel/parallel_sampler.h"
 #include "parallel/thread_pool.h"
-#include "sampling/mrr_set.h"
 #include "sampling/rr_collection.h"
 #include "sampling/sampler_cache.h"
 
 namespace asti {
 
-struct TrimSchedule;
-
 /// Tuning knobs for TRIM; defaults mirror the paper's experiments (ε = 0.5).
 struct TrimOptions {
   double epsilon = 0.5;          // approximation slack ε ∈ (0, 1)
   RootRounding rounding = RootRounding::kRandomized;  // ablation hook
-  /// mRR generation workers: 1 = in-place sequential sampling (the paper's
-  /// reference path), 0 = one per hardware thread, k = exactly k workers.
-  /// Results are deterministic for a fixed seed at every setting, and
-  /// identical across all settings ≠ 1 (see src/parallel/README.md).
-  size_t num_threads = 1;
-  /// Externally owned worker pool; overrides num_threads when non-null.
-  /// Several selectors may share one pool (per-batch TaskGroups isolate
-  /// them) — the SeedMinEngine serving mode. Must outlive the selector.
+  /// Externally owned worker pool for sampling and coverage (not owned;
+  /// may be null = everything runs on the calling thread). Results are
+  /// bit-identical for every pool size, including none (see
+  /// src/parallel/README.md). Several selectors may share one pool
+  /// (per-batch TaskGroups isolate them) — the SeedMinEngine serving mode.
+  /// Must outlive the selector.
   ThreadPool* pool = nullptr;
   /// Cooperative stop condition (not owned; must outlive the selector).
   /// Polled at generation-stride and certify-iteration boundaries; once it
@@ -48,12 +41,12 @@ struct TrimOptions {
   /// algorithm, so selections are bit-identical with or without it.
   RequestProfile* profile = nullptr;
   /// Shared sampler cache (not owned; may be null). When set, the ROUND-1
-  /// batch — the only one whose sampling distribution is residual-free —
-  /// asks the cache for the exact ladder prefixes instead of generating an
-  /// owned collection, and consumes zero draws from the request RNG (cache
+  /// ladder — the only one whose sampling distribution is residual-free —
+  /// reads the cache's exact prefixes instead of growing an owned
+  /// collection, and consumes zero draws from the request RNG (cache
   /// streams are key-derived; see sampling/sampler_cache.h). Later rounds
   /// condition on activations and always sample into owned collections.
-  /// Null = the legacy fully request-owned path.
+  /// Null = every round samples into owned collections.
   SamplerCache* sampler_cache = nullptr;
 };
 
@@ -69,17 +62,11 @@ class Trim : public RoundSelector {
   const char* Name() const override { return "ASTI"; }
 
  private:
-  /// The doubling loop against cached sealed prefixes (round 1 with a
-  /// sampler cache): per iteration, ask for the EXACT ladder prefix —
-  /// results are therefore independent of whatever the cache holds.
-  SelectionResult SelectCached(const TrimSchedule& schedule, NodeId shortfall);
-
   const DirectedGraph* graph_;
   DiffusionModel model_;
   TrimOptions options_;
-  MrrSampler sampler_;
+  ParallelRrSampler parallel_sampler_;
   RrCollection collection_;
-  ParallelEngine engine_;
 };
 
 /// Constants of one TRIM invocation (Alg. 2 lines 1-5), exposed so tests

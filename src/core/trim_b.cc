@@ -46,28 +46,44 @@ TrimB::TrimB(const DirectedGraph& graph, DiffusionModel model, TrimBOptions opti
     : graph_(&graph),
       model_(model),
       options_(options),
-      sampler_(graph, model),
+      parallel_sampler_(graph, model, options.pool, options.cancel, options.profile),
       collection_(graph.NumNodes()),
-      name_("ASTI-" + std::to_string(options.batch_size)),
-      engine_(graph, model, options.num_threads, options.pool, options.cancel,
-              options.profile) {
+      name_("ASTI-" + std::to_string(options.batch_size)) {
   ASM_CHECK(options_.epsilon > 0.0 && options_.epsilon < 1.0);
   ASM_CHECK(options_.batch_size >= 1);
 }
 
-SelectionResult TrimB::SelectCached(const TrimBSchedule& schedule, NodeId shortfall,
-                                    NodeId batch, const ResidualView& view) {
-  const SamplerCacheKey key = SamplerCacheKey::Mrr(model_, shortfall, options_.rounding);
+SelectionResult TrimB::SelectBatch(const ResidualView& view, Rng& rng) {
+  const NodeId ni = view.NumInactive();
+  const NodeId eta_i = view.shortfall;
+  ASM_CHECK(eta_i >= 1 && eta_i <= ni);
+  const NodeId batch = std::min<NodeId>(options_.batch_size, ni);
+
+  const TrimBSchedule schedule = ComputeTrimBSchedule(ni, eta_i, batch, options_.epsilon);
+  const RootSizeSampler root_size(ni, eta_i, options_.rounding);
+
+  // Round 1 (full residual) is request-independent, hence served from the
+  // sampler cache with zero request-RNG draws; see Trim::SelectBatch.
+  const LadderSource ladder =
+      options_.sampler_cache != nullptr && ni == graph_->NumNodes()
+          ? CachedLadder(*options_.sampler_cache,
+                         SamplerCacheKey::Mrr(model_, eta_i, options_.rounding),
+                         options_.pool, options_.cancel, options_.profile)
+          : OwnedLadder(parallel_sampler_, collection_, *view.inactive_nodes, view.active,
+                        &root_size, rng);
+
   SelectionResult result;
   for (size_t t = 1; t <= schedule.max_iterations; ++t) {
     const size_t want = DoublingLadderSets(schedule.theta_zero, t);
-    const CollectionView sets = options_.sampler_cache->Acquire(
-        key, want, engine_.pool(), options_.cancel, options_.profile);
+    const CollectionView sets = ladder(want);
     if (sets.NumSets() < want || Fired(options_.cancel)) return SelectionResult{};
+    // CELF lazy greedy: identical selection to the eager version (see
+    // lazy_greedy_test), without the O(b·n) argmax rescans. Shares the
+    // sampling pool; results are pool-size-invariant.
     const MaxCoverageResult greedy =
-        LazyGreedyMaxCoverage(sets, batch, view.inactive_nodes, engine_.pool(),
+        LazyGreedyMaxCoverage(sets, batch, view.inactive_nodes, options_.pool,
                               options_.cancel, options_.profile);
-    if (Fired(options_.cancel)) return SelectionResult{};
+    if (Fired(options_.cancel)) return SelectionResult{};  // coverage pass aborted mid-pick
     const double coverage = static_cast<double>(greedy.covered_sets);
     double lower, upper;
     {
@@ -80,77 +96,10 @@ SelectionResult TrimB::SelectCached(const TrimBSchedule& schedule, NodeId shortf
         t == schedule.max_iterations) {
       result.seeds = greedy.selected;
       result.estimated_marginal_gain =
-          static_cast<double>(shortfall) * coverage / static_cast<double>(want);
+          static_cast<double>(eta_i) * coverage / static_cast<double>(want);
       result.num_samples = want;
       return result;
     }
-  }
-  ASM_CHECK(false) << "unreachable: TRIM-B always returns by iteration T";
-  return result;
-}
-
-SelectionResult TrimB::SelectBatch(const ResidualView& view, Rng& rng) {
-  const NodeId ni = view.NumInactive();
-  const NodeId eta_i = view.shortfall;
-  ASM_CHECK(eta_i >= 1 && eta_i <= ni);
-  const NodeId batch = std::min<NodeId>(options_.batch_size, ni);
-
-  const TrimBSchedule schedule = ComputeTrimBSchedule(ni, eta_i, batch, options_.epsilon);
-
-  // Round 1 (full residual) is request-independent, hence served from the
-  // sampler cache with zero request-RNG draws; see Trim::SelectBatch.
-  if (options_.sampler_cache != nullptr && ni == graph_->NumNodes()) {
-    return SelectCached(schedule, eta_i, batch, view);
-  }
-
-  const RootSizeSampler root_size(ni, eta_i, options_.rounding);
-
-  collection_.Clear();
-  auto generate = [&](size_t count) {
-    if (ParallelRrSampler* parallel = engine_.get()) {
-      parallel->GenerateMrrBatch(*view.inactive_nodes, view.active, root_size, count,
-                                 collection_, rng);
-      return;
-    }
-    PhaseSpan span(options_.profile, RequestPhase::kSampling);
-    collection_.Reserve(count);
-    for (size_t i = 0; i < count; ++i) {
-      if (i % 64 == 0 && Fired(options_.cancel)) return;
-      sampler_.Generate(*view.inactive_nodes, view.active, root_size.Sample(rng),
-                        collection_, rng);
-    }
-    NoteSampling(options_.profile, count, collection_.MemoryBytes());
-  };
-  generate(schedule.theta_zero);
-
-  SelectionResult result;
-  for (size_t t = 1; t <= schedule.max_iterations; ++t) {
-    if (Fired(options_.cancel)) return SelectionResult{};  // empty seeds = cancelled round
-    // CELF lazy greedy: identical selection to the eager version (see
-    // lazy_greedy_test), without the O(b·n) argmax rescans. Shares the
-    // sampling pool; results are thread-count-invariant.
-    const MaxCoverageResult greedy =
-        LazyGreedyMaxCoverage(collection_, batch, view.inactive_nodes, engine_.pool(),
-                              options_.cancel, options_.profile);
-    if (Fired(options_.cancel)) return SelectionResult{};  // coverage pass aborted mid-pick
-    const double coverage = static_cast<double>(greedy.covered_sets);
-    double lower, upper;
-    {
-      // Scoped so certify time excludes the doubling generate() below.
-      PhaseSpan certify(options_.profile, RequestPhase::kCertify);
-      lower = CoverageLowerBound(coverage, schedule.a1);
-      upper = CoverageUpperBound(coverage / schedule.rho_b, schedule.a2);
-    }
-    result.iterations = t;
-    if (lower / upper >= schedule.rho_b * (1.0 - schedule.eps_hat) ||
-        t == schedule.max_iterations) {
-      result.seeds = greedy.selected;
-      result.estimated_marginal_gain = static_cast<double>(eta_i) * coverage /
-                                       static_cast<double>(collection_.NumSets());
-      result.num_samples = collection_.NumSets();
-      return result;
-    }
-    generate(collection_.NumSets());  // double |R|
   }
   ASM_CHECK(false) << "unreachable: TRIM-B always returns by iteration T";
   return result;

@@ -8,28 +8,23 @@
 
 #pragma once
 
-#include <memory>
+#include <string>
 
 #include "core/selector.h"
 #include "diffusion/model.h"
 #include "graph/graph.h"
 #include "parallel/parallel_sampler.h"
 #include "parallel/thread_pool.h"
-#include "sampling/mrr_set.h"
 #include "sampling/rr_collection.h"
 #include "sampling/sampler_cache.h"
 
 namespace asti {
-
-struct TrimBSchedule;
 
 /// Tuning knobs for TRIM-B.
 struct TrimBOptions {
   double epsilon = 0.5;   // approximation slack ε ∈ (0, 1)
   NodeId batch_size = 2;  // b ≥ 1
   RootRounding rounding = RootRounding::kRandomized;
-  /// mRR generation workers; semantics as TrimOptions::num_threads.
-  size_t num_threads = 1;
   /// Shared external pool; semantics as TrimOptions::pool.
   ThreadPool* pool = nullptr;
   /// Cooperative stop condition; semantics as TrimOptions::cancel (also
@@ -38,7 +33,7 @@ struct TrimBOptions {
   /// Per-request phase profile; semantics as TrimOptions::profile.
   RequestProfile* profile = nullptr;
   /// Shared sampler cache; semantics as TrimOptions::sampler_cache (round-1
-  /// batches reuse the cache's sealed prefixes, zero request-RNG draws).
+  /// ladders reuse the cache's sealed prefixes, zero request-RNG draws).
   SamplerCache* sampler_cache = nullptr;
 };
 
@@ -55,18 +50,12 @@ class TrimB : public RoundSelector {
   const char* Name() const override { return name_.c_str(); }
 
  private:
-  /// Round-1 doubling loop against cached sealed prefixes; requests exact
-  /// ladder prefix lengths, so results are cache-state-independent.
-  SelectionResult SelectCached(const TrimBSchedule& schedule, NodeId shortfall,
-                               NodeId batch, const ResidualView& view);
-
   const DirectedGraph* graph_;
   DiffusionModel model_;
   TrimBOptions options_;
-  MrrSampler sampler_;
+  ParallelRrSampler parallel_sampler_;
   RrCollection collection_;
   std::string name_;
-  ParallelEngine engine_;
 };
 
 /// Constants of one TRIM-B invocation (Alg. 3 lines 1-5).

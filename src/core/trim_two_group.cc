@@ -10,12 +10,10 @@ namespace asti {
 
 TrimTwoGroup::TrimTwoGroup(const DirectedGraph& graph, DiffusionModel model,
                            TrimOptions options)
-    : graph_(&graph),
-      options_(options),
-      sampler_(graph, model),
+    : options_(options),
+      parallel_sampler_(graph, model, options.pool),
       derive_(graph.NumNodes()),
-      validate_(graph.NumNodes()),
-      engine_(graph, model, options.num_threads, options.pool) {
+      validate_(graph.NumNodes()) {
   ASM_CHECK(options_.epsilon > 0.0 && options_.epsilon < 1.0);
 }
 
@@ -30,34 +28,21 @@ SelectionResult TrimTwoGroup::SelectBatch(const ResidualView& view, Rng& rng) {
   // OPIM-C buys with the split.
   const TrimSchedule schedule = ComputeTrimSchedule(ni, eta_i, options_.epsilon);
   const RootSizeSampler root_size(ni, eta_i, options_.rounding);
-
-  derive_.Clear();
-  validate_.Clear();
-  auto generate = [&](size_t per_group) {
-    if (ParallelRrSampler* parallel = engine_.get()) {
-      parallel->GenerateMrrBatch(*view.inactive_nodes, view.active, root_size,
-                                 per_group, derive_, rng);
-      parallel->GenerateMrrBatch(*view.inactive_nodes, view.active, root_size,
-                                 per_group, validate_, rng);
-      return;
-    }
-    derive_.Reserve(per_group);
-    validate_.Reserve(per_group);
-    for (size_t i = 0; i < per_group; ++i) {
-      sampler_.Generate(*view.inactive_nodes, view.active, root_size.Sample(rng),
-                        derive_, rng);
-      sampler_.Generate(*view.inactive_nodes, view.active, root_size.Sample(rng),
-                        validate_, rng);
-    }
-  };
-  generate((schedule.theta_zero + 1) / 2);
+  const LadderSource derive_ladder = OwnedLadder(
+      parallel_sampler_, derive_, *view.inactive_nodes, view.active, &root_size, rng);
+  const LadderSource validate_ladder = OwnedLadder(
+      parallel_sampler_, validate_, *view.inactive_nodes, view.active, &root_size, rng);
+  const size_t per_group_zero = (schedule.theta_zero + 1) / 2;
 
   SelectionResult result;
   for (size_t t = 1; t <= schedule.max_iterations; ++t) {
-    const NodeId v_star = ArgMaxCoverage(derive_, engine_.pool());
-    const double derive_coverage = static_cast<double>(derive_.Coverage(v_star));
-    const double validate_coverage =
-        static_cast<double>(validate_.Coverage(v_star));
+    const size_t per_group = DoublingLadderSets(per_group_zero, t);
+    // R1 extends before R2 on every rung, fixing the request-stream order.
+    const CollectionView derive = derive_ladder(per_group);
+    const CollectionView validate = validate_ladder(per_group);
+    const NodeId v_star = ArgMaxCoverage(derive, options_.pool);
+    const double derive_coverage = static_cast<double>(derive.Coverage(v_star));
+    const double validate_coverage = static_cast<double>(validate.Coverage(v_star));
     const double lower = CoverageLowerBound(validate_coverage, schedule.a2);
     const double upper = CoverageUpperBound(derive_coverage, schedule.a2);
     result.iterations = t;
@@ -65,13 +50,11 @@ SelectionResult TrimTwoGroup::SelectBatch(const ResidualView& view, Rng& rng) {
         t == schedule.max_iterations) {
       result.seeds = {v_star};
       // Report the validation-group estimate (unbiased for the chosen node).
-      result.estimated_marginal_gain =
-          static_cast<double>(eta_i) * validate_coverage /
-          static_cast<double>(validate_.NumSets());
-      result.num_samples = derive_.NumSets() + validate_.NumSets();
+      result.estimated_marginal_gain = static_cast<double>(eta_i) * validate_coverage /
+                                       static_cast<double>(per_group);
+      result.num_samples = 2 * per_group;
       return result;
     }
-    generate(derive_.NumSets());  // double both groups
   }
   ASM_CHECK(false) << "unreachable: TrimTwoGroup always returns by iteration T";
   return result;

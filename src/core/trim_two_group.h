@@ -16,7 +16,7 @@
 #include "core/trim.h"
 #include "diffusion/model.h"
 #include "graph/graph.h"
-#include "sampling/mrr_set.h"
+#include "parallel/parallel_sampler.h"
 #include "sampling/rr_collection.h"
 
 namespace asti {
@@ -32,12 +32,10 @@ class TrimTwoGroup : public RoundSelector {
   const char* Name() const override { return "ASTI-2G"; }
 
  private:
-  const DirectedGraph* graph_;
   TrimOptions options_;
-  MrrSampler sampler_;
+  ParallelRrSampler parallel_sampler_;
   RrCollection derive_;    // R1
   RrCollection validate_;  // R2
-  ParallelEngine engine_;
 };
 
 }  // namespace asti

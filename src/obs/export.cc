@@ -49,7 +49,13 @@ std::string JsonLabels(const MetricLabels& labels) {
   std::string out = "{";
   for (const auto& [key, value] : labels) {
     if (out.size() > 1) out += ", ";
-    out += "\"" + Escape(key) + "\": \"" + Escape(value) + "\"";
+    // Appended piece by piece: g++ 12 reports a false -Wrestrict on a
+    // std::string operator+ chain here.
+    out += '"';
+    out += Escape(key);
+    out += "\": \"";
+    out += Escape(value);
+    out += '"';
   }
   out += "}";
   return out;

@@ -9,7 +9,7 @@
 //
 // A PhaseSpan is a scoped timer accumulating into one profile slot. The
 // profile is written by the single thread driving the request (sampling
-// fans out to the pool, but the GenerateBatch/coverage calls themselves
+// fans out to the pool, but the sampler/coverage calls themselves
 // block on the driving thread), so the slots are plain doubles — no
 // atomics on the accumulation path, and a null profile makes every span
 // a no-op (the metrics-off mode). Spans never touch RNG streams, work

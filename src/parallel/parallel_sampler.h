@@ -1,20 +1,21 @@
-// Multi-threaded (m)RR-set batch generation with a deterministic result.
+// (m)RR-set generation with a deterministic result at every pool size.
 //
-// Each set in a batch owns an RNG stream derived from the caller's Rng by
-// index — batch_base.Split(i) — so a set's content is a pure function of
-// (caller seed, batch number, set index), independent of the thread that
-// generates it and of the pool size. Workers traverse into private
-// RrSetBuffers (chunk c of the ParallelFor covers a contiguous index
-// range), and the buffers are merged into the shared RrCollection in chunk
-// order, which is index order. The collection produced by a batch is
-// therefore bit-identical for ANY thread count, and identical to a
-// sequential RrSampler driven with the same per-set Split streams.
+// Set first_index + i of a call owns the RNG stream
+// base.Split(first_index + i), so its content is a pure function of
+// (base, index) — independent of the thread that generates it, of the pool
+// size, and of whether there is a pool at all. Workers traverse into
+// private RrSetBuffers (chunk c of the ParallelFor covers a contiguous
+// index range), and the buffers are merged into the output RrCollection in
+// chunk order, which is index order. Without a pool the single chunk runs
+// on the calling thread through the same buffer and merge. The collection
+// a call produces is therefore bit-identical for ANY pool, including none.
 //
 // Traversal-cost counters accumulate per worker and are merged on join, so
 // SamplerCost totals stay exact for the Lemma 3.8/3.9 benches.
 
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -27,56 +28,42 @@
 #include "sampling/rr_buffer.h"
 #include "sampling/rr_collection.h"
 #include "sampling/rr_set.h"
+#include "sampling/sampler_cache.h"
+#include "sampling/shared_collection.h"
 #include "util/bit_vector.h"
 #include "util/cancellation.h"
 #include "util/rng.h"
 
 namespace asti {
 
-/// Batch sampler fanning RR/mRR generation across a ThreadPool.
+/// Index-keyed RR/mRR generation, fanned across a ThreadPool when one is
+/// given and run on the calling thread otherwise.
 class ParallelRrSampler {
  public:
-  /// The graph and pool must outlive the sampler. Worker-local scratch
-  /// (visited sets, staging buffers) is allocated once per pool thread.
+  /// The graph and pool must outlive the sampler; a null `pool` generates
+  /// on the calling thread. Worker-local scratch (visited sets, staging
+  /// buffers) is allocated once per pool thread, or once without a pool.
   /// A non-null `cancel` is polled at generation-stride boundaries inside
-  /// every batch: once it fires, workers stop traversing and the batch
-  /// merges whatever was staged (the caller unwinds and discards it).
-  /// Batches that complete without the scope firing are bit-identical to
-  /// an uncancellable run.
+  /// every call: once it fires, workers stop traversing and the call
+  /// merges whatever was staged, leaving the output short of `count` (the
+  /// caller unwinds and discards it). Calls that complete without the
+  /// scope firing are bit-identical to an uncancellable run.
   /// A non-null `profile` (not owned) accrues sampling wall time, sets
-  /// generated, and collection footprint per batch; it never feeds back
+  /// generated, and collection footprint per call; it never feeds back
   /// into generation, so results are identical with or without it.
-  ParallelRrSampler(const DirectedGraph& graph, DiffusionModel model, ThreadPool& pool,
+  ParallelRrSampler(const DirectedGraph& graph, DiffusionModel model, ThreadPool* pool,
                     const CancelScope* cancel = nullptr,
                     RequestProfile* profile = nullptr);
 
-  /// Cumulative traversal cost across all batches since construction /
-  /// the last ResetCost(); exact (merged from workers after every batch).
+  /// Cumulative traversal cost across all calls since construction / the
+  /// last ResetCost(); exact (merged from workers after every call).
   const SamplerCost& cost() const { return cost_; }
   void ResetCost() { cost_ = SamplerCost{}; }
 
-  /// Appends `count` single-root RR-sets to `out`. Advances `rng` by one
-  /// draw (the batch stream split), regardless of count or thread count.
-  void GenerateBatch(const std::vector<NodeId>& candidates, const BitVector* active,
-                     size_t count, RrCollection& out, Rng& rng);
-
-  /// Appends `count` mRR-sets to `out`; set i draws its root count from
-  /// `root_size` out of its own stream before traversing, mirroring the
-  /// sequential sample-k-then-generate order. Advances `rng` by one draw.
-  void GenerateMrrBatch(const std::vector<NodeId>& candidates, const BitVector* active,
-                        const RootSizeSampler& root_size, size_t count,
-                        RrCollection& out, Rng& rng);
-
-  // --- Index-keyed generation (shared sampler cache) -----------------------
-  // Set first_index + i draws its stream directly from
-  // base.Split(first_index + i): no batch split, no draws consumed from any
-  // caller RNG. Content of a global index is therefore a pure function of
-  // (base, index) — independent of request history, extension batching, and
-  // thread count — which is the mechanism behind the cached-vs-fresh
-  // bit-identity contract (see sampling/sampler_cache.h).
-
   /// Appends single-root RR-sets for global indices
-  /// [first_index, first_index + count) to `out`.
+  /// [first_index, first_index + count) to `out`. Set first_index + i draws
+  /// its stream from base.Split(first_index + i); no draws are consumed
+  /// from any caller RNG.
   void GenerateIndexed(const std::vector<NodeId>& candidates, const BitVector* active,
                        size_t first_index, size_t count, RrCollection& out,
                        const Rng& base);
@@ -98,66 +85,46 @@ class ParallelRrSampler {
     RrSetBuffer buffer;
   };
 
-  // Fans `count` sets across the pool via `generate_one(worker, set_rng)`,
-  // then merges buffers and costs.
-  template <class GenerateOne>
-  void RunBatch(size_t count, RrCollection& out, Rng& rng, GenerateOne&& generate_one);
-
-  // Same fan-out with per-set streams base.Split(first_index + i).
+  // Fans `count` sets with per-set streams base.Split(first_index + i)
+  // across the pool via `generate_one(worker, set_rng)`, then merges
+  // buffers and costs.
   template <class GenerateOne>
   void RunIndexed(size_t first_index, size_t count, RrCollection& out, const Rng& base,
                   GenerateOne&& generate_one);
 
   void MergeInto(RrCollection& out);
 
-  ThreadPool* pool_;
+  ThreadPool* pool_;           // not owned; may be null
   const CancelScope* cancel_;  // not owned; may be null
   RequestProfile* profile_;    // not owned; may be null
   std::vector<std::unique_ptr<Worker>> workers_;
   SamplerCost cost_;
 };
 
-/// Owns the pool + batch sampler pair behind a num_threads knob: engaged
-/// (non-null get()) when num_threads != 1, a no-op handle otherwise. The
-/// one place the engagement policy lives for every selector/baseline.
-///
-/// When a non-null `shared_pool` is supplied it overrides num_threads: the
-/// engine runs its batches on that externally owned pool instead of
-/// spawning a private one (the SeedMinEngine serving mode — many selectors
-/// multiplexed on one resident pool, isolated by per-batch TaskGroups).
-class ParallelEngine {
- public:
-  /// `cancel` (optional, not owned) is forwarded to the batch sampler so
-  /// in-flight generation aborts at stride boundaries once it fires;
-  /// `profile` (optional, not owned) likewise, for sampling-phase
-  /// accounting.
-  ParallelEngine(const DirectedGraph& graph, DiffusionModel model, size_t num_threads,
-                 ThreadPool* shared_pool = nullptr, const CancelScope* cancel = nullptr,
-                 RequestProfile* profile = nullptr)
-      : shared_pool_(shared_pool) {
-    if (shared_pool_ != nullptr) {
-      sampler_ = std::make_unique<ParallelRrSampler>(graph, model, *shared_pool_, cancel,
-                                                     profile);
-    } else if (num_threads != 1) {
-      pool_ = std::make_unique<ThreadPool>(num_threads);
-      sampler_ =
-          std::make_unique<ParallelRrSampler>(graph, model, *pool_, cancel, profile);
-    }
-  }
+/// The sets one doubling loop certifies against, served rung by rung:
+/// ladder(want) returns a view of EXACTLY the first `want` sets (each call
+/// asking for at least as many as the last), so the loop's decisions depend
+/// only on its ladder, never on where the sets came from. The view is
+/// shorter than `want` only when cancellation fired mid-generation; the
+/// caller must then unwind.
+using LadderSource = std::function<CollectionView(size_t want)>;
 
-  /// The batch sampler, or nullptr when running sequentially.
-  ParallelRrSampler* get() { return sampler_.get(); }
+/// Reads the sealed prefixes of `key`'s entry in `cache`. Only full-residual
+/// rounds may use it (their distribution is request-independent), and it
+/// consumes no request-RNG draws (see sampling/sampler_cache.h). `cache`
+/// must outlive the source.
+LadderSource CachedLadder(SamplerCache& cache, const SamplerCacheKey& key,
+                          ThreadPool* pool, const CancelScope* cancel,
+                          RequestProfile* profile);
 
-  /// The worker pool (owned or shared), or nullptr when running
-  /// sequentially. Coverage solvers reuse this pool (one pool per selector,
-  /// never a second one); per-batch TaskGroup tracking keeps concurrent
-  /// users isolated.
-  ThreadPool* pool() { return shared_pool_ != nullptr ? shared_pool_ : pool_.get(); }
-
- private:
-  ThreadPool* shared_pool_ = nullptr;  // not owned
-  std::unique_ptr<ThreadPool> pool_;
-  std::unique_ptr<ParallelRrSampler> sampler_;
-};
+/// Clears `owned` and grows it through `sampler`: each extension is one
+/// index-derived batch with first_index = 0 and base = rng.Split(), so
+/// `rng` advances one draw per extension at any pool size. Roots come from
+/// `candidates`, traversal skips `active` (nullable), and a non-null
+/// `root_size` samples mRR-sets instead of single-root RR-sets. Every
+/// argument must outlive the source.
+LadderSource OwnedLadder(ParallelRrSampler& sampler, RrCollection& owned,
+                         const std::vector<NodeId>& candidates, const BitVector* active,
+                         const RootSizeSampler* root_size, Rng& rng);
 
 }  // namespace asti

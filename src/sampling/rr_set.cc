@@ -67,8 +67,8 @@ void RrSampler::Generate(const std::vector<NodeId>& candidates, const BitVector*
   out.SealSet();
 }
 
-// The two sinks of the library: the shared collection (sequential path)
-// and the worker-local staging buffer (parallel path).
+// The two sinks of the library: a collection (direct callers) and the
+// worker-local staging buffer (ParallelRrSampler).
 template void RrSampler::TraverseFrom<RrCollection>(const BitVector*, RrCollection&, Rng&);
 template void RrSampler::TraverseFrom<RrSetBuffer>(const BitVector*, RrSetBuffer&, Rng&);
 template void RrSampler::Generate<RrCollection>(const std::vector<NodeId>&,

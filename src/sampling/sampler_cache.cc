@@ -4,8 +4,6 @@
 #include <numeric>
 
 #include "parallel/parallel_sampler.h"
-#include "sampling/mrr_set.h"
-#include "sampling/rr_set.h"
 
 namespace asti {
 
@@ -82,24 +80,6 @@ void SamplerCache::EnforceBudget(const SamplerCacheKey& just_used) {
   }
 }
 
-namespace {
-
-// Sequential extension with the identical per-set stream derivation as
-// ParallelRrSampler::RunIndexed, so pool-less engines produce bit-identical
-// cache contents to pooled ones.
-template <class GenerateOne>
-void GenerateSequential(size_t count, const Rng& base, size_t first_index,
-                        const CancelScope* cancel, GenerateOne&& generate_one) {
-  constexpr size_t kCancelStride = 64;
-  for (size_t i = 0; i < count; ++i) {
-    if (i % kCancelStride == 0 && Fired(cancel)) return;
-    Rng set_rng = base.Split(first_index + i);
-    generate_one(set_rng);
-  }
-}
-
-}  // namespace
-
 CollectionView SamplerCache::Acquire(const SamplerCacheKey& key, size_t target,
                                      ThreadPool* pool, const CancelScope* cancel,
                                      RequestProfile* profile) {
@@ -115,16 +95,16 @@ CollectionView SamplerCache::Acquire(const SamplerCacheKey& key, size_t target,
           if (generator_ != nullptr) {
             // Shard-routed extension: the generator owns its own pools and
             // honors the identical base.Split(first + i) stream contract,
-            // so the staging content is bit-identical to the paths below.
+            // so the staging content is bit-identical to the path below.
             generator_->Generate(key, entry.base,
                                  entry.root_size ? &*entry.root_size : nullptr,
                                  all_nodes_, first, count, staging, cancel);
-          } else if (pool != nullptr) {
+          } else {
             // The inner sampler gets a null profile: extension time is
             // charged through the PhaseSpan above, and the staging
             // collection's bytes belong to the SHARED accounting below,
             // not the request-owned collection_bytes peak.
-            ParallelRrSampler sampler(*graph_, key.model, *pool, cancel,
+            ParallelRrSampler sampler(*graph_, key.model, pool, cancel,
                                       /*profile=*/nullptr);
             if (key.kind == SamplerCacheKey::Kind::kRr) {
               sampler.GenerateIndexed(all_nodes_, nullptr, first, count, staging,
@@ -133,17 +113,6 @@ CollectionView SamplerCache::Acquire(const SamplerCacheKey& key, size_t target,
               sampler.GenerateMrrIndexed(all_nodes_, nullptr, *entry.root_size, first,
                                          count, staging, entry.base);
             }
-          } else if (key.kind == SamplerCacheKey::Kind::kRr) {
-            RrSampler sampler(*graph_, key.model);
-            GenerateSequential(count, entry.base, first, cancel, [&](Rng& set_rng) {
-              sampler.Generate(all_nodes_, nullptr, staging, set_rng);
-            });
-          } else {
-            MrrSampler sampler(*graph_, key.model);
-            GenerateSequential(count, entry.base, first, cancel, [&](Rng& set_rng) {
-              const NodeId num_roots = entry.root_size->Sample(set_rng);
-              sampler.Generate(all_nodes_, nullptr, num_roots, staging, set_rng);
-            });
           }
           if (staging.NumSets() == count) extended = count;
         });

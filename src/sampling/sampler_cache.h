@@ -173,7 +173,7 @@ class SamplerCache {
   /// cached-vs-fresh determinism contract is unchanged. `generator`
   /// (nullable, must outlive the cache) overrides how extensions produce
   /// their sets — the shard-routing hook; null keeps the built-in
-  /// pooled/sequential samplers. `byte_budget` (0 = unlimited) bounds
+  /// ParallelRrSampler. `byte_budget` (0 = unlimited) bounds
   /// TotalBytes with LRU eviction over whole (kind, model, η, rounding)
   /// entries: after an Acquire pushes the cache past the budget, the
   /// least-recently-acquired OTHER entries are dropped until it fits (the

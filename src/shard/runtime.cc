@@ -63,7 +63,7 @@ void ShardRuntime::Generate(const SamplerCacheKey& key, const Rng& base,
   auto drive_shard = [&](uint32_t k) {
     shard_staging[k] = std::make_unique<RrCollection>(graph_->NumNodes());
     RrCollection& out = *shard_staging[k];
-    ParallelRrSampler sampler(*graph_, key.model, *pools_[k], cancel,
+    ParallelRrSampler sampler(*graph_, key.model, pools_[k].get(), cancel,
                               /*profile=*/nullptr);
     for (size_t r : by_shard[k]) {
       Run& run = runs[r];

@@ -46,7 +46,9 @@ std::string FormatLogLine(LogLevel level, const std::string& message) {
 #else
   gmtime_r(&seconds, &utc);
 #endif
-  char stamp[40];
+  // Sized for the worst case the compiler must assume: six full-width
+  // ints (11 chars each), a 4-char millisecond field, 7 separators, NUL.
+  char stamp[78];
   std::snprintf(stamp, sizeof(stamp), "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ",
                 utc.tm_year + 1900, utc.tm_mon + 1, utc.tm_mday, utc.tm_hour,
                 utc.tm_min, utc.tm_sec, static_cast<int>(millis));

@@ -347,9 +347,10 @@ TEST_F(AdmissionTest, TokenFiredWhileQueuedCountsAsCancelledInQueue) {
   EXPECT_EQ(stats.queue.deadline_in_queue, 0u);
 }
 
-// Cooperative cancellation mid-run, on both sampling paths: sequential
-// (pool size 1, stride checks in the selector generate loops) and pooled
-// (chunk-boundary checks inside ParallelRrSampler).
+// Cooperative cancellation mid-run, without a pool (pool size 1: the
+// sampler's single chunk runs on the driver thread) and with one (chunks
+// on pool workers); both poll the scope at ParallelRrSampler's stride
+// boundaries.
 TEST_F(AdmissionTest, CancellationMidSamplingUnwindsPromptly) {
   for (size_t threads : {size_t{1}, size_t{2}}) {
     SeedMinEngine::ServingOptions options;
@@ -415,13 +416,15 @@ TEST(SamplerCancellationTest, FiredScopeStopsBatchGeneration) {
   CancelToken cancel;
   cancel.Cancel();
   const CancelScope scope(&cancel, CancelScope::kNoDeadline);
-  ThreadPool pool(2);
-  ParallelRrSampler sampler(*graph, DiffusionModel::kIndependentCascade, pool, &scope);
-  RrCollection collection(graph->NumNodes());
-  Rng rng(7);
-  sampler.GenerateBatch(all_nodes, nullptr, 10000, collection, rng);
-  // Every chunk observed the fired scope at its first stride boundary.
-  EXPECT_EQ(collection.NumSets(), 0u);
+  ThreadPool two(2);
+  for (ThreadPool* pool : {&two, static_cast<ThreadPool*>(nullptr)}) {
+    ParallelRrSampler sampler(*graph, DiffusionModel::kIndependentCascade, pool, &scope);
+    RrCollection collection(graph->NumNodes());
+    Rng rng(7);
+    sampler.GenerateIndexed(all_nodes, nullptr, 0, 10000, collection, rng.Split());
+    // Every chunk observed the fired scope at its first stride boundary.
+    EXPECT_EQ(collection.NumSets(), 0u) << (pool != nullptr ? "pooled" : "no pool");
+  }
 }
 
 // --- Destruction and blocking admission ------------------------------------

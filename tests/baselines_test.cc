@@ -14,7 +14,9 @@
 #include "graph/graph_builder.h"
 #include "core/asti.h"
 #include "diffusion/monte_carlo.h"
+#include "graph/datasets.h"
 #include "graph/generators.h"
+#include "sampling/sampler_cache.h"
 
 namespace asti {
 namespace {
@@ -163,6 +165,24 @@ TEST(AteucTest, DeterministicGivenSeed) {
       RunAteuc(graph, DiffusionModel::kIndependentCascade, 20, AteucOptions{}, rng2);
   EXPECT_EQ(a.seeds, b.seeds);
   EXPECT_EQ(a.num_samples, b.num_samples);
+}
+
+TEST(AteucTest, CachedRunAppliesStabilizationStop) {
+  // On this instance the 2x gap condition stays unmet, so only the
+  // stabilization rule (S_u unchanged across a doubling once the ladder
+  // holds stable_after sets) ends the run before max_doublings. Sets read
+  // from a sampler cache must count toward that threshold.
+  auto graph = MakeSurrogateDataset(DatasetId::kNetHept, 0.2, 7);
+  ASSERT_TRUE(graph.ok());
+  SamplerCache cache(*graph);
+  AteucOptions options;
+  options.sampler_cache = &cache;
+  Rng rng(11);
+  const AteucResult result = RunAteuc(*graph, DiffusionModel::kIndependentCascade,
+                                      graph->NumNodes() / 10, options, rng);
+  EXPECT_GT(result.seeds.size(), 2 * result.optimal_lower_bound);  // gap unmet
+  EXPECT_LT(result.doublings, options.max_doublings);
+  EXPECT_GE(result.num_samples, options.stable_after);
 }
 
 // --- OracleGreedy ----------------------------------------------------------

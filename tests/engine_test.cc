@@ -831,8 +831,7 @@ TEST_F(EngineTest, ColdWarmAndPrivateCacheAgreeAtEveryPoolSize) {
 TEST_F(EngineTest, RacingCacheExtendersMatchSoloAtEveryPoolSize) {
   const std::vector<SolveRequest> requests = MixedRequests("alpha");
   for (size_t threads : {1u, 2u, 4u, 8u}) {
-    // Solo cold reference at the same pool size (residual rounds consume
-    // the request stream through the pool-size-matched sampler).
+    // Solo cold reference at the same pool size.
     std::vector<std::string> solo;
     for (const SolveRequest& request : requests) {
       SeedMinEngine engine(catalog_, {threads});
@@ -931,22 +930,30 @@ TEST_F(EngineTest, SamplerCacheMetricsFamiliesAppear) {
   EXPECT_GT(total_reused, 0u);
 }
 
-// The parallel sampling/coverage path is pool-size invariant, so engine
-// results agree across every pool size > 1.
-TEST_F(EngineTest, PoolSizesAboveOneAgree) {
-  SolveRequest request = AlphaRequest();
-  request.algorithm = AlgorithmId::kAsti2;
-  request.realizations = 1;
-  request.seed = 21;
-  std::string reference;
-  for (size_t threads : {2u, 4u, 8u}) {
+// Every sampling path derives set i's stream from its index, with or
+// without a pool, so every served algorithm answers identically at every
+// pool size — including 1, which runs without a pool. The multi-round
+// requests matter most: their residual rounds sample request-owned
+// collections from the request stream.
+TEST_F(EngineTest, EveryPoolSizeIncludingOneAgrees) {
+  std::vector<SolveRequest> requests = MixedRequests("alpha");
+  SolveRequest adaptim = AlphaRequest();
+  adaptim.algorithm = AlgorithmId::kAdaptIm;
+  adaptim.seed = 21;
+  requests.push_back(adaptim);
+  std::vector<std::string> reference;
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
     SeedMinEngine engine(catalog_, {threads});
-    const auto result = engine.Solve(request);
-    ASSERT_TRUE(result.ok());
-    if (reference.empty()) {
-      reference = Fingerprint(*result);
-    } else {
-      EXPECT_EQ(Fingerprint(*result), reference) << "threads=" << threads;
+    for (size_t i = 0; i < requests.size(); ++i) {
+      const auto result = engine.Solve(requests[i]);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      if (reference.size() < requests.size()) {
+        reference.push_back(Fingerprint(*result));
+      } else {
+        EXPECT_EQ(Fingerprint(*result), reference[i])
+            << "threads=" << threads << " request=" << i << " ("
+            << AlgorithmName(requests[i].algorithm) << ")";
+      }
     }
   }
 }

@@ -201,10 +201,11 @@ TEST(ParallelCoverageTest, TrimBThreadCountInvariant) {
 
   std::vector<AdaptiveRunTrace> traces;
   for (size_t threads : {2, 4}) {
+    ThreadPool pool(threads);
     TrimBOptions options;
     options.epsilon = 0.5;
     options.batch_size = 3;
-    options.num_threads = threads;
+    options.pool = &pool;
     TrimB trim_b(*graph, DiffusionModel::kIndependentCascade, options);
     Rng world_rng(62);
     AdaptiveWorld world(*graph, DiffusionModel::kIndependentCascade, 12, world_rng);

@@ -1,8 +1,8 @@
-// Tests for src/parallel: ThreadPool scheduling, the deterministic batch
-// sampling contract (same seed ⇒ identical collection at every thread
-// count), coverage parity with the sequential sampler driven by the same
-// per-set Split streams, bulk-append semantics, and a TRIM-with-threads
-// regression against the thread-count-independence guarantee.
+// Tests for src/parallel: ThreadPool scheduling, the deterministic indexed
+// sampling contract (same base ⇒ identical collection at every pool size,
+// including no pool), coverage parity with the sequential sampler driven
+// by the same per-set Split streams, bulk-append semantics, and TRIM
+// traces pinned identical across pool sizes.
 
 #include <gtest/gtest.h>
 
@@ -243,9 +243,9 @@ TEST(ParallelSamplerTest, SameSeedSameThreadsIdenticalCollection) {
   RrCollection b(graph->NumNodes());
   for (RrCollection* out : {&a, &b}) {
     ThreadPool pool(4);
-    ParallelRrSampler sampler(*graph, DiffusionModel::kIndependentCascade, pool);
+    ParallelRrSampler sampler(*graph, DiffusionModel::kIndependentCascade, &pool);
     Rng rng(52);
-    sampler.GenerateBatch(candidates, nullptr, 500, *out, rng);
+    sampler.GenerateIndexed(candidates, nullptr, 0, 500, *out, rng.Split());
   }
   EXPECT_TRUE(SameCollections(a, b));
 }
@@ -255,27 +255,27 @@ TEST(ParallelSamplerTest, CollectionIndependentOfThreadCount) {
   ASSERT_TRUE(graph.ok());
   const auto candidates = AllNodes(graph->NumNodes());
 
+  // The reference runs without a pool: its single chunk on this thread.
   RrCollection reference(graph->NumNodes());
   {
-    ThreadPool pool(1);
-    ParallelRrSampler sampler(*graph, DiffusionModel::kIndependentCascade, pool);
+    ParallelRrSampler sampler(*graph, DiffusionModel::kIndependentCascade, nullptr);
     Rng rng(54);
-    sampler.GenerateBatch(candidates, nullptr, 400, reference, rng);
+    sampler.GenerateIndexed(candidates, nullptr, 0, 400, reference, rng.Split());
   }
-  for (size_t threads : {2, 3, 4, 7}) {
+  for (size_t threads : {1, 2, 3, 4, 7}) {
     ThreadPool pool(threads);
-    ParallelRrSampler sampler(*graph, DiffusionModel::kIndependentCascade, pool);
+    ParallelRrSampler sampler(*graph, DiffusionModel::kIndependentCascade, &pool);
     RrCollection out(graph->NumNodes());
     Rng rng(54);
-    sampler.GenerateBatch(candidates, nullptr, 400, out, rng);
+    sampler.GenerateIndexed(candidates, nullptr, 0, 400, out, rng.Split());
     EXPECT_TRUE(SameCollections(reference, out)) << threads << " threads";
   }
 }
 
 TEST(ParallelSamplerTest, CoverageIdenticalToSequentialSamplerSameStreams) {
-  // The engine's contract: the batch equals a sequential RrSampler loop in
-  // which set i consumes stream batch_base.Split(i). Λ_R(v) must match
-  // exactly for every node on the same realization budget.
+  // The engine's contract: the call equals a sequential RrSampler loop in
+  // which set i consumes stream base.Split(i). Λ_R(v) must match exactly
+  // for every node on the same realization budget.
   auto graph = MakeTestGraph(150, 900, 55);
   ASSERT_TRUE(graph.ok());
   const auto candidates = AllNodes(graph->NumNodes());
@@ -294,10 +294,10 @@ TEST(ParallelSamplerTest, CoverageIdenticalToSequentialSamplerSameStreams) {
   }
 
   ThreadPool pool(4);
-  ParallelRrSampler sampler(*graph, DiffusionModel::kIndependentCascade, pool);
+  ParallelRrSampler sampler(*graph, DiffusionModel::kIndependentCascade, &pool);
   RrCollection parallel(graph->NumNodes());
   Rng rng(56);
-  sampler.GenerateBatch(candidates, nullptr, budget, parallel, rng);
+  sampler.GenerateIndexed(candidates, nullptr, 0, budget, parallel, rng.Split());
 
   ASSERT_EQ(parallel.NumSets(), budget);
   for (NodeId v = 0; v < graph->NumNodes(); ++v) {
@@ -317,9 +317,9 @@ TEST(ParallelSamplerTest, MrrBatchDeterministicAndDistinct) {
   for (auto [out, threads] : {std::pair<RrCollection*, size_t>{&a, 2},
                               std::pair<RrCollection*, size_t>{&b, 5}}) {
     ThreadPool pool(threads);
-    ParallelRrSampler sampler(*graph, DiffusionModel::kLinearThreshold, pool);
+    ParallelRrSampler sampler(*graph, DiffusionModel::kLinearThreshold, &pool);
     Rng rng(58);
-    sampler.GenerateMrrBatch(candidates, nullptr, root_size, 300, *out, rng);
+    sampler.GenerateMrrIndexed(candidates, nullptr, root_size, 0, 300, *out, rng.Split());
   }
   EXPECT_TRUE(SameCollections(a, b));
   // mRR-sets hold distinct nodes and at least the expected root floor.
@@ -344,10 +344,10 @@ TEST(ParallelSamplerTest, ResidualBatchesAvoidActiveNodes) {
     }
   }
   ThreadPool pool(3);
-  ParallelRrSampler sampler(*graph, DiffusionModel::kIndependentCascade, pool);
+  ParallelRrSampler sampler(*graph, DiffusionModel::kIndependentCascade, &pool);
   RrCollection collection(60);
   Rng rng(60);
-  sampler.GenerateBatch(candidates, &active, 400, collection, rng);
+  sampler.GenerateIndexed(candidates, &active, 0, 400, collection, rng.Split());
   for (NodeId v = 0; v < 60; v += 4) EXPECT_EQ(collection.Coverage(v), 0u);
 }
 
@@ -369,17 +369,20 @@ TEST(ParallelSamplerTest, CostMergedAcrossWorkersMatchesSequential) {
     }
   }
 
-  ThreadPool pool(4);
-  ParallelRrSampler sampler(*graph, DiffusionModel::kIndependentCascade, pool);
-  RrCollection sink(graph->NumNodes());
-  Rng rng(62);
-  sampler.GenerateBatch(candidates, nullptr, budget, sink, rng);
-  EXPECT_EQ(sampler.cost().nodes_visited, sequential.cost().nodes_visited);
-  EXPECT_EQ(sampler.cost().edges_examined, sequential.cost().edges_examined);
+  // Pooled and pool-less runs merge the same exact totals.
+  ThreadPool four(4);
+  for (ThreadPool* pool : {&four, static_cast<ThreadPool*>(nullptr)}) {
+    ParallelRrSampler sampler(*graph, DiffusionModel::kIndependentCascade, pool);
+    RrCollection sink(graph->NumNodes());
+    Rng rng(62);
+    sampler.GenerateIndexed(candidates, nullptr, 0, budget, sink, rng.Split());
+    EXPECT_EQ(sampler.cost().nodes_visited, sequential.cost().nodes_visited);
+    EXPECT_EQ(sampler.cost().edges_examined, sequential.cost().edges_examined);
 
-  sampler.ResetCost();
-  EXPECT_EQ(sampler.cost().nodes_visited, 0u);
-  EXPECT_EQ(sampler.cost().edges_examined, 0u);
+    sampler.ResetCost();
+    EXPECT_EQ(sampler.cost().nodes_visited, 0u);
+    EXPECT_EQ(sampler.cost().edges_examined, 0u);
+  }
 }
 
 // --- TRIM with threads ------------------------------------------------------
@@ -394,9 +397,10 @@ TEST(ParallelTrimTest, ThreadedTrimIsThreadCountInvariant) {
 
   std::vector<AdaptiveRunTrace> traces;
   for (size_t threads : {2, 4}) {
+    ThreadPool pool(threads);
     TrimOptions options;
     options.epsilon = 0.5;
-    options.num_threads = threads;
+    options.pool = &pool;
     Trim trim(*graph, DiffusionModel::kIndependentCascade, options);
     Rng world_rng(64);
     AdaptiveWorld world(*graph, DiffusionModel::kIndependentCascade, 12, world_rng);
@@ -415,29 +419,35 @@ TEST(ParallelTrimTest, ThreadedTrimIsThreadCountInvariant) {
 }
 
 TEST(ParallelTrimTest, ThreadedTrimMatchesSequentialQuality) {
-  // Sequential TRIM and threaded TRIM consume different streams, so traces
-  // differ — but both must reach the target with plausibly few seeds.
+  // Without a pool and at 3 workers TRIM consumes the same index-derived
+  // streams, so the traces — every round's seeds and samples — are
+  // identical, and both reach the target.
   auto graph = MakeTestGraph(90, 550, 66);
   ASSERT_TRUE(graph.ok());
   const NodeId eta = 15;
 
-  std::vector<size_t> seed_counts;
-  for (size_t threads : {1, 3}) {
+  ThreadPool three(3);
+  std::vector<AdaptiveRunTrace> traces;
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &three}) {
     TrimOptions options;
     options.epsilon = 0.5;
-    options.num_threads = threads;
+    options.pool = pool;
     Trim trim(*graph, DiffusionModel::kIndependentCascade, options);
     Rng world_rng(67);
     AdaptiveWorld world(*graph, DiffusionModel::kIndependentCascade, eta, world_rng);
     Rng rng(68);
-    const AdaptiveRunTrace trace = RunAdaptivePolicy(world, trim, rng);
-    EXPECT_TRUE(trace.target_reached);
-    EXPECT_GE(trace.total_activated, eta);
-    seed_counts.push_back(trace.NumSeeds());
+    traces.push_back(RunAdaptivePolicy(world, trim, rng));
+    EXPECT_TRUE(traces.back().target_reached);
+    EXPECT_GE(traces.back().total_activated, eta);
   }
-  // Identical worlds, identical policy family: seed counts should be close.
-  const auto [lo, hi] = std::minmax(seed_counts[0], seed_counts[1]);
-  EXPECT_LE(hi - lo, 1 + hi / 2);
+  EXPECT_EQ(traces[0].seeds, traces[1].seeds);
+  EXPECT_EQ(traces[0].total_samples, traces[1].total_samples);
+  EXPECT_EQ(traces[0].total_activated, traces[1].total_activated);
+  ASSERT_EQ(traces[0].rounds.size(), traces[1].rounds.size());
+  for (size_t r = 0; r < traces[0].rounds.size(); ++r) {
+    EXPECT_EQ(traces[0].rounds[r].seeds, traces[1].rounds[r].seeds);
+    EXPECT_EQ(traces[0].rounds[r].num_samples, traces[1].rounds[r].num_samples);
+  }
 }
 
 }  // namespace

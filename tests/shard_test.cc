@@ -243,10 +243,7 @@ std::vector<SolveRequest> ServingRequests(const std::string& graph) {
 }
 
 // The tentpole contract: sharded serving is bit-identical to the
-// unsharded path at every shard count, for each pool size. (Pool size 1
-// vs >= 2 is a separate, pre-existing distinction — the sequential
-// reference path follows the paper's in-place stream protocol — so each
-// pool size gets its own unsharded reference.)
+// unsharded path at every shard count, for each pool size.
 TEST(ShardServingTest, BitIdenticalAcrossShardAndPoolCounts) {
   const DirectedGraph graph = MakeGraph(260, 15);
   const auto snapshot = std::make_shared<const DirectedGraph>(graph);

@@ -454,8 +454,7 @@ TEST(SnapshotLifetimeTest, RetireMidSolveKeepsMappingAlive) {
     return out.str();
   };
 
-  // Reference run: same snapshot file and pool size, no retire (results at
-  // pool size 1 vs >1 legitimately differ — engine_test pins that).
+  // Reference run: same snapshot file and pool size, no retire.
   std::vector<std::string> reference;
   {
     GraphCatalog catalog;
