@@ -41,12 +41,6 @@
 // bit-identical to its solo run on the same snapshot, even while an
 // unrelated graph is hot-swapped (GraphCatalog::Swap) mid-workload.
 //
-// The sharded-serving phase registers the main snapshot behind a
-// --shards-way ShardTopology (src/shard/) in a fresh catalog and reruns
-// the sweep's query set: every result must be bit-identical to the
-// unsharded reference digests, and the per-shard RR-set counters from the
-// engine's metrics must all be nonzero (work actually fanned out).
-//
 // The churn phase is the production load harness for dynamic graphs
 // (src/delta/): an OPEN-LOOP trace — Poisson arrivals submitted on
 // schedule regardless of completions, so queueing is visible instead of
@@ -69,8 +63,6 @@
 //   --graphs bench-a,bench-b
 //                         graphs for the mixed-workload phase; built-in
 //                         dataset names register their surrogates on demand
-//   --shards 2            shard count for the sharded-serving phase (the
-//                         phase always runs with at least 2 shards)
 //   --churn-queries Q     churn phase: open-loop arrivals (default --queries)
 //   --churn-deltas D      churn phase: epoch-minting deltas applied mid-run
 //                         (default 3)
@@ -117,7 +109,6 @@
 #include "graph/generators.h"
 #include "obs/export.h"
 #include "obs/histogram.h"
-#include "shard/topology.h"
 #include "store/snapshot_store.h"
 #include "util/check.h"
 
@@ -212,7 +203,7 @@ int main(int argc, char** argv) {
   const size_t sat_queue = count_flag("sat-queue", 4);
   const std::string json_path = cli.GetString("json", "");
   const double eta_fraction = cli.GetDouble("eta-fraction", 0.05);
-  // Shared --graph/--graphs/--shards parsing (benchutil/cli).
+  // Shared --graph/--graphs parsing (benchutil/cli).
   const GraphFlagSelection graph_flags =
       ParseGraphFlags(cli, "bench-a", "bench-a,bench-b");
 
@@ -740,83 +731,6 @@ int main(int argc, char** argv) {
             << (mixed_deterministic ? "yes" : "NO — determinism violated") << "\n";
   deterministic = deterministic && mixed_deterministic;
 
-  // --- Sharded serving: same snapshot behind a ShardTopology --------------
-  // The main snapshot registers in a FRESH catalog under its own name with
-  // a K-way plan (so the (name, epoch) identity the checksum mixes in
-  // matches the unsharded reference), and the level-1 query set reruns on
-  // it. The engine fans each request's RR-set ladder across per-shard
-  // pools; the contract is bit-identity against `reference_digests`, with
-  // the per-shard asti_shard_rr_sets_total counters proving the fan-out
-  // actually happened.
-  const uint32_t shard_count =
-      graph_flags.shards > 1 ? graph_flags.shards : 2;
-  double sharded_rate = 0.0;
-  int64_t shard_imbalance_permille = 0;
-  std::vector<uint64_t> per_shard_sets(shard_count, 0);
-  bool sharded_deterministic = true;
-  {
-    GraphCatalog sharded_catalog;
-    auto topology = MakeShardTopology(main_graph.graph(), shard_count);
-    ASM_CHECK(topology.ok()) << topology.status().ToString();
-    const auto registered = sharded_catalog.Register(
-        main_graph.name(), main_graph.snapshot, main_graph.weight_scheme(),
-        /*warm=*/nullptr, std::move(topology).value());
-    ASM_CHECK(registered.ok()) << registered.status().ToString();
-    ASM_CHECK(registered->epoch() == 1);  // digest-comparable to the reference
-
-    SeedMinEngine::ServingOptions options;
-    options.num_threads = pool_threads;
-    options.num_drivers =
-        drivers_override != 0 ? drivers_override : client_counts.back();
-    options.max_queue_depth = std::max(queue_depth, queries);
-    options.block_when_full = true;
-    SeedMinEngine engine(sharded_catalog, options);
-
-    WallTimer timer;
-    std::vector<std::future<StatusOr<SolveResult>>> futures;
-    futures.reserve(requests.size());
-    for (const SolveRequest& request : requests) {
-      futures.push_back(engine.SubmitAsync(request));
-    }
-    for (size_t i = 0; i < futures.size(); ++i) {
-      const StatusOr<SolveResult> solved = futures[i].get();
-      ASM_CHECK(solved.ok()) << solved.status().ToString();
-      sharded_deterministic = sharded_deterministic &&
-                              OneResultChecksum(*solved) == reference_digests[i];
-    }
-    sharded_rate = static_cast<double>(queries) / timer.Seconds();
-
-    const MetricsSnapshot snapshot = engine.metrics_snapshot();
-    for (const CounterSample& counter : snapshot.counters) {
-      if (counter.name != "asti_shard_rr_sets_total") continue;
-      for (const auto& [key, value] : counter.labels) {
-        if (key != "shard") continue;
-        const size_t shard = static_cast<size_t>(std::stoull(value));
-        ASM_CHECK(shard < per_shard_sets.size());
-        per_shard_sets[shard] += counter.value;
-      }
-    }
-    for (const GaugeSample& gauge : snapshot.gauges) {
-      if (gauge.name == "asti_shard_imbalance_permille") {
-        shard_imbalance_permille = gauge.value;
-      }
-    }
-  }
-  bool all_shards_sampled = true;
-  std::cout << "\nSharded serving (" << shard_count << " shards, same snapshot): "
-            << FormatDouble(sharded_rate, 1) << " queries/s, per-shard RR sets";
-  for (uint64_t sets : per_shard_sets) {
-    std::cout << ' ' << sets;
-    all_shards_sampled = all_shards_sampled && sets > 0;
-  }
-  std::cout << " (imbalance " << shard_imbalance_permille << " permille)\n"
-            << "Sharded results bit-identical to unsharded runs: "
-            << (sharded_deterministic ? "yes" : "NO — determinism violated") << "\n";
-  if (!all_shards_sampled) {
-    std::cout << "Per-shard RR-set counts all nonzero: NO — fan-out missing\n";
-  }
-  deterministic = deterministic && sharded_deterministic && all_shards_sampled;
-
   // --- Churn: open-loop arrivals against a graph minting new epochs -------
   // The main snapshot serves under the name "churn" in a fresh catalog
   // while a churner thread applies random EdgeDelta batches through
@@ -834,7 +748,6 @@ int main(int argc, char** argv) {
   size_t churn_inserted = 0;
   size_t churn_deleted = 0;
   size_t churn_reweighted = 0;
-  bool churn_resharded = false;
   bool churn_digest_match = false;
   bool churn_all_ok = true;
   double churn_offered_rate = 0.0;
@@ -847,14 +760,8 @@ int main(int argc, char** argv) {
   LogHistogram churn_apply_time;
   {
     GraphCatalog churn_catalog;
-    // The churn entry carries a 2-way topology so every swap also
-    // exercises the re-planning path (resharded epochs stay bit-identical
-    // to unsharded serving — shard_test/delta_test pin that).
-    auto churn_topology = MakeShardTopology(main_graph.graph(), 2);
-    ASM_CHECK(churn_topology.ok()) << churn_topology.status().ToString();
     ASM_CHECK(churn_catalog
-                  .Register("churn", main_graph.snapshot, main_graph.weight_scheme(),
-                            /*warm=*/nullptr, std::move(churn_topology).value())
+                  .Register("churn", main_graph.snapshot, main_graph.weight_scheme())
                   .ok());
 
     SeedMinEngine::ServingOptions options;
@@ -893,7 +800,6 @@ int main(int argc, char** argv) {
         churn_inserted += swapped->stats.inserted;
         churn_deleted += swapped->stats.deleted;
         churn_reweighted += swapped->stats.reweighted;
-        churn_resharded = churn_resharded || swapped->resharded;
         ++churn_deltas_applied;
         // The independent check path: same batch, from-scratch rebuild.
         auto rebuilt = ApplyDeltaByRebuild(reference, *delta);
@@ -956,8 +862,7 @@ int main(int argc, char** argv) {
   std::cout << "\nChurn (open-loop, " << churn_queries << " Poisson arrivals at "
             << FormatDouble(churn_offered_rate, 1) << "/s, " << churn_deltas_applied
             << " deltas -> epoch " << churn_final_epoch << ", +" << churn_inserted
-            << " -" << churn_deleted << " ~" << churn_reweighted << " edges"
-            << (churn_resharded ? ", re-planned shards" : "") << "):\n"
+            << " -" << churn_deleted << " ~" << churn_reweighted << " edges):\n"
             << "  completed " << FormatDouble(churn_completed_rate, 1)
             << " queries/s, latency p50=" << FormatDouble(churn_p50 * 1e3)
             << "ms p99=" << FormatDouble(churn_p99 * 1e3)
@@ -1045,16 +950,6 @@ int main(int argc, char** argv) {
         << ", \"p50_s\": " << QuantileSeconds(blackout, 0.50)
         << "}, \"deterministic\": " << (mixed_deterministic ? "true" : "false")
         << "},\n"
-        << "  \"sharded\": {\"shards\": " << shard_count
-        << ", \"queries_per_s\": " << sharded_rate
-        << ", \"imbalance_permille\": " << shard_imbalance_permille
-        << ", \"per_shard_sets\": [";
-    for (size_t k = 0; k < per_shard_sets.size(); ++k) {
-      out << (k == 0 ? "" : ", ") << per_shard_sets[k];
-    }
-    out << "], \"deterministic\": "
-        << (sharded_deterministic && all_shards_sampled ? "true" : "false")
-        << "},\n"
         << "  \"churn\": {\"queries\": " << churn_queries
         << ", \"offered_rate_per_s\": " << churn_offered_rate
         << ", \"completed_rate_per_s\": " << churn_completed_rate
@@ -1063,7 +958,6 @@ int main(int argc, char** argv) {
         << ", \"edges_inserted\": " << churn_inserted
         << ", \"edges_deleted\": " << churn_deleted
         << ", \"edges_reweighted\": " << churn_reweighted
-        << ", \"resharded\": " << (churn_resharded ? "true" : "false")
         << ", \"latency_p50_s\": " << churn_p50
         << ", \"latency_p99_s\": " << churn_p99
         << ", \"latency_p999_s\": " << churn_p999

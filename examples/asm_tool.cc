@@ -20,11 +20,7 @@
 // Flags: --graph NAME (catalog graph to query: a built-in surrogate name
 // from --list-graphs, or "custom" when --graph-file is given; --dataset
 // is an accepted legacy alias) | --graph-file PATH (load a weighted edge
-// list and register it as "custom"), --shards K (serve the graph from K
-// edge-balanced shards — results are bit-identical to unsharded serving;
-// with --snapshot-dir, a sharded snapshot set <name>.plan +
-// <name>.shardXofK.asms is preferred over the monolithic file, and
-// --save-snapshot writes one), --scale S (surrogate size
+// list and register it as "custom"), --scale S (surrogate size
 // multiplier), --eta N | --eta-fraction F, --model IC|LT,
 // --algorithm NAME (see --list-algorithms; ASTI-b accepts any b >= 1),
 // --epsilon E, --threads T (1 = no pool, 0 = all cores), --runs R,
@@ -39,8 +35,7 @@
 // EdgeDelta batch in text or binary ASMD form — see src/delta/README.md —
 // applied through SwapWithDelta, so the query serves the minted epoch;
 // the minted graph is digest-identical to a from-scratch rebuild of the
-// mutated edge list, and a sharded target is re-planned with the same
-// shard count).
+// mutated edge list).
 //
 // Snapshot persistence (src/store/, ASMS files):
 //   --snapshot-dir DIR     before building a surrogate, try DIR/<name>.asms
@@ -73,8 +68,6 @@
 #include "core/trace_io.h"
 #include "graph/datasets.h"
 #include "graph/edge_list_io.h"
-#include "shard/sharded_store.h"
-#include "shard/topology.h"
 #include "store/snapshot_store.h"
 
 namespace asti {
@@ -85,9 +78,7 @@ constexpr const char* kCustomGraphName = "custom";
 // Populates the catalog with the requested graph(s) and returns the name
 // the query should route to: --graph-file registers "custom"; a --graph /
 // --dataset value naming a built-in surrogate registers that; with
-// neither, the NetHEPT surrogate is the default target. With --shards K
-// (K > 1) the target ends up registered with a ShardTopology, either
-// loaded from a sharded snapshot set or planned in memory.
+// neither, the NetHEPT surrogate is the default target.
 StatusOr<std::string> PopulateCatalog(const CommandLine& cli,
                                       const GraphFlagSelection& flags,
                                       GraphCatalog& catalog) {
@@ -113,34 +104,17 @@ StatusOr<std::string> PopulateCatalog(const CommandLine& cli,
   // A snapshot directory outranks rebuilding a surrogate: registering from
   // the mapped file costs page faults and carries the persisted sampler
   // cache, so repeat invocations skip both graph construction and the
-  // first request's sampling. With --shards > 1, a sharded snapshot set
-  // (<name>.plan + per-shard ASMS files) outranks the monolithic file —
-  // NotFound falls through so a plain <name>.asms still serves, resharded
-  // in memory below.
+  // first request's sampling.
   if (!catalog.Get(target).ok() && cli.Has("snapshot-dir")) {
-    const std::string dir = cli.GetString("snapshot-dir", "");
-    if (flags.shards > 1) {
-      auto sharded = LoadShardedSnapshot(dir, target);
-      if (sharded.ok()) {
-        auto registered = catalog.Register(target, sharded->graph,
-                                           sharded->weight_scheme,
-                                           /*warm=*/nullptr, sharded->topology);
-        if (!registered.ok()) return registered.status();
-      } else if (sharded.status().code() != StatusCode::kNotFound) {
-        return sharded.status();
-      }
-    }
-    if (!catalog.Get(target).ok()) {
-      const store::SnapshotStore snapshots(dir);
-      auto loaded = snapshots.Load(target);
-      if (loaded.ok()) {
-        auto registered = catalog.Register(
-            target, std::make_shared<const DirectedGraph>(std::move(loaded->graph)),
-            loaded->weight_scheme, std::move(loaded->warm));
-        if (!registered.ok()) return registered.status();
-      } else if (loaded.status().code() != StatusCode::kNotFound) {
-        return loaded.status();
-      }
+    const store::SnapshotStore snapshots(cli.GetString("snapshot-dir", ""));
+    auto loaded = snapshots.Load(target);
+    if (loaded.ok()) {
+      auto registered = catalog.Register(
+          target, std::make_shared<const DirectedGraph>(std::move(loaded->graph)),
+          loaded->weight_scheme, std::move(loaded->warm));
+      if (!registered.ok()) return registered.status();
+    } else if (loaded.status().code() != StatusCode::kNotFound) {
+      return loaded.status();
     }
   }
 
@@ -158,22 +132,6 @@ StatusOr<std::string> PopulateCatalog(const CommandLine& cli,
         RegisterSurrogate(catalog, *id, cli.GetDouble("scale", 0.2), seed);
     if (!registered.ok()) return registered.status();
     target = registered->name();  // canonical spelling
-  }
-
-  // In-memory reshard: --shards K against a graph that arrived without a
-  // topology (surrogate, edge list, monolithic snapshot). Swapping the
-  // same snapshot back in with a plan bumps the epoch, which is the
-  // honest record — the serving configuration of the name changed.
-  if (flags.shards > 1) {
-    auto current = catalog.Get(target);
-    if (current.ok() && current->shard_topology() == nullptr) {
-      auto topology = MakeShardTopology(current->graph(), flags.shards);
-      if (!topology.ok()) return topology.status();
-      auto swapped =
-          catalog.Swap(target, current->snapshot, current->weight_scheme(),
-                       current->warm_collections(), std::move(topology).value());
-      if (!swapped.ok()) return swapped.status();
-    }
   }
   return target;
 }
@@ -247,7 +205,7 @@ int Run(int argc, char** argv) {
   if (const int code = RunSnapshotUtility(cli); code >= 0) return code;
 
   GraphCatalog catalog;
-  // Shared graph-flag parsing (benchutil/cli): --graph/--graphs/--shards.
+  // Shared graph-flag parsing (benchutil/cli): --graph/--graphs.
   // --dataset stays an asm_tool-only legacy alias, folded in as the
   // default so an explicit --graph still wins.
   const GraphFlagSelection graph_flags =
@@ -276,8 +234,7 @@ int Run(int argc, char** argv) {
               << " -" << swapped->stats.deleted << " ~" << swapped->stats.reweighted
               << " edges, " << swapped->stats.rows_touched << " rows) -> epoch "
               << swapped->ref.epoch() << " digest 0x" << std::hex
-              << swapped->minted_digest << std::dec
-              << (swapped->resharded ? " (re-planned shards)" : "") << "\n";
+              << swapped->minted_digest << std::dec << "\n";
   }
 
   const auto ref = catalog.Get(*target);
@@ -350,16 +307,6 @@ int Run(int argc, char** argv) {
             << " m=" << ref->num_edges()
             << "  model=" << DiffusionModelName(request.model) << "  eta=" << eta
             << "  algorithm=" << algorithm_name << "\n";
-  if (ref->shard_topology() != nullptr) {
-    // The on-disk plan's shard count wins over --shards when they differ
-    // (a sharded snapshot set fixes its own K).
-    const ShardTopology& topology = *ref->shard_topology();
-    std::cout << "sharding: " << topology.num_shards() << " shards, edge cuts";
-    for (uint32_t k = 0; k < topology.num_shards(); ++k) {
-      std::cout << ' ' << topology.plan.shard_edges[k];
-    }
-    std::cout << "\n";
-  }
 
   // --threads read directly (not NumThreadsOverride): a lingering
   // ASM_BENCH_THREADS export must not silently change the user's pool.
@@ -413,29 +360,7 @@ int Run(int argc, char** argv) {
               << ExportPrometheusText(engine.metrics_snapshot());
   }
 
-  if (cli.Has("save-snapshot") && graph_flags.shards > 1) {
-    // Sharded save is a multi-file set, so it needs the directory form.
-    // It persists the graph only — sealed sampler-cache prefixes stay a
-    // monolithic-snapshot feature.
-    if (!cli.Has("snapshot-dir")) {
-      std::cerr << "--save-snapshot with --shards needs --snapshot-dir DIR\n";
-      return 1;
-    }
-    const std::string dir = cli.GetString("snapshot-dir", "");
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    const uint32_t shards = ref->shard_topology() != nullptr
-                                ? ref->shard_topology()->num_shards()
-                                : graph_flags.shards;
-    const Status status = SaveShardedSnapshot(ref->graph(), *target,
-                                              ref->weight_scheme(), shards, dir);
-    if (!status.ok()) {
-      std::cerr << status.ToString() << "\n";
-      return 1;
-    }
-    std::cout << "sharded snapshot (" << shards << " shards) saved under " << dir
-              << " (" << ShardPlanPath(dir, *target) << ")\n";
-  } else if (cli.Has("save-snapshot")) {
+  if (cli.Has("save-snapshot")) {
     std::string path = cli.GetString("save-snapshot", "");
     if (path == "1") path.clear();  // bare flag (no PATH value)
     if (path.empty()) {

@@ -18,8 +18,7 @@ Status CheckName(const std::string& name) {
 // never the name string.
 GraphRef MakeRef(const std::string& name, uint64_t epoch,
                  std::shared_ptr<const DirectedGraph> snapshot, WeightScheme scheme,
-                 std::shared_ptr<const CollectionWarmSource> warm,
-                 std::shared_ptr<const ShardTopology> shards) {
+                 std::shared_ptr<const CollectionWarmSource> warm) {
   auto meta = std::make_shared<GraphMeta>();
   meta->name = name;
   meta->epoch = epoch;
@@ -27,7 +26,6 @@ GraphRef MakeRef(const std::string& name, uint64_t epoch,
   meta->num_edges = snapshot->NumEdges();
   meta->weight_scheme = scheme;
   meta->warm_collections = std::move(warm);
-  meta->shard_topology = std::move(shards);
   GraphRef ref;
   ref.snapshot = std::move(snapshot);
   ref.meta = std::move(meta);
@@ -39,8 +37,7 @@ GraphRef MakeRef(const std::string& name, uint64_t epoch,
 StatusOr<GraphRef> GraphCatalog::Register(const std::string& name,
                                           std::shared_ptr<const DirectedGraph> snapshot,
                                           WeightScheme scheme,
-                                          std::shared_ptr<const CollectionWarmSource> warm,
-                                          std::shared_ptr<const ShardTopology> shards) {
+                                          std::shared_ptr<const CollectionWarmSource> warm) {
   ASM_RETURN_NOT_OK(CheckName(name));
   if (snapshot == nullptr) {
     return Status::InvalidArgument("cannot register a null graph snapshot");
@@ -50,8 +47,7 @@ StatusOr<GraphRef> GraphCatalog::Register(const std::string& name,
     return Status::FailedPrecondition("graph '" + name +
                                       "' is already registered; use Swap to replace it");
   }
-  GraphRef ref = MakeRef(name, /*epoch=*/1, std::move(snapshot), scheme, std::move(warm),
-                         std::move(shards));
+  GraphRef ref = MakeRef(name, /*epoch=*/1, std::move(snapshot), scheme, std::move(warm));
   entries_.emplace(name, ref);
   ++version_;
   return ref;
@@ -74,8 +70,7 @@ StatusOr<GraphRef> GraphCatalog::Get(const std::string& name) const {
 StatusOr<GraphRef> GraphCatalog::Swap(const std::string& name,
                                       std::shared_ptr<const DirectedGraph> snapshot,
                                       WeightScheme scheme,
-                                      std::shared_ptr<const CollectionWarmSource> warm,
-                                      std::shared_ptr<const ShardTopology> shards) {
+                                      std::shared_ptr<const CollectionWarmSource> warm) {
   ASM_RETURN_NOT_OK(CheckName(name));
   if (snapshot == nullptr) {
     return Status::InvalidArgument("cannot swap in a null graph snapshot");
@@ -89,7 +84,7 @@ StatusOr<GraphRef> GraphCatalog::Swap(const std::string& name,
   // The old snapshot is released here (the map held one pin); refs already
   // handed out keep it alive until they drop.
   it->second = MakeRef(name, it->second.epoch() + 1, std::move(snapshot), scheme,
-                       std::move(warm), std::move(shards));
+                       std::move(warm));
   ++version_;
   return it->second;
 }

@@ -48,7 +48,6 @@
 namespace asti {
 
 class CollectionWarmSource;  // sampling/sampler_cache.h
-struct ShardTopology;        // shard/topology.h
 
 /// Immutable serving metadata for one (name, epoch) snapshot, built once
 /// at Register/Swap and shared by every GraphRef handed out for that
@@ -71,11 +70,6 @@ struct GraphMeta {
   /// (null for graphs registered from memory). The engine hands this to
   /// the epoch's SamplerCache so new serving state starts warm from disk.
   std::shared_ptr<const CollectionWarmSource> warm_collections;
-  /// Sharding description for this epoch (null = unsharded). The engine
-  /// routes this epoch's RR-set generation across per-shard pools when
-  /// set; results are bit-identical either way, so a Swap may freely
-  /// change a name between sharded and unsharded topologies.
-  std::shared_ptr<const ShardTopology> shard_topology;
 };
 
 /// One immutable graph snapshot plus its serving metadata. Value type:
@@ -94,9 +88,6 @@ struct GraphRef {
   const std::shared_ptr<const CollectionWarmSource>& warm_collections() const {
     return meta->warm_collections;
   }
-  const std::shared_ptr<const ShardTopology>& shard_topology() const {
-    return meta->shard_topology;
-  }
 };
 
 class GraphCatalog {
@@ -110,13 +101,10 @@ class GraphCatalog {
   /// registered (replacement must be an explicit Swap). Returns the
   /// registered ref. `warm` (nullable) attaches persisted sealed
   /// RR-collection prefixes — the snapshot-store registration path.
-  /// `shards` (nullable) attaches a ShardTopology: the engine then fans
-  /// this entry's RR-set generation across per-shard pools (src/shard/).
   StatusOr<GraphRef> Register(const std::string& name,
                               std::shared_ptr<const DirectedGraph> snapshot,
                               WeightScheme scheme = WeightScheme::kWeightedCascade,
-                              std::shared_ptr<const CollectionWarmSource> warm = nullptr,
-                              std::shared_ptr<const ShardTopology> shards = nullptr);
+                              std::shared_ptr<const CollectionWarmSource> warm = nullptr);
 
   /// Convenience overload taking the graph by value (moves it into a
   /// shared snapshot) — the common "I just built this graph" path.
@@ -133,8 +121,7 @@ class GraphCatalog {
   StatusOr<GraphRef> Swap(const std::string& name,
                           std::shared_ptr<const DirectedGraph> snapshot,
                           WeightScheme scheme = WeightScheme::kWeightedCascade,
-                          std::shared_ptr<const CollectionWarmSource> warm = nullptr,
-                          std::shared_ptr<const ShardTopology> shards = nullptr);
+                          std::shared_ptr<const CollectionWarmSource> warm = nullptr);
 
   /// By-value Swap convenience, mirroring Register.
   StatusOr<GraphRef> Swap(const std::string& name, DirectedGraph graph,

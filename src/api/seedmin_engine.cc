@@ -12,7 +12,6 @@
 #include "diffusion/forward_sim.h"
 #include "diffusion/world.h"
 #include "sampling/sampler_cache.h"
-#include "shard/runtime.h"
 #include "store/snapshot_writer.h"
 #include "util/rng.h"
 #include "util/timer.h"
@@ -111,24 +110,13 @@ struct SeedMinEngine::GraphCounters {
 // its snapshot pin — dies with the last in-flight request holding it.
 struct SeedMinEngine::GraphState {
   GraphState(GraphRef pinned, std::shared_ptr<GraphCounters> shared_counters,
-             size_t num_threads, size_t cache_byte_budget)
+             size_t cache_byte_budget)
       : ref(std::move(pinned)),
         counters(std::move(shared_counters)),
-        shard_runtime(ref.shard_topology() != nullptr
-                          ? std::make_unique<ShardRuntime>(
-                                ref.snapshot, ref.shard_topology(), num_threads)
-                          : nullptr),
-        sampler_cache(ref.graph(), ref.warm_collections(), shard_runtime.get(),
-                      cache_byte_budget) {}
+        sampler_cache(ref.graph(), ref.warm_collections(), cache_byte_budget) {}
 
   const GraphRef ref;
   const std::shared_ptr<GraphCounters> counters;
-
-  // Shard executor for sharded catalog entries (null for unsharded ones).
-  // Declared BEFORE sampler_cache: the cache holds a non-owning pointer to
-  // it, so it must construct first and destruct last. Per-epoch like the
-  // cache — a Swap that changes the topology builds a fresh runtime.
-  const std::unique_ptr<ShardRuntime> shard_runtime;
 
   // Shared full-residual sampler cache for THIS (name, epoch) snapshot.
   // Living inside the per-epoch state gives invalidation for free: a
@@ -274,7 +262,6 @@ StatusOr<std::shared_ptr<SeedMinEngine::GraphState>> SeedMinEngine::ResolveGraph
     // loses old-epoch requests still in flight).
     auto counters = slot != nullptr ? slot->counters : std::make_shared<GraphCounters>();
     slot = std::make_shared<GraphState>(std::move(*ref), std::move(counters),
-                                        options_.num_threads,
                                         options_.cache_byte_budget);
   }
   return slot;
@@ -300,7 +287,6 @@ void SeedMinEngine::PruneStatesLocked(uint64_t catalog_version) {
         current->second.snapshot != it->second->ref.snapshot) {
       it->second = std::make_shared<GraphState>(std::move(current->second),
                                                 it->second->counters,
-                                                options_.num_threads,
                                                 options_.cache_byte_budget);
     }
     ++it;
@@ -509,31 +495,6 @@ MetricsSnapshot SeedMinEngine::metrics_snapshot() const {
       snapshot.gauges.push_back(
           {"asti_sampler_cache_bytes", graph_label,
            static_cast<int64_t>(state->sampler_cache.TotalBytes())});
-      // Shard routing series for sharded entries: per-shard generated-set
-      // counters plus an imbalance gauge (1000 × max/mean over shards; 0
-      // until any set has been generated, 1000 = perfectly balanced).
-      if (state->shard_runtime != nullptr) {
-        const std::vector<uint64_t> shard_sets = state->shard_runtime->SetCounts();
-        snapshot.gauges.push_back({"asti_graph_shards", graph_label,
-                                   static_cast<int64_t>(shard_sets.size())});
-        uint64_t total = 0;
-        uint64_t peak = 0;
-        for (size_t k = 0; k < shard_sets.size(); ++k) {
-          snapshot.counters.push_back(
-              {"asti_shard_rr_sets_total",
-               {{"graph", name}, {"shard", std::to_string(k)}},
-               shard_sets[k]});
-          total += shard_sets[k];
-          peak = std::max(peak, shard_sets[k]);
-        }
-        const int64_t imbalance =
-            total == 0 ? 0
-                       : static_cast<int64_t>((1000.0 * static_cast<double>(peak) *
-                                               static_cast<double>(shard_sets.size())) /
-                                              static_cast<double>(total));
-        snapshot.gauges.push_back(
-            {"asti_shard_imbalance_permille", graph_label, imbalance});
-      }
     }
   }
   auto by_identity = [](const auto& a, const auto& b) {

@@ -110,8 +110,6 @@ class SeedMinEngine {
     /// Shared sampling/coverage workers for all requests: 1 = no pool (work
     /// runs on the driving thread), 0 = one per hardware thread, k = k
     /// workers. Results are identical at every setting.
-    /// Sharded catalog entries divide the resolved count across their
-    /// per-shard pools (each shard gets at least one worker).
     size_t num_threads = 1;
     /// Driver threads executing admitted requests (the async serving
     /// concurrency): 0 = one per hardware thread, k = exactly k drivers.

@@ -123,9 +123,6 @@ GraphFlagSelection ParseGraphFlags(const CommandLine& cli,
     for (const std::string& name : selection.graphs) found |= name == selection.graph;
     if (!found) selection.graphs.insert(selection.graphs.begin(), selection.graph);
   }
-  const int64_t shards = cli.GetInt("shards", 1);
-  ASM_CHECK(shards >= 1) << "--shards must be >= 1, got " << shards;
-  selection.shards = static_cast<uint32_t>(shards);
   return selection;
 }
 

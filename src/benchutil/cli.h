@@ -57,22 +57,19 @@ std::vector<size_t> ParseSizeList(const std::string& spec, const char* flag,
 /// `flag` when the list ends up empty.
 std::vector<std::string> ParseNameList(const std::string& spec, const char* flag);
 
-/// The graph-routing flag triple shared by asm_tool and the benches:
-/// which graph a single-target verb works on, which set of graphs a
-/// multi-tenant phase routes across, and how many shards to partition
-/// into. Parsed in ONE place (ParseGraphFlags) so the tools cannot drift.
+/// The graph-routing flag pair shared by asm_tool and the benches: which
+/// graph a single-target verb works on, and which set of graphs a
+/// multi-tenant phase routes across. Parsed in ONE place (ParseGraphFlags)
+/// so the tools cannot drift.
 struct GraphFlagSelection {
   /// --graph: primary target (defaults to the first of `graphs`).
   std::string graph;
   /// --graphs: comma-separated routing set; always contains `graph`.
   std::vector<std::string> graphs;
-  /// --shards: partition count for sharded serving; >= 1 (1 = unsharded).
-  uint32_t shards = 1;
 };
 
-/// Parses --graph/--graphs/--shards with the shared semantics above.
-/// Crashes with a flag-naming message on an empty --graphs list or a
-/// --shards value below 1.
+/// Parses --graph/--graphs with the shared semantics above. Crashes with a
+/// flag-naming message on an empty --graphs list.
 GraphFlagSelection ParseGraphFlags(const CommandLine& cli,
                                    const std::string& default_graph,
                                    const std::string& default_graphs = "");

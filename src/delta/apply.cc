@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "graph/graph_builder.h"
-#include "shard/partition.h"
 
 namespace asti {
 

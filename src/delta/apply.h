@@ -2,7 +2,7 @@
 // plus an EdgeDelta batch, without re-sorting the untouched edges.
 //
 // The invariant that makes deltas safe to serve: the minted graph is
-// DIGEST-IDENTICAL (shard/partition.h ForwardCsrDigest, and in fact
+// DIGEST-IDENTICAL (graph/graph.h ForwardCsrDigest, and in fact
 // bit-identical across all seven CSR arrays) to a from-scratch
 // GraphBuilder build of the mutated edge list. Touched adjacency rows are
 // merged in target order (the builder's canonical (source, target) sort
@@ -10,7 +10,7 @@
 // reverse CSR is derived with the exact counting sort every other build
 // path uses (BuildReverseCsr). Because the bytes are what a rebuild would
 // produce, every downstream determinism contract — sampler-cache streams,
-// shard plans, snapshot digests — carries over unchanged.
+// snapshot digests — carries over unchanged.
 //
 // Structural sharing: a reweight-only batch (no inserts or deletes) keeps
 // the CSR shape, so the minted graph SHARES the base's offsets / targets /

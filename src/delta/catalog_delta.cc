@@ -3,8 +3,6 @@
 #include <memory>
 #include <utility>
 
-#include "shard/partition.h"
-#include "shard/topology.h"
 #include "util/timer.h"
 
 namespace asti {
@@ -19,19 +17,11 @@ StatusOr<DeltaSwapResult> SwapWithDelta(GraphCatalog& catalog, const std::string
                        ApplyDelta(base.graph(), delta, &result.stats));
   result.minted_digest = ForwardCsrDigest(minted);
   auto snapshot = std::make_shared<const DirectedGraph>(std::move(minted));
-
-  std::shared_ptr<const ShardTopology> topology;
-  if (base.shard_topology() != nullptr) {
-    ASM_ASSIGN_OR_RETURN(
-        topology, MakeShardTopology(*snapshot, base.shard_topology()->num_shards()));
-    result.resharded = true;
-  }
   result.apply_seconds = apply_timer.Seconds();
 
   WallTimer swap_timer;
   ASM_ASSIGN_OR_RETURN(result.ref,
-                       catalog.Swap(name, std::move(snapshot), base.weight_scheme(),
-                                    /*warm=*/nullptr, std::move(topology)));
+                       catalog.Swap(name, std::move(snapshot), base.weight_scheme()));
   result.swap_seconds = swap_timer.Seconds();
   return result;
 }

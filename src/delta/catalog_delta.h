@@ -5,11 +5,7 @@
 // In-flight requests are untouched by construction: they pinned their
 // GraphRef (and with it the old epoch's SamplerCache) at admission, so
 // they complete bit-identically on the old snapshot while new requests
-// resolve the minted epoch with a fresh cache. When the old epoch carried
-// a ShardTopology the new epoch is re-planned over the minted graph with
-// the same shard count — edge churn moves the balanced cuts, so reusing
-// the old plan would both skew shards and fail its digest binding.
-// Warm-start collections are never carried across (their sets are a pure
+// resolve the minted epoch with a fresh cache. Warm-start collections are never carried across (their sets are a pure
 // function of the old snapshot).
 
 #pragma once
@@ -30,10 +26,7 @@ struct DeltaSwapResult {
   DeltaApplyStats stats;
   /// ForwardCsrDigest of the minted graph.
   uint64_t minted_digest = 0;
-  /// True when the entry carried a ShardTopology and a fresh plan was
-  /// built over the minted graph (same shard count).
-  bool resharded = false;
-  /// Wall seconds minting the graph (ApplyDelta + digest + replan) — work
+  /// Wall seconds minting the graph (ApplyDelta + digest) — work
   /// done before the catalog is touched, off the serving path.
   double apply_seconds = 0.0;
   /// Wall seconds inside GraphCatalog::Swap — the only window competing

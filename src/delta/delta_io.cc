@@ -89,6 +89,14 @@ StatusOr<EdgeDelta> ReadDeltaBinary(const std::string& path,
   if (Crc32(&crc_check, sizeof(crc_check)) != header.header_crc) {
     return Bad(path, "header CRC mismatch");
   }
+  // Bound the count by the payload size before multiplying, so a corrupt
+  // op_count cannot wrap the size arithmetic below.
+  const size_t max_ops = (bytes.size() - sizeof(DeltaFileHeader)) / sizeof(DeltaOpRecord);
+  if (header.op_count > max_ops) {
+    return Bad(path, "header claims " + std::to_string(header.op_count) +
+                         " ops but the payload holds at most " +
+                         std::to_string(max_ops));
+  }
   const uint64_t want = sizeof(DeltaFileHeader) + header.op_count * sizeof(DeltaOpRecord);
   if (bytes.size() != want) {
     return Bad(path, "file is " + std::to_string(bytes.size()) + " bytes, header says " +

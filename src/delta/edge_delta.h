@@ -5,9 +5,10 @@
 // graph snapshot: insert a new edge, delete an existing one, or reweight
 // one in place. Node count is fixed per epoch — deltas mutate edges only.
 // The batch binds to its base through the base's forward-CSR digest
-// (shard/partition.h), so a delta staged against epoch e can never be
-// applied to a different snapshot without an InvalidArgument; it may also
-// carry the expected post-apply digest, which ApplyDelta re-checks.
+// (graph/graph.h ForwardCsrDigest), so a delta staged against epoch e can
+// never be applied to a different snapshot without an InvalidArgument; it
+// may also carry the expected post-apply digest, which ApplyDelta
+// re-checks.
 //
 // Two interchangeable serializations (both readable by asm_tool
 // --apply-delta): a line-oriented text form for hand-written batches and

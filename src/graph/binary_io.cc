@@ -82,6 +82,23 @@ StatusOr<DirectedGraph> LoadGraphBinary(const std::string& path) {
   if (!ReadPod(in, &n) || !ReadPod(in, &m)) {
     return Status::InvalidArgument("'" + path + "': truncated in the header (n/m fields)");
   }
+  // Check the header's counts against the bytes actually present before
+  // allocating for them, dividing rather than multiplying m so a corrupt
+  // count can neither overflow nor demand gigabytes up front.
+  const uint64_t payload_begin = static_cast<uint64_t>(in.tellg());
+  in.seekg(0, std::ios::end);
+  uint64_t left = static_cast<uint64_t>(in.tellg()) - payload_begin;
+  in.seekg(static_cast<std::streamoff>(payload_begin));
+  const uint64_t offsets_bytes = (uint64_t{n} + 1) * sizeof(EdgeId);
+  if (offsets_bytes > left) {
+    return Status::InvalidArgument("'" + path + "': truncated in the out_offsets section");
+  }
+  left -= offsets_bytes;
+  if (m > left / (sizeof(NodeId) + sizeof(double))) {
+    return Status::InvalidArgument("'" + path + "': header m = " + std::to_string(m) +
+                                   " exceeds the out_targets/out_probs sections' " +
+                                   std::to_string(left) + " bytes");
+  }
 
   GraphStorage csr;
   if (!ReadVector(in, static_cast<size_t>(n) + 1, &csr.out_offsets)) {

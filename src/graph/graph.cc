@@ -1,6 +1,32 @@
 #include "graph/graph.h"
 
+#include <cstring>
+
 namespace asti {
+
+namespace {
+
+// FNV-1a-flavoured mixing, same shape as the bench checksums: order
+// sensitive, cheap, stable across platforms for identical inputs.
+class DigestMixer {
+ public:
+  void Mix(uint64_t word) {
+    word *= 0x100000001b3ULL;
+    digest_ ^= word + (digest_ << 6) + (digest_ >> 2);
+  }
+  void MixDouble(double value) {
+    uint64_t bits = 0;
+    static_assert(sizeof(bits) == sizeof(value));
+    std::memcpy(&bits, &value, sizeof(bits));
+    Mix(bits);
+  }
+  uint64_t digest() const { return digest_; }
+
+ private:
+  uint64_t digest_ = 0x51a23d5ed1ce5707ULL;
+};
+
+}  // namespace
 
 double DirectedGraph::InProbabilitySum(NodeId v) const {
   double sum = 0.0;
@@ -17,6 +43,16 @@ std::vector<Edge> DirectedGraph::ToEdgeList() const {
     }
   }
   return edges;
+}
+
+uint64_t ForwardCsrDigest(const DirectedGraph& graph) {
+  DigestMixer mixer;
+  mixer.Mix(graph.NumNodes());
+  mixer.Mix(graph.OutTargets().size());
+  for (EdgeId offset : graph.OutOffsets()) mixer.Mix(offset);
+  for (NodeId target : graph.OutTargets()) mixer.Mix(target);
+  for (double p : graph.OutProbs()) mixer.MixDouble(p);
+  return mixer.digest();
 }
 
 }  // namespace asti

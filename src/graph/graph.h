@@ -171,4 +171,12 @@ class DirectedGraph {
   std::shared_ptr<const void> storage_;
 };
 
+/// Order-sensitive digest of a forward CSR (node count, edge count,
+/// offsets, targets, probability bit patterns). Binds a delta to the exact
+/// graph it was staged against: ASMD headers and staged delta snapshots
+/// persist it, so its value must never change. Distinct from the snapshot
+/// store's section-CRC graph digest — this one is computable for any
+/// DirectedGraph without a file.
+uint64_t ForwardCsrDigest(const DirectedGraph& graph);
+
 }  // namespace asti

@@ -1,12 +1,12 @@
 // A small reusable worker pool with a task-batch / ParallelFor API.
 //
-// The execution substrate of the parallel sampling engine (and of later
-// subsystems: sharded graph partitions, async batch serving). Workers are
-// spawned once and reused across batches, so per-batch overhead is one
-// mutex round-trip per task rather than a thread spawn. Scheduling is
-// deliberately simple — contiguous static chunks — because the engine's
-// determinism contract ties work-item index (not thread) to RNG stream and
-// output slot; see src/parallel/README.md.
+// The execution substrate of the parallel sampling engine and of async
+// batch serving (src/api/). Workers are spawned once and reused across
+// batches, so per-batch overhead is one mutex round-trip per task rather
+// than a thread spawn. Scheduling is deliberately simple — contiguous
+// static chunks — because the engine's determinism contract ties
+// work-item index (not thread) to RNG stream and output slot; see
+// src/parallel/README.md.
 //
 // Completion is tracked per TaskGroup, not per pool: callers sharing one
 // pool (sampler + coverage engine, or concurrent serving requests) each

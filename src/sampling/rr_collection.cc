@@ -53,30 +53,6 @@ void RrCollection::AppendBatch(const RrSetBuffer& buffer) {
   for (size_t s = 1; s < offsets.size(); ++s) offsets_.push_back(base + offsets[s]);
 }
 
-void RrCollection::AppendBatch(const RrCollection& other, size_t first_set,
-                               size_t count) {
-  ASM_DCHECK(pool_.size() == offsets_.back()) << "append during an in-progress set";
-  ASM_DCHECK(first_set + count <= other.NumSets());
-  ASM_DCHECK(other.num_nodes() == num_nodes_);
-  ASM_CHECK(count <= kMaxSets - NumSets())
-      << "RrCollection overflow: " << NumSets() << " + " << count << " sets";
-  const std::span<const uint64_t> offsets = other.Offsets();
-  const std::span<const NodeId> pool = other.Pool();
-  const uint64_t src_begin = offsets[first_set];
-  const uint64_t src_end = offsets[first_set + count];
-  Reserve(count, src_end - src_begin);
-  const size_t base = pool_.size();
-  for (uint64_t i = src_begin; i < src_end; ++i) {
-    const NodeId v = pool[i];
-    ASM_DCHECK(v < num_nodes_);
-    pool_.push_back(v);
-    ++coverage_[v];
-  }
-  for (size_t s = 1; s <= count; ++s) {
-    offsets_.push_back(base + (offsets[first_set + s] - src_begin));
-  }
-}
-
 void RrCollection::SealSet() {
   const size_t begin = offsets_.back();
   ASM_CHECK(pool_.size() > begin) << "sealing an empty RR-set";

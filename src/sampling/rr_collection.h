@@ -89,18 +89,6 @@ class RrCollection {
   /// order within each set) and updates coverage. O(buffer.TotalEntries()).
   void AppendBatch(const RrSetBuffer& buffer);
 
-  /// Appends sets [first_set, first_set + count) of `other` (preserving
-  /// set order and node order) and updates coverage. The index-ordered
-  /// merge step for shard-partitioned generation: per-shard staging
-  /// collections are stitched back into global set order one contiguous
-  /// run at a time. O(entries copied).
-  void AppendBatch(const RrCollection& other, size_t first_set, size_t count);
-
-  /// Appends every set of `other`.
-  void AppendBatch(const RrCollection& other) {
-    AppendBatch(other, 0, other.NumSets());
-  }
-
   // --- Building protocol (used by samplers) -------------------------------
   // Samplers append nodes of the in-progress set directly into the pool via
   // PushNode (which also serves as the BFS queue), then seal it.

@@ -22,10 +22,9 @@ SamplerCache::Entry::Entry(const DirectedGraph& graph, const SamplerCacheKey& ke
 
 SamplerCache::SamplerCache(const DirectedGraph& graph,
                            std::shared_ptr<const CollectionWarmSource> warm,
-                           const IndexedSetGenerator* generator, size_t byte_budget)
+                           size_t byte_budget)
     : graph_(&graph),
       warm_(std::move(warm)),
-      generator_(generator),
       byte_budget_(byte_budget),
       all_nodes_(graph.NumNodes()) {
   std::iota(all_nodes_.begin(), all_nodes_.end(), NodeId{0});
@@ -92,27 +91,18 @@ CollectionView SamplerCache::Acquire(const SamplerCacheKey& key, size_t target,
     const bool first_fill = entry.collection.SealedSets() == 0;
     entry.collection.ExtendTo(
         target, [&](size_t first, size_t count, RrCollection& staging) {
-          if (generator_ != nullptr) {
-            // Shard-routed extension: the generator owns its own pools and
-            // honors the identical base.Split(first + i) stream contract,
-            // so the staging content is bit-identical to the path below.
-            generator_->Generate(key, entry.base,
-                                 entry.root_size ? &*entry.root_size : nullptr,
-                                 all_nodes_, first, count, staging, cancel);
+          // The inner sampler gets a null profile: extension time is
+          // charged through the PhaseSpan above, and the staging
+          // collection's bytes belong to the SHARED accounting below,
+          // not the request-owned collection_bytes peak.
+          ParallelRrSampler sampler(*graph_, key.model, pool, cancel,
+                                    /*profile=*/nullptr);
+          if (key.kind == SamplerCacheKey::Kind::kRr) {
+            sampler.GenerateIndexed(all_nodes_, nullptr, first, count, staging,
+                                    entry.base);
           } else {
-            // The inner sampler gets a null profile: extension time is
-            // charged through the PhaseSpan above, and the staging
-            // collection's bytes belong to the SHARED accounting below,
-            // not the request-owned collection_bytes peak.
-            ParallelRrSampler sampler(*graph_, key.model, pool, cancel,
-                                      /*profile=*/nullptr);
-            if (key.kind == SamplerCacheKey::Kind::kRr) {
-              sampler.GenerateIndexed(all_nodes_, nullptr, first, count, staging,
-                                      entry.base);
-            } else {
-              sampler.GenerateMrrIndexed(all_nodes_, nullptr, *entry.root_size, first,
-                                         count, staging, entry.base);
-            }
+            sampler.GenerateMrrIndexed(all_nodes_, nullptr, *entry.root_size, first,
+                                       count, staging, entry.base);
           }
           if (staging.NumSets() == count) extended = count;
         });

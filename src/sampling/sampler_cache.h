@@ -131,28 +131,6 @@ class CollectionWarmSource {
   virtual std::optional<PersistedSealedPrefix> Find(const SamplerCacheKey& key) const = 0;
 };
 
-/// Pluggable indexed-set generation strategy for cache extensions.
-/// Implemented by ShardRuntime (src/shard/runtime.h) to fan an extension
-/// across per-shard thread pools; the cache itself stays ignorant of
-/// sharding. The contract is exactly the cache's own: set i's content is
-/// a pure function of (base, first + i) via base.Split(first + i), sets
-/// are appended to `staging` in global index order, and an under-delivery
-/// (staging.NumSets() < count, e.g. on cancellation) makes the caller
-/// discard the whole extension — partial results must never be
-/// index-misaligned, only short.
-class IndexedSetGenerator {
- public:
-  virtual ~IndexedSetGenerator() = default;
-
-  /// Appends sets [first, first + count) for `key` to `staging`.
-  /// `root_size` is non-null exactly for mRR keys. Thread-safe.
-  virtual void Generate(const SamplerCacheKey& key, const Rng& base,
-                        const RootSizeSampler* root_size,
-                        const std::vector<NodeId>& candidates, size_t first,
-                        size_t count, RrCollection& staging,
-                        const CancelScope* cancel) const = 0;
-};
-
 /// One entry's sealed prefix at export time, for the snapshot writer.
 struct SealedCollectionExport {
   SamplerCacheKey key;
@@ -170,22 +148,18 @@ class SamplerCache {
   /// persisted sealed prefixes: an entry whose key the source recognizes
   /// starts with the adopted prefix already sealed instead of empty —
   /// bit-identical to a cold entry extended to the same length, so the
-  /// cached-vs-fresh determinism contract is unchanged. `generator`
-  /// (nullable, must outlive the cache) overrides how extensions produce
-  /// their sets — the shard-routing hook; null keeps the built-in
-  /// ParallelRrSampler. `byte_budget` (0 = unlimited) bounds
-  /// TotalBytes with LRU eviction over whole (kind, model, η, rounding)
-  /// entries: after an Acquire pushes the cache past the budget, the
-  /// least-recently-acquired OTHER entries are dropped until it fits (the
-  /// entry just served is never evicted — one working set always fits).
-  /// Eviction is invisible to correctness: live CollectionViews pin their
-  /// chunks independently, in-flight extenders hold the entry itself, and
-  /// a re-created entry regenerates the identical sets (streams derive
-  /// from the key, never from history). Only timing and the eviction
-  /// counter observe it.
+  /// cached-vs-fresh determinism contract is unchanged. `byte_budget`
+  /// (0 = unlimited) bounds TotalBytes with LRU eviction over whole
+  /// (kind, model, η, rounding) entries: after an Acquire pushes the cache
+  /// past the budget, the least-recently-acquired OTHER entries are
+  /// dropped until it fits (the entry just served is never evicted — one
+  /// working set always fits). Eviction is invisible to correctness: live
+  /// CollectionViews pin their chunks independently, in-flight extenders
+  /// hold the entry itself, and a re-created entry regenerates the
+  /// identical sets (streams derive from the key, never from history).
+  /// Only timing and the eviction counter observe it.
   explicit SamplerCache(const DirectedGraph& graph,
                         std::shared_ptr<const CollectionWarmSource> warm = nullptr,
-                        const IndexedSetGenerator* generator = nullptr,
                         size_t byte_budget = 0);
 
   /// Returns a view of EXACTLY the first `target` sets of the entry for
@@ -237,8 +211,6 @@ class SamplerCache {
   const DirectedGraph* graph_;
   /// Persisted-prefix source (nullable); consulted once per entry creation.
   std::shared_ptr<const CollectionWarmSource> warm_;
-  /// Extension strategy override (nullable, non-owning).
-  const IndexedSetGenerator* generator_;
   /// LRU byte budget; 0 = unlimited (entries live for the epoch).
   const size_t byte_budget_;
   /// Canonical full-residual candidate list (0..n-1); what round 1 of every

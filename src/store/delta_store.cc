@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "delta/delta_io.h"
-#include "shard/partition.h"
 
 namespace asti::store {
 

@@ -77,6 +77,23 @@ TEST(BinaryIoTest, RejectsTruncatedPayload) {
   out.close();
   auto loaded = LoadGraphBinary(path);
   ASSERT_FALSE(loaded.ok());
+
+  // Header counts far past the file size (a 36-byte file claiming
+  // m = 2^62, then one claiming n = 2^31 - 1): rejected before allocating.
+  const auto write_header = [&](uint32_t n, uint64_t m) {
+    std::ofstream header(path, std::ios::binary | std::ios::trunc);
+    const uint32_t version = 1;
+    const uint32_t offsets[4] = {0, 0, 0, 0};
+    header.write("ASMG", 4);
+    header.write(reinterpret_cast<const char*>(&version), sizeof(version));
+    header.write(reinterpret_cast<const char*>(&n), sizeof(n));
+    header.write(reinterpret_cast<const char*>(&m), sizeof(m));
+    header.write(reinterpret_cast<const char*>(offsets), sizeof(offsets));
+  };
+  write_header(3, uint64_t{1} << 62);
+  EXPECT_EQ(LoadGraphBinary(path).status().code(), StatusCode::kInvalidArgument);
+  write_header(0x7fffffff, 0);
+  EXPECT_EQ(LoadGraphBinary(path).status().code(), StatusCode::kInvalidArgument);
   std::remove(path.c_str());
 }
 

@@ -1,5 +1,6 @@
 // Tests for graph/graph.h and graph/graph_builder.h: CSR construction,
-// adjacency consistency, duplicate/self-loop policies.
+// adjacency consistency, duplicate/self-loop policies, and the pinned
+// ForwardCsrDigest value.
 
 #include <gtest/gtest.h>
 
@@ -170,6 +171,17 @@ TEST(GraphTest, DegreeSumsMatchEdgeCount) {
   }
   EXPECT_EQ(out_total, graph.NumEdges());
   EXPECT_EQ(in_total, graph.NumEdges());
+}
+
+// ASMD headers and staged <name>.delta.asms files persist this digest and
+// ApplyDelta refuses a batch whose base_digest differs, so its value is a
+// persisted format: these literals must never change.
+TEST(GraphTest, ForwardCsrDigestIsPinned) {
+  EXPECT_EQ(ForwardCsrDigest(SmallDiamond()), 0xf292a05114022d50ULL);
+  GraphBuilder empty(3);
+  auto graph = empty.Build();
+  ASSERT_TRUE(graph.ok());
+  EXPECT_EQ(ForwardCsrDigest(*graph), 0x08869886ec5c2369ULL);
 }
 
 }  // namespace

@@ -353,7 +353,7 @@ TEST(SamplerCacheTest, ByteBudgetEvictsLruAndRegeneratesIdentically) {
       Fingerprint(unlimited.Acquire(lt, 120, nullptr, nullptr, nullptr), 120);
   EXPECT_EQ(unlimited.Stats().evictions, 0u);
 
-  SamplerCache cache(graph, nullptr, nullptr, /*byte_budget=*/1);
+  SamplerCache cache(graph, nullptr, /*byte_budget=*/1);
   for (int round = 0; round < 3; ++round) {
     EXPECT_EQ(Fingerprint(cache.Acquire(ic, 120, nullptr, nullptr, nullptr), 120),
               ic_expected);
@@ -378,14 +378,14 @@ TEST(SamplerCacheTest, BudgetRespectsWorkingSetAndLiveViewsSurviveEviction) {
   const SamplerCacheKey ic = SamplerCacheKey::Rr(DiffusionModel::kIndependentCascade);
   const SamplerCacheKey lt = SamplerCacheKey::Rr(DiffusionModel::kLinearThreshold);
 
-  SamplerCache roomy(graph, nullptr, nullptr, /*byte_budget=*/1u << 30);
+  SamplerCache roomy(graph, nullptr, /*byte_budget=*/1u << 30);
   roomy.Acquire(ic, 80, nullptr, nullptr, nullptr);
   roomy.Acquire(lt, 80, nullptr, nullptr, nullptr);
   roomy.Acquire(ic, 80, nullptr, nullptr, nullptr);
   EXPECT_EQ(roomy.Stats().evictions, 0u);
   EXPECT_EQ(roomy.Stats().hits, 1u);
 
-  SamplerCache tight(graph, nullptr, nullptr, /*byte_budget=*/1);
+  SamplerCache tight(graph, nullptr, /*byte_budget=*/1);
   const CollectionView held = tight.Acquire(ic, 80, nullptr, nullptr, nullptr);
   const std::string expected = Fingerprint(held, 80);
   tight.Acquire(lt, 80, nullptr, nullptr, nullptr);  // evicts the ic entry
