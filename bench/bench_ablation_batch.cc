@@ -1,9 +1,10 @@
-// Ablation — batch size sweep for TRIM-B (§6.2/6.3's tradeoff, extended).
+// Ablation — batch size sweep for TRIM (§6.2/6.3's tradeoff, extended).
 //
-// Sweeps b ∈ {1, 2, 4, 8, 16} on one surrogate and reports seeds, rounds,
-// mRR samples, and wall time. The paper's observation: larger b divides
-// the rounds (and the time, to ~5% at b=8) while adding only a few seeds;
-// past the sweet spot the batch overshoots η and wastes seeds.
+// Sweeps b ∈ {1, 2, 4, 8, 16} (b = 1 is Algorithm 2, b ≥ 2 Algorithm 3)
+// on one surrogate and reports seeds, rounds, mRR samples, and wall time.
+// The paper's observation: larger b divides the rounds (and the time, to
+// ~5% at b=8) while adding only a few seeds; past the sweet spot the batch
+// overshoots η and wastes seeds.
 
 #include <algorithm>
 #include <iostream>
@@ -12,7 +13,7 @@
 #include "benchutil/cli.h"
 #include "benchutil/table.h"
 #include "core/asti.h"
-#include "core/trim_b.h"
+#include "core/trim.h"
 #include "diffusion/world.h"
 #include "graph/datasets.h"
 #include "parallel/thread_pool.h"
@@ -34,7 +35,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   const NodeId eta = std::max<NodeId>(1, graph->NumNodes() / 10);
-  std::cout << "Ablation: TRIM-B batch size sweep on Epinions surrogate (n="
+  std::cout << "Ablation: TRIM batch size sweep on Epinions surrogate (n="
             << graph->NumNodes() << ", eta=" << eta << ", IC model, "
             << realizations << " realizations)\n\n";
 
@@ -45,13 +46,13 @@ int main(int argc, char** argv) {
     for (size_t run = 0; run < realizations; ++run) {
       Rng world_rng(seed * 101 + run);
       AdaptiveWorld world(*graph, DiffusionModel::kIndependentCascade, eta, world_rng);
-      TrimBOptions options;
+      TrimOptions options;
       options.epsilon = 0.5;
       options.batch_size = batch;
       options.pool = pool.get();
-      TrimB trim_b(*graph, DiffusionModel::kIndependentCascade, options);
+      Trim trim(*graph, DiffusionModel::kIndependentCascade, options);
       Rng rng(seed * 57 + run * 3 + batch);
-      traces.push_back(RunAdaptivePolicy(world, trim_b, rng));
+      traces.push_back(RunAdaptivePolicy(world, trim, rng));
     }
     double rounds = 0.0;
     double samples = 0.0;

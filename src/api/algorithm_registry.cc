@@ -8,7 +8,6 @@
 #include "baselines/degree_adaptive.h"
 #include "baselines/oracle_greedy.h"
 #include "core/trim.h"
-#include "core/trim_b.h"
 #include "graph/graph.h"
 #include "parallel/thread_pool.h"
 
@@ -89,28 +88,16 @@ StatusOr<std::unique_ptr<RoundSelector>> AlgorithmRegistry::Make(
     case AlgorithmId::kAsti2:
     case AlgorithmId::kAsti4:
     case AlgorithmId::kAsti8: {
-      const NodeId batch = ctx.batch_size != 0 ? ctx.batch_size : Find(id)->default_batch;
-      if (batch == 1) {
-        TrimOptions options;
-        options.epsilon = ctx.epsilon;
-        options.rounding = ctx.rounding;
-        options.pool = ctx.pool;
-        options.cancel = ctx.cancel;
-        options.profile = ctx.profile;
-        options.sampler_cache = ctx.sampler_cache;
-        return std::unique_ptr<RoundSelector>(
-            std::make_unique<Trim>(graph, ctx.model, options));
-      }
-      TrimBOptions options;
+      TrimOptions options;
       options.epsilon = ctx.epsilon;
-      options.batch_size = batch;
+      options.batch_size = ctx.batch_size != 0 ? ctx.batch_size : Find(id)->default_batch;
       options.rounding = ctx.rounding;
       options.pool = ctx.pool;
       options.cancel = ctx.cancel;
       options.profile = ctx.profile;
       options.sampler_cache = ctx.sampler_cache;
       return std::unique_ptr<RoundSelector>(
-          std::make_unique<TrimB>(graph, ctx.model, options));
+          std::make_unique<Trim>(graph, ctx.model, options));
     }
     case AlgorithmId::kAdaptIm: {
       AdaptImOptions options;

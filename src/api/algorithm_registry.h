@@ -31,10 +31,10 @@ class ThreadPool;
 
 /// Algorithms of the paper's evaluation (§6.1) plus the extra baselines.
 enum class AlgorithmId {
-  kAsti,      // ASTI = TRIM (batch 1)
-  kAsti2,     // ASTI-2 = TRIM-B, b = 2
-  kAsti4,     // ASTI-4
-  kAsti8,     // ASTI-8
+  kAsti,      // ASTI = TRIM at b = 1 (Alg. 2)
+  kAsti2,     // ASTI-2 = TRIM at b = 2 (TRIM-B, Alg. 3)
+  kAsti4,     // ASTI-4 = TRIM at b = 4
+  kAsti8,     // ASTI-8 = TRIM at b = 8
   kAdaptIm,   // adaptive IM baseline
   kAteuc,     // non-adaptive baseline
   kDegree,    // residual-degree heuristic (extra)
@@ -67,7 +67,7 @@ struct AlgorithmSpec {
 struct AlgorithmContext {
   const DirectedGraph* graph = nullptr;
   DiffusionModel model = DiffusionModel::kIndependentCascade;
-  double epsilon = 0.5;      // sampling slack ε for TRIM/TRIM-B/AdaptIM
+  double epsilon = 0.5;      // sampling slack ε for TRIM (any b) and AdaptIM
   NodeId batch_size = 0;     // 0 = the algorithm id's default batch
   RootRounding rounding = RootRounding::kRandomized;
   size_t oracle_trials = 200;  // MC trials per candidate (kOracle only)

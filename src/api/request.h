@@ -54,8 +54,8 @@ struct SolveRequest {
   /// the §6 comparison protocol pins it; the field is still validated so
   /// one request shape has one contract.
   double epsilon = 0.5;
-  /// Batch-size override for kAsti: 0 = plain TRIM, b > 1 runs TRIM-B
-  /// with that b (how non-canonical batches like ASTI-16 are expressed).
+  /// Batch-size override for kAsti: 0 = b = 1, otherwise TRIM runs with
+  /// batch b (how non-canonical batches like ASTI-16 are expressed).
   /// Invalid on every other algorithm id — the ASTI-b ids carry their own
   /// batch, and mixing the two would desynchronize the result's algorithm
   /// label and RNG stream domain from the executed configuration.

@@ -2,12 +2,13 @@
 // minimization (§6.1 of the paper; Han et al., PVLDB 2018).
 //
 // Per round it selects the inactive node maximizing the *untruncated*
-// expected marginal spread E[I(v | S_{i-1})], using vanilla single-root
-// RR-sets with the same OPIM-C-style doubling-and-certify scheme as TRIM.
-// Run under ASTI's loop until the threshold is met, it is empirically
-// effective at seed minimization but (a) carries no truncated-spread
-// guarantee (§3.2) and (b) needs Θ(n_i/OPT'_i) samples per round versus
-// TRIM's Θ(η_i/OPT_i) — the source of the 10-20× slowdown in Figs. 5/7.
+// expected marginal spread E[I(v | S_{i-1})]. It runs TRIM's certify loop
+// (core/trim.h CertifyOnLadder, b = 1) on vanilla single-root RR-sets with
+// EPIC's constants: δ = 1/n_i, ε̂ = ε, and gain scale n_i. Run under
+// ASTI's loop until the threshold is met, it is empirically effective at
+// seed minimization but (a) carries no truncated-spread guarantee (§3.2)
+// and (b) needs Θ(n_i/OPT'_i) samples per round versus TRIM's
+// Θ(η_i/OPT_i) — the source of the 10-20× slowdown in Figs. 5/7.
 
 #pragma once
 

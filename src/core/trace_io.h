@@ -24,7 +24,8 @@ namespace asti {
 /// Serializes traces to the archive format.
 std::string SerializeTraces(const std::vector<AdaptiveRunTrace>& traces);
 
-/// Parses the archive format; rejects malformed input.
+/// Parses the archive format. A field that is not one whole in-range number,
+/// or a leftover token, is InvalidArgument naming the line and the field.
 StatusOr<std::vector<AdaptiveRunTrace>> ParseTraces(const std::string& text);
 
 /// File round trip.

@@ -1,13 +1,18 @@
-// TRIM — TRuncated Influence Maximization (Algorithm 2).
+// TRIM — TRuncated Influence Maximization (Algorithms 2 and 3).
 //
-// Per ASTI round, TRIM returns a node whose expected marginal truncated
-// spread is a (1 − 1/e)(1 − ε)-approximation to the best inactive node's.
-// It follows the OPIM-C doubling scheme: start from θ° mRR-sets, pick the
-// max-coverage node v*, certify it with the Lemma A.2 lower/upper bounds,
-// and double the collection until Λˡ(v*)/Λᵘ(v°) ≥ 1 − ε̂ or the iteration
-// budget T is exhausted. All constants match the paper's pseudocode.
+// Per ASTI round, TRIM returns b seeds whose expected marginal truncated
+// spread is a ρ_b(1 − 1/e)(1 − ε)-approximation to the best b-set's, with
+// ρ_b = 1 − (1 − 1/b)^b. Algorithm 2 is Algorithm 3 (TRIM-B) at b = 1, as
+// ρ_1 = 1 and ln C(n_i, 1) = ln n_i. CertifyOnLadder runs the OPIM-C
+// doubling scheme both share with AdaptIM: start from θ° sets, pick the
+// max-coverage batch, certify it with the Lemma A.2 bounds, and double
+// until Λˡ(S*)/Λᵘ(S°) ≥ ρ_b(1 − ε̂) or the iteration budget T is spent.
+// All constants match the paper's pseudocode.
 
 #pragma once
+
+#include <string>
+#include <vector>
 
 #include "core/selector.h"
 #include "diffusion/model.h"
@@ -21,7 +26,8 @@ namespace asti {
 
 /// Tuning knobs for TRIM; defaults mirror the paper's experiments (ε = 0.5).
 struct TrimOptions {
-  double epsilon = 0.5;          // approximation slack ε ∈ (0, 1)
+  double epsilon = 0.5;   // approximation slack ε ∈ (0, 1)
+  NodeId batch_size = 1;  // b ≥ 1 seeds per round; b = 1 is Algorithm 2
   RootRounding rounding = RootRounding::kRandomized;  // ablation hook
   /// Externally owned worker pool for sampling and coverage (not owned;
   /// may be null = everything runs on the calling thread). Results are
@@ -31,10 +37,10 @@ struct TrimOptions {
   /// Must outlive the selector.
   ThreadPool* pool = nullptr;
   /// Cooperative stop condition (not owned; must outlive the selector).
-  /// Polled at generation-stride and certify-iteration boundaries; once it
-  /// fires, SelectBatch returns an empty (to-be-discarded) result promptly
-  /// instead of finishing the doubling schedule. Completed selections are
-  /// bit-identical with or without a scope attached.
+  /// Polled at generation-stride, greedy-pick and certify-iteration
+  /// boundaries; once it fires, SelectBatch returns an empty result
+  /// promptly instead of finishing the doubling schedule. Completed
+  /// selections are bit-identical with or without a scope attached.
   const CancelScope* cancel = nullptr;
   /// Per-request phase profile (not owned; may be null). Accrues sampling /
   /// coverage / certify wall time and sampling volume; never read by the
@@ -50,16 +56,17 @@ struct TrimOptions {
   SamplerCache* sampler_cache = nullptr;
 };
 
-/// Single-seed truncated influence maximizer.
+/// Truncated influence maximizer selecting b seeds per round.
 class Trim : public RoundSelector {
  public:
   /// The graph must outlive the selector.
   Trim(const DirectedGraph& graph, DiffusionModel model, TrimOptions options = {});
 
-  /// Algorithm 2 on the residual graph described by `view`.
+  /// Algorithm 3 with batch min(b, n_i) on the residual graph `view`.
   SelectionResult SelectBatch(const ResidualView& view, Rng& rng) override;
 
-  const char* Name() const override { return "ASTI"; }
+  /// "ASTI" at b = 1, "ASTI-b" otherwise.
+  const char* Name() const override { return name_.c_str(); }
 
  private:
   const DirectedGraph* graph_;
@@ -67,13 +74,16 @@ class Trim : public RoundSelector {
   TrimOptions options_;
   ParallelRrSampler parallel_sampler_;
   RrCollection collection_;
+  std::string name_;
 };
 
-/// Constants of one TRIM invocation (Alg. 2 lines 1-5), exposed so tests
-/// can pin them against the pseudocode.
+/// Constants of one doubling-and-certify loop (Alg. 2/3 lines 1-5),
+/// exposed so tests can pin them against the pseudocode.
 struct TrimSchedule {
+  NodeId batch = 1;        // b
   double delta = 0.0;      // δ
   double eps_hat = 0.0;    // ε̂
+  double rho_b = 1.0;      // ρ_b
   double theta_max = 0.0;  // θ_max
   size_t theta_zero = 0;   // θ°
   size_t max_iterations = 0;  // T
@@ -81,8 +91,21 @@ struct TrimSchedule {
   double a2 = 0.0;
 };
 
-/// Computes the Algorithm 2 schedule for a round with n_i inactive nodes
-/// and shortfall η_i.
-TrimSchedule ComputeTrimSchedule(NodeId num_inactive, NodeId shortfall, double epsilon);
+/// Alg. 3 lines 2-5 for n_i inactive nodes, batch b ≤ n_i, δ and ε̂.
+TrimSchedule ComputeCertifySchedule(NodeId num_inactive, NodeId batch, double delta,
+                                    double eps_hat);
+
+/// TRIM's schedule for shortfall η_i: δ and ε̂ from ε and η_i (line 1).
+TrimSchedule ComputeTrimSchedule(NodeId num_inactive, NodeId shortfall, NodeId batch,
+                                 double epsilon);
+
+/// Alg. 2/3 lines 6-13 on `ladder`: picks b nodes per rung (argmax at
+/// b = 1, CELF over `candidates` at b ≥ 2) and returns the first certified
+/// pick, or rung T's, with gain gain_scale·Λ(S)/|R| (η_i for mRR-sets, n_i
+/// for RR-sets). A short ladder or a fired `cancel` yields no seeds.
+SelectionResult CertifyOnLadder(const LadderSource& ladder, const TrimSchedule& schedule,
+                                const std::vector<NodeId>& candidates, double gain_scale,
+                                ThreadPool* pool, const CancelScope* cancel,
+                                RequestProfile* profile);
 
 }  // namespace asti

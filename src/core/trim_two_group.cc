@@ -15,6 +15,7 @@ TrimTwoGroup::TrimTwoGroup(const DirectedGraph& graph, DiffusionModel model,
       derive_(graph.NumNodes()),
       validate_(graph.NumNodes()) {
   ASM_CHECK(options_.epsilon > 0.0 && options_.epsilon < 1.0);
+  ASM_CHECK(options_.batch_size == 1) << "the two-group design selects singletons";
 }
 
 SelectionResult TrimTwoGroup::SelectBatch(const ResidualView& view, Rng& rng) {
@@ -26,7 +27,7 @@ SelectionResult TrimTwoGroup::SelectBatch(const ResidualView& view, Rng& rng) {
   // half of every generation step. The validation bound needs no ln n_i
   // union term (v* is independent of R2), so a1 == a2 here — the upside
   // OPIM-C buys with the split.
-  const TrimSchedule schedule = ComputeTrimSchedule(ni, eta_i, options_.epsilon);
+  const TrimSchedule schedule = ComputeTrimSchedule(ni, eta_i, 1, options_.epsilon);
   const RootSizeSampler root_size(ni, eta_i, options_.rounding);
   const LadderSource derive_ladder = OwnedLadder(
       parallel_sampler_, derive_, *view.inactive_nodes, view.active, &root_size, rng);

@@ -8,7 +8,9 @@
 // TRIM instead spends its entire budget on one group and pays the ln n_i
 // union-bound term. For b = 1 the one-group design wins (Huang et al.
 // 2017); the bench/bench_ablation_opimc binary quantifies the gap. This
-// class exists for that comparison and as a drop-in RoundSelector.
+// class exists for that comparison and as a drop-in RoundSelector. It
+// selects singletons only (TrimOptions::batch_size must be 1) and, as it
+// certifies on a second collection, runs its own loop, not CertifyOnLadder.
 
 #pragma once
 

@@ -64,6 +64,7 @@ double LGamma(double x) {
 double LogBinomial(double n, double k) {
   ASM_CHECK(n >= k && k >= 0.0);
   if (k == 0.0 || k == n) return 0.0;
+  if (k == 1.0) return std::log(n);  // exact; lgamma is off in the last bits
   return LGamma(n + 1.0) - LGamma(k + 1.0) - LGamma(n - k + 1.0);
 }
 

@@ -6,8 +6,8 @@
 //   Λˡ(Λ, a) = (√(Λ + 2a/9) − √(a/2))² − a/18   ≤ E[Λ]   w.p. ≥ 1 − e^{-a}
 //   Λᵘ(Λ, a) = (√(Λ + a/2) + √(a/2))²           ≥ E[Λ]   w.p. ≥ 1 − e^{-a}
 //
-// These drive TRIM/TRIM-B's stopping rule (Alg. 2 lines 9-11, Alg. 3
-// lines 9-11). Lemma A.1's Chernoff-style tails are exposed for tests.
+// These drive the certify loop's stopping rule (Alg. 2/3 lines 9-11, shared
+// with AdaptIM). Lemma A.1's Chernoff-style tails are exposed for tests.
 
 #pragma once
 
@@ -32,13 +32,14 @@ double ChernoffUpperTail(double expectation_mean, double lambda, size_t trials);
 /// Pr[mean < E − λ] ≤ exp(−λ²T / (2E)).
 double ChernoffLowerTail(double expectation_mean, double lambda, size_t trials);
 
-/// ln C(n, k) via lgamma; used by TRIM-B's union bound over size-b sets.
+/// ln C(n, k) via lgamma (exactly ln n at k = 1); the union bound over
+/// size-b sets in TRIM's certify schedule.
 double LogBinomial(double n, double k);
 
 // --- Needed-sets queries (doubling schedules) -------------------------------
-// The OPIM-C-style doubling loops (TRIM Alg. 2, TRIM-B Alg. 3, AdaptIM's
-// EPIC schedule) all sample θ° sets up front and double until the Lemma A.2
-// bounds certify. These two helpers make the schedule's sample counts a
+// The OPIM-C-style doubling loop (core/trim.h's CertifyOnLadder, which TRIM
+// at every b and AdaptIM run, and the two-group variant's own) samples θ°
+// sets up front and doubles until the Lemma A.2 bounds certify. These two helpers make the schedule's sample counts a
 // queryable function instead of loop-private state — the admission query
 // the shared sampler cache uses to ask for EXACT prefix lengths (so a
 // request's collection sizes are independent of what the cache happens to

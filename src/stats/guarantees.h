@@ -33,7 +33,7 @@ struct TheoreticalGuarantees {
   double samples_per_round = 0.0;
 };
 
-/// Knobs mirrored from TrimOptions/TrimBOptions.
+/// Knobs mirrored from TrimOptions.
 struct GuaranteeQuery {
   NodeId num_nodes = 0;   // n
   size_t num_edges = 0;   // m

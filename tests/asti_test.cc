@@ -10,7 +10,6 @@
 #include "baselines/degree_adaptive.h"
 #include "core/asti.h"
 #include "core/trim.h"
-#include "core/trim_b.h"
 #include "graph/generators.h"
 
 namespace asti {
@@ -88,9 +87,9 @@ TEST(AstiTest, SeedsAreDistinctAndWereInactive) {
   const DirectedGraph graph = RandomWcGraph(120, 600, 128);
   Rng world_rng(129);
   AdaptiveWorld world(graph, DiffusionModel::kIndependentCascade, 40, world_rng);
-  TrimB trim_b(graph, DiffusionModel::kIndependentCascade, TrimBOptions{0.5, 4});
+  Trim batched(graph, DiffusionModel::kIndependentCascade, TrimOptions{0.5, 4});
   Rng rng(130);
-  const AdaptiveRunTrace trace = RunAdaptivePolicy(world, trim_b, rng);
+  const AdaptiveRunTrace trace = RunAdaptivePolicy(world, batched, rng);
   std::set<NodeId> unique(trace.seeds.begin(), trace.seeds.end());
   EXPECT_EQ(unique.size(), trace.seeds.size());
 }
@@ -105,9 +104,9 @@ TEST(AstiTest, BatchedSelectorTakesFewerRounds) {
 
   Rng world_rng2(132);  // same hidden realization
   AdaptiveWorld world2(graph, DiffusionModel::kIndependentCascade, 50, world_rng2);
-  TrimB trim_b(graph, DiffusionModel::kIndependentCascade, TrimBOptions{0.5, 8});
+  Trim trim_8(graph, DiffusionModel::kIndependentCascade, TrimOptions{0.5, 8});
   Rng rng2(134);
-  const AdaptiveRunTrace batched = RunAdaptivePolicy(world2, trim_b, rng2);
+  const AdaptiveRunTrace batched = RunAdaptivePolicy(world2, trim_8, rng2);
 
   EXPECT_LT(batched.rounds.size(), single.rounds.size());
   // Batched never selects fewer seeds (the adaptivity gap direction).

@@ -8,7 +8,6 @@
 
 #include "core/asti.h"
 #include "core/trim.h"
-#include "core/trim_b.h"
 #include "diffusion/world.h"
 #include "graph/datasets.h"
 #include "graph/generators.h"
@@ -40,9 +39,9 @@ TEST(EdgeCasesTest, EdgelessGraphNeedsEtaSeeds) {
   ASSERT_TRUE(graph.ok());
   Rng world_rng(3);
   AdaptiveWorld world(*graph, DiffusionModel::kIndependentCascade, 6, world_rng);
-  TrimB trim_b(*graph, DiffusionModel::kIndependentCascade, TrimBOptions{0.5, 2});
+  Trim batched(*graph, DiffusionModel::kIndependentCascade, TrimOptions{0.5, 2});
   Rng rng(4);
-  const AdaptiveRunTrace trace = RunAdaptivePolicy(world, trim_b, rng);
+  const AdaptiveRunTrace trace = RunAdaptivePolicy(world, batched, rng);
   EXPECT_TRUE(trace.target_reached);
   EXPECT_EQ(trace.NumSeeds(), 6u);  // nothing propagates: every seed counts once
   EXPECT_EQ(trace.rounds.size(), 3u);

@@ -958,6 +958,71 @@ TEST_F(EngineTest, EveryPoolSizeIncludingOneAgrees) {
   }
 }
 
+// Answers pinned as values: every identity pin above compares two runs of
+// one build, so none would notice both runs moving together. A refactor
+// must keep these fingerprints; a change that alters sampler streams on
+// purpose re-derives them and says so. At η = 90 every algorithm needs a
+// residual round under both models.
+TEST_F(EngineTest, AnswersMatchPinnedFingerprints) {
+  struct Pin {
+    AlgorithmId algorithm;
+    DiffusionModel model;
+    const char* fingerprint;
+  };
+  const Pin pins[] = {
+      {AlgorithmId::kAsti, DiffusionModel::kIndependentCascade,
+       "ASTI|90,94,|8,6,|0 2 1 3 4 15 27 6 /90/6724[1:0 90/33/33/31.5865/832]"
+       "[2:2 57/11/11/19.095/800][3:1 46/13/13/12.4094/1568]"
+       "[4:3 33/10/10/8.98816/1520][5:4 23/10/10/7.875/736][6:15 13/9/9/5.80891/696]"
+       "[7:27 4/3/3/3.12987/308][8:6 1/1/1/1/264];0 2 4 27 9 38 /94/4012"
+       "[1:0 90/18/18/31.5865/832][2:2 72/57/57/23.6471/816][3:4 15/1/1/5.98722/704]"
+       "[4:27 14/7/7/5.52841/704][5:9 7/4/4/4.15091/656][6:38 3/7/3/2.53/300];|7|92|1"},
+      {AlgorithmId::kAsti4, DiffusionModel::kIndependentCascade,
+       "ASTI-4|91,92,|8,8,|0 2 1 7 15 4 3 9 /91/1448[1:0 2 1 7 90/61/61/56.0132/760]"
+       "[2:15 4 3 9 29/30/29/19.7689/688];0 2 1 7 4 27 9 15 /92/1082"
+       "[1:0 2 1 7 90/78/78/56.0132/760][2:4 27 9 15 12/14/12/10.9565/322];|8|91.5|1"},
+      {AlgorithmId::kAdaptIm, DiffusionModel::kIndependentCascade,
+       "AdaptIM|92,90,|9,6,|0 2 1 3 4 21 7 27 15 /92/41184[1:0 90/33/33/40.1923/1248]"
+       "[2:2 57/11/11/23.8363/2432][3:1 46/13/13/13.1267/4800]"
+       "[4:3 33/10/10/10.5271/4800][5:4 23/10/10/9.20714/4736]"
+       "[6:21 13/5/5/7.49893/4672][7:7 8/3/3/7.17765/4672][8:27 5/3/3/6.94336/4608]"
+       "[9:15 2/4/2/5.42839/9216];0 2 4 38 7 9 /90/22336[1:0 90/18/18/40.1923/1248]"
+       "[2:2 72/57/57/25.7419/2464][3:4 15/1/1/7.01413/4672][4:38 14/7/7/6.4726/4672]"
+       "[5:7 7/3/3/6.4512/4672][6:9 4/4/4/6.71745/4608];|7.5|91|1"},
+      {AlgorithmId::kAsti, DiffusionModel::kLinearThreshold,
+       "ASTI|108,90,|4,4,|0 2 1 22 /108/3936[1:0 90/23/23/32.7764/832]"
+       "[2:2 67/24/24/21.9228/816][3:1 43/25/25/12.6148/1568]"
+       "[4:22 18/36/18/7.425/720];0 2 1 3 /90/3088[1:0 90/23/23/32.7764/832]"
+       "[2:2 67/45/45/21.7586/816][3:1 22/8/8/10.2826/736][4:3 14/14/14/6.7017/704];"
+       "|4|99|1"},
+      {AlgorithmId::kAsti4, DiffusionModel::kLinearThreshold,
+       "ASTI-4|108,124,|4,8,|0 2 1 4 /108/760[1:0 2 1 4 90/108/90/63.1184/760];"
+       "0 2 1 4 3 23 7 9 /124/1050[1:0 2 1 4 90/87/87/63.1184/760]"
+       "[2:3 23 7 9 3/37/3/3/290];|6|116|1"},
+      {AlgorithmId::kAdaptIm, DiffusionModel::kLinearThreshold,
+       "AdaptIM|122,99,|5,5,|0 2 1 3 22 /122/15392[1:0 90/23/23/38.2532/1248]"
+       "[2:2 67/24/24/27.2634/2464][3:1 43/25/25/15.4979/2400]"
+       "[4:3 18/14/14/9.63014/4672][5:22 4/36/4/9.16016/4608];0 2 1 7 4 /99/17728"
+       "[1:0 90/23/23/38.2532/1248][2:2 67/45/45/29.1822/2464]"
+       "[3:1 22/8/8/12.8378/4736][4:7 14/12/12/9.12329/4672][5:4 2/11/2/9.05208/4608];"
+       "|5|110.5|1"},
+  };
+  for (size_t threads : {1u, 2u}) {
+    SeedMinEngine engine(catalog_, {threads});
+    for (const Pin& pin : pins) {
+      SolveRequest request = AlphaRequest();
+      request.algorithm = pin.algorithm;
+      request.model = pin.model;
+      request.eta = 90;
+      const auto result = engine.Solve(request);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_EQ(Fingerprint(*result), pin.fingerprint)
+          << "threads=" << threads << " " << AlgorithmName(pin.algorithm) << " "
+          << DiffusionModelName(pin.model);
+    }
+  }
+}
+
 // --- Snapshot store integration (src/store/) --------------------------------
 
 // A graph served from an mmap'd ASMS snapshot (CSR spans pointing into the

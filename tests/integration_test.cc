@@ -11,7 +11,6 @@
 #include "benchutil/experiment.h"
 #include "core/asti.h"
 #include "core/trim.h"
-#include "core/trim_b.h"
 #include "graph/datasets.h"
 #include "graph/generators.h"
 

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "core/asti.h"
-#include "core/trim_b.h"
+#include "core/trim.h"
 #include "coverage/inverted_index.h"
 #include "coverage/lazy_greedy.h"
 #include "coverage/max_coverage.h"
@@ -202,15 +202,15 @@ TEST(ParallelCoverageTest, TrimBThreadCountInvariant) {
   std::vector<AdaptiveRunTrace> traces;
   for (size_t threads : {2, 4}) {
     ThreadPool pool(threads);
-    TrimBOptions options;
+    TrimOptions options;
     options.epsilon = 0.5;
     options.batch_size = 3;
     options.pool = &pool;
-    TrimB trim_b(*graph, DiffusionModel::kIndependentCascade, options);
+    Trim batched(*graph, DiffusionModel::kIndependentCascade, options);
     Rng world_rng(62);
     AdaptiveWorld world(*graph, DiffusionModel::kIndependentCascade, 12, world_rng);
     Rng rng(63);
-    traces.push_back(RunAdaptivePolicy(world, trim_b, rng));
+    traces.push_back(RunAdaptivePolicy(world, batched, rng));
   }
   ASSERT_EQ(traces.size(), 2u);
   EXPECT_EQ(traces[0].seeds, traces[1].seeds);

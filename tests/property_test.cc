@@ -9,7 +9,6 @@
 
 #include "core/asti.h"
 #include "core/trim.h"
-#include "core/trim_b.h"
 #include "diffusion/world.h"
 #include "graph/generators.h"
 #include "sampling/mrr_set.h"
@@ -121,9 +120,9 @@ TEST_P(BatchPropertyTest, BatchRunsAndReachesTarget) {
       MakeFamilyGraph(GraphFamily::kBarabasiAlbert, 200, 0x77);
   Rng world_rng(0x88);
   AdaptiveWorld world(graph, DiffusionModel::kIndependentCascade, 60, world_rng);
-  TrimB trim_b(graph, DiffusionModel::kIndependentCascade, TrimBOptions{0.5, batch});
+  Trim trim(graph, DiffusionModel::kIndependentCascade, TrimOptions{0.5, batch});
   Rng rng(0x99);
-  const AdaptiveRunTrace trace = RunAdaptivePolicy(world, trim_b, rng);
+  const AdaptiveRunTrace trace = RunAdaptivePolicy(world, trim, rng);
   EXPECT_TRUE(trace.target_reached);
   // Each round selects exactly min(b, remaining) seeds.
   for (const RoundRecord& record : trace.rounds) {
@@ -213,15 +212,20 @@ class ScheduleParamTest
 TEST_P(ScheduleParamTest, TrimScheduleSane) {
   const auto [ni, eta_i] = GetParam();
   if (eta_i > ni) GTEST_SKIP();
-  const TrimSchedule schedule = ComputeTrimSchedule(ni, eta_i, 0.5);
-  EXPECT_GT(schedule.delta, 0.0);
-  EXPECT_LT(schedule.delta, 1.0);
-  EXPECT_GT(schedule.eps_hat, 0.0);
-  EXPECT_LT(schedule.eps_hat, 1.0);
-  EXPECT_GE(schedule.theta_zero, 1u);
-  EXPECT_GE(schedule.theta_max, static_cast<double>(schedule.theta_zero));
-  EXPECT_GE(schedule.max_iterations, 1u);
-  EXPECT_GT(schedule.a1, schedule.a2);  // a1 carries the extra ln n_i
+  for (NodeId batch : {NodeId{1}, NodeId{4}}) {
+    SCOPED_TRACE(testing::Message() << "b=" << batch);
+    const TrimSchedule schedule = ComputeTrimSchedule(ni, eta_i, batch, 0.5);
+    EXPECT_GT(schedule.delta, 0.0);
+    EXPECT_LT(schedule.delta, 1.0);
+    EXPECT_GT(schedule.eps_hat, 0.0);
+    EXPECT_LT(schedule.eps_hat, 1.0);
+    EXPECT_GT(schedule.rho_b, 0.0);
+    EXPECT_LE(schedule.rho_b, 1.0);
+    EXPECT_GE(schedule.theta_zero, 1u);
+    EXPECT_GE(schedule.theta_max, static_cast<double>(schedule.theta_zero));
+    EXPECT_GE(schedule.max_iterations, 1u);
+    EXPECT_GT(schedule.a1, schedule.a2);  // a1 carries the extra ln C(n_i, b)
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -9,7 +9,6 @@
 #include <cstdint>
 
 #include "core/trim.h"
-#include "core/trim_b.h"
 #include "stats/concentration.h"
 #include "stats/truncation.h"
 #include "util/rng.h"
@@ -92,6 +91,9 @@ TEST(ConcentrationTest, ChernoffLowerTailMatchesFormula) {
 }
 
 TEST(ConcentrationTest, LogBinomialMatchesSmallCases) {
+  // k = 1 is exact: the b = 1 certify schedule must be Algorithm 2's ln n_i.
+  EXPECT_EQ(LogBinomial(300, 1), std::log(300.0));
+  EXPECT_EQ(LogBinomial(56000, 1), std::log(56000.0));
   EXPECT_NEAR(LogBinomial(5, 2), std::log(10.0), 1e-9);
   EXPECT_NEAR(LogBinomial(10, 0), 0.0, 1e-9);
   EXPECT_NEAR(LogBinomial(10, 10), 0.0, 1e-9);
@@ -144,41 +146,32 @@ TEST(DoublingLadderTest, MatchesLegacyDoublingLoopStoppingPoint) {
   }
 }
 
-// Needed-sets behaviour across the (eta, epsilon) grid for both schedule
-// families: the final rung covers theta_max, the previous one does not
-// (the ladder never over- or under-shoots the certification budget), and
-// tightening epsilon never shrinks the sampling budget.
+// Needed-sets behaviour of the one certify schedule across the (eta,
+// epsilon) grid at b = 1 and b = min(8, eta): the final rung covers
+// theta_max, the previous one does not (the ladder never over- or
+// under-shoots the certification budget), and tightening epsilon never
+// shrinks the sampling budget.
 TEST(DoublingLadderTest, ScheduleLaddersCoverThetaMaxMinimally) {
   const NodeId n = 5000;
   for (NodeId eta : {NodeId{1}, NodeId{10}, NodeId{250}, NodeId{2500}}) {
-    double previous_theta_max = 0.0;
-    for (double epsilon : {0.5, 0.3, 0.1}) {  // tightening order
-      const TrimSchedule trim = ComputeTrimSchedule(n, eta, epsilon);
-      ASSERT_GE(trim.max_iterations, 1u);
-      EXPECT_GE(static_cast<double>(
-                    DoublingLadderSets(trim.theta_zero, trim.max_iterations)),
-                trim.theta_max)
-          << "eta=" << eta << " eps=" << epsilon;
-      if (trim.max_iterations > 1) {
-        EXPECT_LT(static_cast<double>(DoublingLadderSets(
-                      trim.theta_zero, trim.max_iterations - 1)),
-                  trim.theta_max)
-            << "eta=" << eta << " eps=" << epsilon;
-      }
-      EXPECT_GT(trim.theta_max, previous_theta_max)
-          << "eta=" << eta << " eps=" << epsilon;
-      previous_theta_max = trim.theta_max;
-
-      const NodeId batch = std::min<NodeId>(8, eta);
-      const TrimBSchedule trim_b = ComputeTrimBSchedule(n, eta, batch, epsilon);
-      ASSERT_GE(trim_b.max_iterations, 1u);
-      EXPECT_GE(static_cast<double>(
-                    DoublingLadderSets(trim_b.theta_zero, trim_b.max_iterations)),
-                trim_b.theta_max);
-      if (trim_b.max_iterations > 1) {
-        EXPECT_LT(static_cast<double>(DoublingLadderSets(
-                      trim_b.theta_zero, trim_b.max_iterations - 1)),
-                  trim_b.theta_max);
+    for (NodeId batch : {NodeId{1}, std::min<NodeId>(8, eta)}) {
+      double previous_theta_max = 0.0;
+      for (double epsilon : {0.5, 0.3, 0.1}) {  // tightening order
+        const TrimSchedule schedule = ComputeTrimSchedule(n, eta, batch, epsilon);
+        ASSERT_GE(schedule.max_iterations, 1u);
+        EXPECT_GE(static_cast<double>(
+                      DoublingLadderSets(schedule.theta_zero, schedule.max_iterations)),
+                  schedule.theta_max)
+            << "eta=" << eta << " b=" << batch << " eps=" << epsilon;
+        if (schedule.max_iterations > 1) {
+          EXPECT_LT(static_cast<double>(DoublingLadderSets(
+                        schedule.theta_zero, schedule.max_iterations - 1)),
+                    schedule.theta_max)
+              << "eta=" << eta << " b=" << batch << " eps=" << epsilon;
+        }
+        EXPECT_GT(schedule.theta_max, previous_theta_max)
+            << "eta=" << eta << " b=" << batch << " eps=" << epsilon;
+        previous_theta_max = schedule.theta_max;
       }
     }
   }

@@ -94,6 +94,29 @@ TEST(TraceIoTest, RejectsMalformedInput) {
   EXPECT_FALSE(
       ParseTraces("trace 10 12 1 0.5 321\nround 1 10 8 8 7.5 200 0.3\nend\n").ok());
   // ^ round without seeds
+  // Numbers must fill their token and fit their field; nothing is skipped.
+  const auto rejects = [](const std::string& text, const std::string& message) {
+    const auto parsed = ParseTraces(text);
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(parsed.status().ToString().find(message), std::string::npos)
+        << parsed.status().ToString();
+  };
+  rejects("trace -3 5 1 0.5 100 extra\nend\n", "line 1: bad eta '-3'");
+  rejects("trace 3 5 1 0.5 100 extra\nend\n", "line 1: unexpected token 'extra'");
+  rejects("trace 10 12 1 0.5 321\nround 1 10 8 8 7.5 200 0.3 7 junk\nend\n",
+          "line 2: bad seed 'junk'");
+  rejects("trace 10 12 1 0.5 321\nround 1 10 8 8 7.5 200 0.3 -1\nend\n",
+          "line 2: bad seed '-1'");
+  rejects("trace 10 12 1 0.5 321\nround 1 10 8 8 7.5 200 0.3 4294967295\nend\n",
+          "line 2: bad seed '4294967295'");
+  rejects("trace 4294967296 12 1 0.5 321\nend\n", "line 1: bad eta");
+  rejects("trace 10 12 2 0.5 321\nend\n", "line 1: bad reached '2'");
+  rejects("trace 10 12 1 -0.5 321\nend\n", "line 1: bad seconds '-0.5'");
+  rejects("trace 10 12 1 0.5\nend\n", "line 1: missing total_samples");
+  rejects("trace 10 12 1 0.5 321\nround 1 10 8 8 nan 200 0.3 7\nend\n",
+          "line 2: bad estimated_gain 'nan'");
+  rejects("trace 10 12 1 0.5 321\nend 5\n", "line 2: unexpected token '5'");
 }
 
 TEST(TraceIoTest, FileRoundTrip) {
