@@ -492,6 +492,8 @@ MetricsSnapshot SeedMinEngine::metrics_snapshot() const {
           {"asti_sampler_cache_sets_adopted_total", graph_label, cache.sets_adopted});
       snapshot.counters.push_back(
           {"asti_sampler_cache_evictions_total", graph_label, cache.evictions});
+      snapshot.counters.push_back({"asti_sampler_cache_selection_hits_total", graph_label,
+                                   cache.selection_hits});
       snapshot.gauges.push_back(
           {"asti_sampler_cache_bytes", graph_label,
            static_cast<int64_t>(state->sampler_cache.TotalBytes())});

@@ -26,16 +26,17 @@ SelectionResult AdaptIm::SelectBatch(const ResidualView& view, Rng& rng) {
   const TrimSchedule schedule =
       ComputeCertifySchedule(ni, /*batch=*/1, 1.0 / n_d, options_.epsilon);
 
-  // Round 1 (full residual): serve the doubling ladder from the shared
-  // single-root RR entry — the same (kRr, model) entry ATEUC and Bisection
-  // read — consuming zero draws from `rng` (see Trim::SelectBatch).
-  const LadderSource ladder =
-      options_.sampler_cache != nullptr && ni == graph_->NumNodes()
-          ? CachedLadder(*options_.sampler_cache, SamplerCacheKey::Rr(model_),
-                         options_.pool, options_.cancel, options_.profile)
-          : OwnedLadder(parallel_sampler_, collection_, *view.inactive_nodes, view.active,
-                        /*root_size=*/nullptr, rng);
-  return CertifyOnLadder(ladder, schedule, *view.inactive_nodes, n_d, options_.pool,
+  // Round 1 (full residual): certify on the shared single-root RR entry —
+  // the same (kRr, model) entry ATEUC and Bisection read — through its
+  // memo, consuming zero draws from `rng` (see Trim::SelectBatch).
+  if (options_.sampler_cache != nullptr && ni == graph_->NumNodes()) {
+    return CertifyOnCache(*options_.sampler_cache, SamplerCacheKey::Rr(model_), schedule,
+                          *view.inactive_nodes, n_d, options_.pool, options_.cancel,
+                          options_.profile);
+  }
+  return CertifyOnLadder(OwnedLadder(parallel_sampler_, collection_, *view.inactive_nodes,
+                                     view.active, /*root_size=*/nullptr, rng),
+                         schedule, *view.inactive_nodes, n_d, options_.pool,
                          options_.cancel, options_.profile);
 }
 

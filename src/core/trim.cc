@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <utility>
 
 #include "coverage/lazy_greedy.h"
@@ -93,6 +94,28 @@ SelectionResult CertifyOnLadder(const LadderSource& ladder, const TrimSchedule& 
   return result;
 }
 
+SelectionResult CertifyOnCache(SamplerCache& cache, const SamplerCacheKey& key,
+                               const TrimSchedule& schedule,
+                               const std::vector<NodeId>& candidates, double gain_scale,
+                               ThreadPool* pool, const CancelScope* cancel,
+                               RequestProfile* profile) {
+  if (Fired(cancel)) return SelectionResult{};
+  const SelectionMemoKey memo{schedule.batch, schedule.delta, schedule.eps_hat, gain_scale};
+  if (std::optional<MemoizedSelection> hit = cache.FindSelection(key, memo, profile)) {
+    return SelectionResult{std::move(hit->seeds), hit->estimated_marginal_gain,
+                           hit->num_samples, hit->iterations};
+  }
+  SelectionResult result =
+      CertifyOnLadder(CachedLadder(cache, key, pool, cancel, profile), schedule, candidates,
+                      gain_scale, pool, cancel, profile);
+  if (!result.seeds.empty()) {
+    cache.StoreSelection(key, memo,
+                         MemoizedSelection{result.seeds, result.estimated_marginal_gain,
+                                           result.num_samples, result.iterations});
+  }
+  return result;
+}
+
 Trim::Trim(const DirectedGraph& graph, DiffusionModel model, TrimOptions options)
     : graph_(&graph),
       model_(model),
@@ -112,23 +135,25 @@ SelectionResult Trim::SelectBatch(const ResidualView& view, Rng& rng) {
   const NodeId batch = std::min<NodeId>(options_.batch_size, ni);
 
   const TrimSchedule schedule = ComputeTrimSchedule(ni, eta_i, batch, options_.epsilon);
-  const RootSizeSampler root_size(ni, eta_i, options_.rounding);
+  const double gain_scale = static_cast<double>(eta_i);
 
   // Round 1 samples the full residual (every node inactive) — the only
-  // round whose distribution is request-independent, hence cacheable. The
-  // cached ladder consumes ZERO draws from `rng`, so all later rounds see
-  // identical request streams whether this round hit, extended, or (with a
+  // round whose distribution is request-independent, hence cacheable, and
+  // whose pick is memoized on the cache entry. The cached path consumes
+  // ZERO draws from `rng`, so all later rounds see identical request
+  // streams whether this round hit the memo, extended, or (with a
   // request-private cache, --no-cache) freshly sampled.
-  const LadderSource ladder =
-      options_.sampler_cache != nullptr && ni == graph_->NumNodes()
-          ? CachedLadder(*options_.sampler_cache,
-                         SamplerCacheKey::Mrr(model_, eta_i, options_.rounding),
-                         options_.pool, options_.cancel, options_.profile)
-          : OwnedLadder(parallel_sampler_, collection_, *view.inactive_nodes, view.active,
-                        &root_size, rng);
-  return CertifyOnLadder(ladder, schedule, *view.inactive_nodes,
-                         static_cast<double>(eta_i), options_.pool, options_.cancel,
-                         options_.profile);
+  if (options_.sampler_cache != nullptr && ni == graph_->NumNodes()) {
+    return CertifyOnCache(*options_.sampler_cache,
+                          SamplerCacheKey::Mrr(model_, eta_i, options_.rounding), schedule,
+                          *view.inactive_nodes, gain_scale, options_.pool, options_.cancel,
+                          options_.profile);
+  }
+  const RootSizeSampler root_size(ni, eta_i, options_.rounding);
+  return CertifyOnLadder(OwnedLadder(parallel_sampler_, collection_, *view.inactive_nodes,
+                                     view.active, &root_size, rng),
+                         schedule, *view.inactive_nodes, gain_scale, options_.pool,
+                         options_.cancel, options_.profile);
 }
 
 }  // namespace asti

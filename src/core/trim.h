@@ -103,9 +103,23 @@ TrimSchedule ComputeTrimSchedule(NodeId num_inactive, NodeId shortfall, NodeId b
 /// b = 1, CELF over `candidates` at b ≥ 2) and returns the first certified
 /// pick, or rung T's, with gain gain_scale·Λ(S)/|R| (η_i for mRR-sets, n_i
 /// for RR-sets). A short ladder or a fired `cancel` yields no seeds.
+/// Trim and AdaptIM call it directly on owned ladders (residual rounds, or
+/// round 1 without a cache); their round 1 on a sampler cache reaches it
+/// only through CertifyOnCache, on a memo miss.
 SelectionResult CertifyOnLadder(const LadderSource& ladder, const TrimSchedule& schedule,
                                 const std::vector<NodeId>& candidates, double gain_scale,
                                 ThreadPool* pool, const CancelScope* cancel,
                                 RequestProfile* profile);
+
+/// Round 1 on `key`'s entry of `cache` (`candidates` = all n nodes): the
+/// pick memoized on the entry for (schedule b, δ, ε̂, gain_scale), else
+/// CertifyOnLadder over the entry's sets, stored when it completes. Both
+/// return the same result, so a hit or a miss leaves the request's later
+/// rounds on the same streams. A hit costs no coverage or certify time.
+SelectionResult CertifyOnCache(SamplerCache& cache, const SamplerCacheKey& key,
+                               const TrimSchedule& schedule,
+                               const std::vector<NodeId>& candidates, double gain_scale,
+                               ThreadPool* pool, const CancelScope* cancel,
+                               RequestProfile* profile);
 
 }  // namespace asti

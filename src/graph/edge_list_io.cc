@@ -1,8 +1,11 @@
 #include "graph/edge_list_io.h"
 
+#include <charconv>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <vector>
 
 #include "graph/graph_builder.h"
 
@@ -10,44 +13,60 @@ namespace asti {
 
 namespace {
 
+// Parses all of `token` as a T: a sign an unsigned T cannot hold, a
+// fraction in an id, or trailing junk fails instead of being truncated.
+template <class T>
+bool ParseWhole(const std::string& token, T& out) {
+  const char* end = token.data() + token.size();
+  const auto [stop, error] = std::from_chars(token.data(), end, out);
+  return error == std::errc() && stop == end;
+}
+
 StatusOr<EdgeListFile> ParseFromStream(std::istream& in) {
   EdgeListFile file;
   std::string line;
+  std::vector<std::string> tokens;
   size_t line_number = 0;
   bool saw_probability = false;
   bool saw_bare_edge = false;
   while (std::getline(in, line)) {
     ++line_number;
-    if (line.empty()) continue;
-    if (line[0] == '#' || line[0] == '%') {
+    if (!line.empty() && (line[0] == '#' || line[0] == '%')) {
       if (line.find("undirected") != std::string::npos) file.undirected = true;
       continue;
     }
-    std::istringstream tokens(line);
-    long long u = -1;
-    long long v = -1;
-    double p = 1.0;
-    if (!(tokens >> u >> v)) {
-      return Status::InvalidArgument("malformed edge at line " + std::to_string(line_number) +
-                                     ": '" + line + "'");
+    std::istringstream words(line);
+    tokens.clear();
+    for (std::string token; words >> token;) tokens.push_back(std::move(token));
+    if (tokens.empty()) continue;  // blank or whitespace-only
+    const auto malformed = [&](const std::string& why) {
+      return Status::InvalidArgument("edge list line " + std::to_string(line_number) + ": " +
+                                     why);
+    };
+    if (tokens.size() < 2 || tokens.size() > 3) {
+      return malformed("expected '<source> <target> [probability]', got " +
+                       std::to_string(tokens.size()) + " fields");
     }
-    if (u < 0 || v < 0 || u >= static_cast<long long>(kInvalidNode) ||
-        v >= static_cast<long long>(kInvalidNode)) {
-      return Status::InvalidArgument("node id out of range at line " +
-                                     std::to_string(line_number));
-    }
-    if (tokens >> p) {
-      saw_probability = true;
-      if (!(p > 0.0) || p > 1.0) {
-        return Status::InvalidArgument("probability out of (0,1] at line " +
-                                       std::to_string(line_number));
+    NodeId ends[2];
+    const char* const names[2] = {"source", "target"};
+    for (size_t i = 0; i < 2; ++i) {
+      uint64_t id = 0;
+      if (!ParseWhole(tokens[i], id) || id >= kInvalidNode) {
+        return malformed(std::string("bad ") + names[i] + " '" + tokens[i] + "'");
       }
+      ends[i] = static_cast<NodeId>(id);
+    }
+    double p = 1.0;
+    if (tokens.size() == 3) {
+      if (!ParseWhole(tokens[2], p) || !(p > 0.0) || p > 1.0) {
+        return malformed("bad probability '" + tokens[2] + "', want a number in (0, 1]");
+      }
+      saw_probability = true;
     } else {
       saw_bare_edge = true;
     }
-    file.edges.push_back(
-        Edge{static_cast<NodeId>(u), static_cast<NodeId>(v), p});
-    file.num_nodes = std::max(file.num_nodes, static_cast<NodeId>(std::max(u, v) + 1));
+    file.edges.push_back(Edge{ends[0], ends[1], p});
+    file.num_nodes = std::max(file.num_nodes, std::max(ends[0], ends[1]) + 1);
   }
   if (saw_probability && saw_bare_edge) {
     return Status::InvalidArgument("mixed weighted and unweighted edge lines");
@@ -84,6 +103,8 @@ StatusOr<DirectedGraph> BuildGraphFromEdgeList(const EdgeListFile& file) {
 Status SaveEdgeList(const DirectedGraph& graph, const std::string& path) {
   std::ofstream out(path);
   if (!out) return Status::IOError("cannot open '" + path + "' for writing");
+  // max_digits10 digits reload every probability bit for bit.
+  out.precision(std::numeric_limits<double>::max_digits10);
   out << "# directed edge list: source target probability\n";
   for (NodeId u = 0; u < graph.NumNodes(); ++u) {
     auto neighbors = graph.OutNeighbors(u);

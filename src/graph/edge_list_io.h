@@ -2,9 +2,14 @@
 //
 // Format, one edge per line:
 //     <source> <target> [probability]
-// Lines starting with '#' or '%' are comments. When the probability column
-// is absent the loader leaves it to a WeightModel pass (edges get the
-// sentinel 1.0 and LoadEdgeList reports has_probabilities = false).
+// Lines starting with '#' or '%' are comments, and blank lines are
+// skipped. Every other line holds exactly two or three whitespace-separated
+// fields, each parsed whole: ids are unsigned integers below kInvalidNode,
+// the probability a number in (0, 1]. Anything else is InvalidArgument
+// naming the line and the field. When the probability column is absent the
+// loader leaves it to a WeightModel pass (edges get the sentinel 1.0 and
+// LoadEdgeList reports has_probabilities = false). SaveEdgeList writes
+// max_digits10 digits, so probabilities reload bit for bit.
 
 #pragma once
 

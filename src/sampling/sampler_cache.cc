@@ -123,6 +123,45 @@ CollectionView SamplerCache::Acquire(const SamplerCacheKey& key, size_t target,
   return view;
 }
 
+std::optional<MemoizedSelection> SamplerCache::FindSelection(const SamplerCacheKey& key,
+                                                             const SelectionMemoKey& memo,
+                                                             RequestProfile* profile) {
+  std::shared_ptr<Entry> entry;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto slot = entries_.find(key);
+    if (slot == entries_.end()) return std::nullopt;
+    entry = slot->second;
+    entry->last_used = ++use_tick_;  // on a memo miss the caller Acquires it next
+  }
+  MemoizedSelection found;
+  {
+    std::lock_guard<std::mutex> lock(entry->selections_mutex);
+    const auto it = entry->selections.find(memo);
+    if (it == entry->selections.end()) return std::nullopt;
+    found = it->second;
+  }
+  hits_.fetch_add(1, std::memory_order_relaxed);
+  selection_hits_.fetch_add(1, std::memory_order_relaxed);
+  sets_reused_.fetch_add(found.num_samples, std::memory_order_relaxed);
+  NoteSharedSampling(profile, found.num_samples, 0, entry->collection.MemoryBytes());
+  return found;
+}
+
+void SamplerCache::StoreSelection(const SamplerCacheKey& key, const SelectionMemoKey& memo,
+                                  MemoizedSelection selection) {
+  ASM_CHECK(!selection.seeds.empty()) << "a cancelled pick is never memoized";
+  std::shared_ptr<Entry> entry;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto slot = entries_.find(key);
+    if (slot == entries_.end()) return;
+    entry = slot->second;
+  }
+  std::lock_guard<std::mutex> lock(entry->selections_mutex);
+  entry->selections.try_emplace(memo, std::move(selection));
+}
+
 size_t SamplerCache::TotalBytes() const {
   std::lock_guard<std::mutex> lock(mutex_);
   size_t bytes = 0;
@@ -143,6 +182,7 @@ SamplerCacheStats SamplerCache::Stats() const {
   stats.warm_starts = warm_starts_.load(std::memory_order_relaxed);
   stats.sets_adopted = sets_adopted_.load(std::memory_order_relaxed);
   stats.evictions = evictions_.load(std::memory_order_relaxed);
+  stats.selection_hits = selection_hits_.load(std::memory_order_relaxed);
   return stats;
 }
 

@@ -25,6 +25,16 @@
 // threads, or whether it came from the shared cache or a request-private
 // one (`--no-cache`). Cached paths consume ZERO draws from the request RNG,
 // so everything downstream of them is also stream-identical cached vs not.
+//
+// An entry holds two things: the sealed sets above, and the certified
+// round-1 picks made on them. The certify loop reads the first `want` sets
+// of the key-derived stream for every rung, over all n candidates, and
+// picks identically at every pool size — so its result is a pure function
+// of the entry and the loop's (b, δ, ε̂, gain scale). The first completed
+// pick for each such memo key is stored on the entry and served to every
+// later round-1 selection with that key (core/trim.h CertifyOnCache). The
+// memo lives and dies with its entry: LRU eviction, an epoch swap, or the
+// end of a request-private cache.
 
 #pragma once
 
@@ -91,9 +101,31 @@ struct SamplerCacheKey {
   friend auto operator<=>(const SamplerCacheKey&, const SamplerCacheKey&) = default;
 };
 
+/// What a certified round-1 pick depends on besides its entry: the certify
+/// schedule's batch b, δ and ε̂, and the gain scale (η for mRR entries, n
+/// for RR entries). n is fixed per cache, so these fix the whole schedule.
+struct SelectionMemoKey {
+  NodeId batch = 1;
+  double delta = 0.0;
+  double eps_hat = 0.0;
+  double gain_scale = 0.0;
+
+  friend auto operator<=>(const SelectionMemoKey&, const SelectionMemoKey&) = default;
+};
+
+/// A completed certified pick, stored on the entry whose ladder it
+/// certified: core/selector.h SelectionResult's fields, kept here because
+/// sampling/ does not depend on core/.
+struct MemoizedSelection {
+  std::vector<NodeId> seeds;
+  double estimated_marginal_gain = 0.0;
+  size_t num_samples = 0;
+  size_t iterations = 0;
+};
+
 /// Monotone counters, readable while requests run (metrics snapshots).
 struct SamplerCacheStats {
-  uint64_t hits = 0;        // Acquire served entirely from the sealed prefix
+  uint64_t hits = 0;        // Acquire or memo lookup served entirely from the entry
   uint64_t misses = 0;      // Acquire on an empty entry
   uint64_t extensions = 0;  // Acquire had to grow a non-empty entry
   uint64_t sets_reused = 0;
@@ -101,6 +133,7 @@ struct SamplerCacheStats {
   uint64_t warm_starts = 0;   // entries created with an adopted disk prefix
   uint64_t sets_adopted = 0;  // sets those prefixes contributed
   uint64_t evictions = 0;     // entries dropped by the byte-budget LRU
+  uint64_t selection_hits = 0;  // round-1 picks served from an entry's memo
 };
 
 /// A persisted sealed prefix a cache entry can adopt as its initial
@@ -175,6 +208,20 @@ class SamplerCache {
   CollectionView Acquire(const SamplerCacheKey& key, size_t target, ThreadPool* pool,
                          const CancelScope* cancel, RequestProfile* profile);
 
+  /// The pick stored under `memo` on `key`'s entry, or nullopt when the
+  /// entry or its memo is absent. A hit counts as a cache hit whose
+  /// num_samples sets were reused (stats and `profile`), and as a
+  /// selection hit.
+  std::optional<MemoizedSelection> FindSelection(const SamplerCacheKey& key,
+                                                 const SelectionMemoKey& memo,
+                                                 RequestProfile* profile);
+
+  /// Stores a completed (non-empty) pick under `memo` on `key`'s entry.
+  /// The first store wins; an entry evicted since its ladder was read is
+  /// not re-created.
+  void StoreSelection(const SamplerCacheKey& key, const SelectionMemoKey& memo,
+                      MemoizedSelection selection);
+
   /// Resident bytes across every entry's chunks and checkpoints.
   size_t TotalBytes() const;
 
@@ -195,9 +242,12 @@ class SamplerCache {
     Rng base;
     /// mRR entries only.
     std::optional<RootSizeSampler> root_size;
-    /// LRU recency: the use_tick_ value of this entry's latest Acquire.
-    /// Guarded by the cache mutex_.
+    /// LRU recency: the use_tick_ value of this entry's latest Acquire or
+    /// FindSelection. Guarded by the cache mutex_.
     uint64_t last_used = 0;
+    /// Certified round-1 picks on this entry's sets, by memo key.
+    std::mutex selections_mutex;
+    std::map<SelectionMemoKey, MemoizedSelection> selections;  // guarded by it
   };
 
   /// Creates/touches the entry and returns a pin: eviction may drop the
@@ -230,6 +280,7 @@ class SamplerCache {
   std::atomic<uint64_t> warm_starts_{0};
   std::atomic<uint64_t> sets_adopted_{0};
   std::atomic<uint64_t> evictions_{0};
+  std::atomic<uint64_t> selection_hits_{0};
 };
 
 }  // namespace asti

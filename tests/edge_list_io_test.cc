@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 
 #include "graph/edge_list_io.h"
 #include "graph/graph_builder.h"
@@ -29,7 +30,7 @@ TEST(EdgeListIoTest, ParsesUnweightedEdges) {
 }
 
 TEST(EdgeListIoTest, SkipsCommentsAndBlankLines) {
-  auto file = ParseEdgeList("# header\n\n% other comment\n0 1 0.5\n");
+  auto file = ParseEdgeList("# header\n\n% other comment\n  \t\n0 1 0.5\n");
   ASSERT_TRUE(file.ok());
   EXPECT_EQ(file->edges.size(), 1u);
 }
@@ -44,6 +45,24 @@ TEST(EdgeListIoTest, RejectsMalformedLine) {
   auto file = ParseEdgeList("0 x 0.5\n");
   EXPECT_FALSE(file.ok());
   EXPECT_EQ(file.status().code(), StatusCode::kInvalidArgument);
+  // Each field is consumed whole, and a line holds two or three fields: a
+  // fractional id, trailing junk or a non-numeric probability is rejected
+  // with the line and the field named, never truncated or zeroed.
+  const std::pair<const char*, const char*> cases[] = {
+      {"1 2.7 0.5\n", "target"},
+      {"1 2 0.5 junk\n", "fields"},
+      {"0 1 0.5x\n", "probability"},
+      {"1 2 junk\n", "probability"},
+  };
+  for (const auto& [text, field] : cases) {
+    auto bad = ParseEdgeList(std::string("# header\n") + text);
+    EXPECT_FALSE(bad.ok()) << text;
+    EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument) << text;
+    EXPECT_NE(bad.status().message().find("line 2"), std::string::npos)
+        << bad.status().message();
+    EXPECT_NE(bad.status().message().find(field), std::string::npos)
+        << bad.status().message();
+  }
 }
 
 TEST(EdgeListIoTest, RejectsNegativeIds) {
@@ -84,8 +103,11 @@ TEST(EdgeListIoTest, LoadMissingFileIsIOError) {
 }
 
 TEST(EdgeListIoTest, SaveLoadRoundTrip) {
+  // 1/3 and 1/7 need all 17 significant digits to reload bit for bit.
   GraphBuilder builder(3);
   ASSERT_TRUE(builder.AddEdge(0, 1, 0.5).ok());
+  ASSERT_TRUE(builder.AddEdge(0, 2, 1.0 / 3.0).ok());
+  ASSERT_TRUE(builder.AddEdge(1, 0, 1.0 / 7.0).ok());
   ASSERT_TRUE(builder.AddEdge(1, 2, 0.125).ok());
   ASSERT_TRUE(builder.AddEdge(2, 0, 1.0).ok());
   auto graph = builder.Build();
@@ -102,10 +124,11 @@ TEST(EdgeListIoTest, SaveLoadRoundTrip) {
   EXPECT_EQ(reloaded->NumEdges(), graph->NumEdges());
   const auto original_edges = graph->ToEdgeList();
   const auto reloaded_edges = reloaded->ToEdgeList();
+  ASSERT_EQ(reloaded_edges.size(), original_edges.size());
   for (size_t i = 0; i < original_edges.size(); ++i) {
     EXPECT_EQ(original_edges[i].source, reloaded_edges[i].source);
     EXPECT_EQ(original_edges[i].target, reloaded_edges[i].target);
-    EXPECT_NEAR(original_edges[i].probability, reloaded_edges[i].probability, 1e-9);
+    EXPECT_EQ(original_edges[i].probability, reloaded_edges[i].probability);
   }
   std::remove(path.c_str());
 }

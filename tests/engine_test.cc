@@ -913,6 +913,13 @@ TEST_F(EngineTest, SamplerCacheMetricsFamiliesAppear) {
       "asti_sampler_cache_sets_reused_total", {{"graph", "alpha"}});
   ASSERT_NE(reused, nullptr);
   EXPECT_GT(reused->value, 0u);
+  // The warm solve's round 1 was served from the entry's memoized pick,
+  // which counts as a cache hit (above) and as a selection hit.
+  const CounterSample* selection_hits = snapshot.FindCounter(
+      "asti_sampler_cache_selection_hits_total", {{"graph", "alpha"}});
+  ASSERT_NE(selection_hits, nullptr);
+  EXPECT_GE(selection_hits->value, 1u);
+  EXPECT_GE(hits->value, selection_hits->value);
   bool saw_bytes = false;
   for (const GaugeSample& gauge : snapshot.gauges) {
     if (gauge.name == "asti_sampler_cache_bytes") {

@@ -5,19 +5,25 @@
 // which requests grew the collection, at what batch sizes, on how many
 // threads, or how readers and extenders interleave. The concurrency cases
 // (racing readers + extenders, swap-mid-extend, retire-with-live-view)
-// are in the CI TSAN job's target list.
+// are in the CI TSAN job's target list. The round-1 selection memo cases
+// pin that a memoized pick is exactly what a fresh cache computes.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <iterator>
 #include <memory>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/graph_catalog.h"
+#include "baselines/adaptim.h"
+#include "core/trim.h"
 #include "graph/generators.h"
 #include "parallel/thread_pool.h"
 #include "sampling/sampler_cache.h"
@@ -392,6 +398,148 @@ TEST(SamplerCacheTest, BudgetRespectsWorkingSetAndLiveViewsSurviveEviction) {
   EXPECT_GE(tight.Stats().evictions, 1u);
   ASSERT_EQ(held.NumSets(), 80u);
   EXPECT_EQ(Fingerprint(held, 80), expected);
+}
+
+// --- Round-1 selection memo -------------------------------------------------
+
+// One round-1 selector call on `cache`: Trim at batch `batch` (η = kMemoEta),
+// or AdaptIM when `batch` is 0. Each call builds its own selector, as the
+// engine does per request.
+constexpr NodeId kMemoEta = 30;
+
+SelectionResult SelectRoundOne(const DirectedGraph& graph, SamplerCache& cache,
+                               NodeId batch, double epsilon = 0.5, ThreadPool* pool = nullptr,
+                               const CancelScope* cancel = nullptr,
+                               RequestProfile* profile = nullptr) {
+  const BitVector active(graph.NumNodes());
+  std::vector<NodeId> inactive(graph.NumNodes());
+  std::iota(inactive.begin(), inactive.end(), NodeId{0});
+  ResidualView view;
+  view.active = &active;
+  view.inactive_nodes = &inactive;
+  view.shortfall = kMemoEta;
+  Rng rng(77);
+  if (batch == 0) {
+    AdaptIm adaptim(graph, DiffusionModel::kIndependentCascade,
+                    AdaptImOptions{epsilon, pool, cancel, profile, &cache});
+    return adaptim.SelectBatch(view, rng);
+  }
+  Trim trim(graph, DiffusionModel::kLinearThreshold,
+            TrimOptions{epsilon, batch, RootRounding::kRandomized, pool, cancel, profile,
+                        &cache});
+  return trim.SelectBatch(view, rng);
+}
+
+void ExpectSameSelection(const SelectionResult& got, const SelectionResult& want) {
+  EXPECT_EQ(got.seeds, want.seeds);
+  EXPECT_EQ(got.estimated_marginal_gain, want.estimated_marginal_gain);
+  EXPECT_EQ(got.num_samples, want.num_samples);
+  EXPECT_EQ(got.iterations, want.iterations);
+}
+
+// A memo hit returns exactly what a fresh cache computes — for TRIM at
+// b = 1 and b = 8 and for AdaptIM, with and without a pool — and costs no
+// coverage, certify or sampling work.
+TEST(SelectionMemoTest, HitEqualsFreshResultAtEveryPoolSize) {
+  const DirectedGraph graph = TestGraph();
+  ThreadPool four(4);
+  for (NodeId batch : {1u, 8u, 0u}) {
+    SamplerCache reference_cache(graph);
+    const SelectionResult fresh = SelectRoundOne(graph, reference_cache, batch);
+    ASSERT_FALSE(fresh.seeds.empty());
+    for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &four}) {
+      SCOPED_TRACE(testing::Message() << "batch=" << batch << " pool=" << (pool != nullptr));
+      SamplerCache cache(graph);
+      ExpectSameSelection(SelectRoundOne(graph, cache, batch, 0.5, pool), fresh);
+      EXPECT_EQ(cache.Stats().selection_hits, 0u);
+      const uint64_t hits_before = cache.Stats().hits;
+
+      RequestProfile profile;
+      const SelectionResult hit =
+          SelectRoundOne(graph, cache, batch, 0.5, pool, nullptr, &profile);
+      ExpectSameSelection(hit, fresh);
+      const SamplerCacheStats stats = cache.Stats();
+      EXPECT_EQ(stats.selection_hits, 1u);
+      EXPECT_EQ(stats.hits, hits_before + 1);
+      EXPECT_EQ(profile.coverage_seconds, 0.0);
+      EXPECT_EQ(profile.certify_seconds, 0.0);
+      EXPECT_EQ(profile.sets_extended, 0u);
+      EXPECT_EQ(profile.sets_reused, fresh.num_samples);
+    }
+  }
+}
+
+// ASTI-8 and ASTI-16 at one η share one mRR entry, and ε = 0.3 vs 0.5
+// changes δ and ε̂ on it: each memo key serves only its own pick.
+TEST(SelectionMemoTest, KeysOnOneEntryDoNotCollide) {
+  const DirectedGraph graph = TestGraph();
+  const std::pair<NodeId, double> configs[] = {{8, 0.5}, {16, 0.5}, {8, 0.3}, {16, 0.3}};
+  std::vector<SelectionResult> fresh;
+  for (const auto& [batch, epsilon] : configs) {
+    SamplerCache own(graph);
+    fresh.push_back(SelectRoundOne(graph, own, batch, epsilon));
+  }
+  SamplerCache shared(graph);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (size_t i = 0; i < std::size(configs); ++i) {
+      SCOPED_TRACE(testing::Message() << "pass=" << pass << " config=" << i);
+      ExpectSameSelection(SelectRoundOne(graph, shared, configs[i].first, configs[i].second),
+                          fresh[i]);
+    }
+    EXPECT_EQ(shared.Stats().selection_hits, pass == 0 ? 0u : std::size(configs));
+  }
+  EXPECT_EQ(shared.ExportSealed().size(), 1u);  // one entry served all four
+}
+
+// A fired scope yields no seeds and stores nothing: the next uncancelled
+// call computes the pick afresh.
+TEST(SelectionMemoTest, CancelledSelectionIsNotStored) {
+  const DirectedGraph graph = TestGraph();
+  SamplerCache reference_cache(graph);
+  const SelectionResult fresh = SelectRoundOne(graph, reference_cache, 8);
+
+  SamplerCache cache(graph);
+  CancelToken token;
+  token.Cancel();
+  const CancelScope fired(&token, CancelScope::kNoDeadline);
+  EXPECT_TRUE(SelectRoundOne(graph, cache, 8, 0.5, nullptr, &fired).seeds.empty());
+  EXPECT_EQ(cache.Stats().selection_hits, 0u);
+  ExpectSameSelection(SelectRoundOne(graph, cache, 8), fresh);
+  EXPECT_EQ(cache.Stats().selection_hits, 0u);
+}
+
+// An entry evicted under the byte budget takes its memo with it: the next
+// call recomputes on the re-created entry and returns the same pick.
+TEST(SelectionMemoTest, EvictionDropsTheMemo) {
+  const DirectedGraph graph = TestGraph();
+  SamplerCache cache(graph, nullptr, /*byte_budget=*/1);
+  const SelectionResult first = SelectRoundOne(graph, cache, 8);
+  SelectRoundOne(graph, cache, 0);  // AdaptIM's RR entry evicts the mRR one
+  EXPECT_GE(cache.Stats().evictions, 1u);
+  ExpectSameSelection(SelectRoundOne(graph, cache, 8), first);
+  EXPECT_EQ(cache.Stats().selection_hits, 0u);
+}
+
+// Eight threads selecting one key on one cache — racing misses, stores and
+// hits — all get the fresh pick (exercised under TSAN in CI).
+TEST(SelectionMemoTest, ConcurrentSelectionsAgree) {
+  const DirectedGraph graph = TestGraph();
+  SamplerCache reference_cache(graph);
+  const SelectionResult fresh = SelectRoundOne(graph, reference_cache, 8);
+
+  SamplerCache cache(graph);
+  std::vector<SelectionResult> results(16);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < 8; ++t) {
+    threads.emplace_back([&graph, &cache, &results, t] {
+      results[2 * t] = SelectRoundOne(graph, cache, 8);
+      results[2 * t + 1] = SelectRoundOne(graph, cache, 8);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (const SelectionResult& result : results) ExpectSameSelection(result, fresh);
+  // Each thread's second call follows its own completed store.
+  EXPECT_GE(cache.Stats().selection_hits, 8u);
 }
 
 }  // namespace
