@@ -444,8 +444,9 @@ int main(int argc, char** argv) {
   // --- Cold start: parse-register vs mmap-register from disk --------------
   // The main graph goes to disk twice: a legacy ASMG v1 edge file and an
   // ASMS snapshot. Registering from the ASMG file pays an O(m) parse plus
-  // the reverse-CSR rebuild; RegisterSnapshotFile maps the ASMS file and
-  // validates O(sections) structurally, so its cost stays flat as m grows.
+  // the reverse-CSR rebuild; RegisterSnapshotFile maps the ASMS file,
+  // validates O(sections) structurally and reads in_offsets/in_probs once
+  // (the graph derives uniform in-probabilities), with no parse or rebuild.
   // Both paths are timed as min-over-repeats (registration only) and as
   // time-to-first-solve (registration + one query on a fresh engine), and
   // the mmap-backed result must be bit-identical to the heap-backed

@@ -109,12 +109,13 @@ class SeedMinEngine {
   struct ServingOptions {
     /// Shared sampling/coverage workers for all requests: 1 = no pool (work
     /// runs on the driving thread), 0 = one per hardware thread, k = k
-    /// workers. Results are identical at every setting.
+    /// workers, of which each parallel loop takes up to k - 1 beside its
+    /// driver. Results are identical at every setting.
     size_t num_threads = 1;
     /// Driver threads executing admitted requests (the async serving
     /// concurrency): 0 = one per hardware thread, k = exactly k drivers.
-    /// Drivers are spawned lazily on the first SubmitAsync/SolveBatch and
-    /// block on the shared pool's TaskGroups, never run on pool workers.
+    /// Drivers are spawned lazily on the first SubmitAsync/SolveBatch; they
+    /// run blocks of their own requests' loops and are never pool workers.
     size_t num_drivers = 4;
     /// Waiting-room slots beyond the executing drivers: admission capacity
     /// is num_drivers + max_queue_depth (unless max_inflight overrides).

@@ -2,7 +2,8 @@
 // and the serving catalog (graph_catalog.h).
 //
 // RegisterSnapshotFile / SwapSnapshotFile open an ASMS snapshot read-only
-// (mmap + structural verification — O(section count), not O(m)) and
+// (mmap + structural verification — O(section count), not O(m); the graph
+// then reads in_probs once to derive its uniform in-probabilities) and
 // install the resulting zero-copy graph into the catalog, carrying the
 // file's persisted sealed RR-collection prefixes as the entry's
 // CollectionWarmSource. The first request against the registered graph
@@ -30,8 +31,10 @@ namespace asti {
 
 /// Opens the ASMS snapshot at `path` and Registers it under its embedded
 /// graph name — or `override_name`, when non-empty. Registration cost is
-/// the snapshot's structural verification (page faults on the header and
-/// section table), independent of graph size. Forwards OpenSnapshot's
+/// the snapshot's structural verification (the header and section table)
+/// plus one read of in_offsets/in_probs, which the graph constructor walks
+/// to derive uniform in-probabilities — O(n + m) page reads, still no
+/// parse and no CSR rebuild. Forwards OpenSnapshot's
 /// errors (InvalidArgument / IOError) and Register's (FailedPrecondition
 /// for an already-registered name).
 StatusOr<GraphRef> RegisterSnapshotFile(

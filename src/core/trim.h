@@ -33,7 +33,8 @@ struct TrimOptions {
   /// may be null = everything runs on the calling thread). Results are
   /// bit-identical for every pool size, including none (see
   /// src/parallel/README.md). Several selectors may share one pool
-  /// (per-batch TaskGroups isolate them) — the SeedMinEngine serving mode.
+  /// (each loop waits only for its own blocks) — the SeedMinEngine serving
+  /// mode.
   /// Must outlive the selector.
   ThreadPool* pool = nullptr;
   /// Cooperative stop condition (not owned; must outlive the selector).

@@ -1,5 +1,6 @@
 #include "graph/graph.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace asti {
@@ -27,6 +28,25 @@ class DigestMixer {
 };
 
 }  // namespace
+
+void DirectedGraph::DeriveUniformIn() {
+  auto uniform = std::make_shared<BitVector>(num_nodes_);
+  for (NodeId v = 0; v < num_nodes_; ++v) {
+    // Read the flat arrays directly: a snapshot's interior offsets are
+    // trusted bytes, and a run that is empty, reversed or out of range
+    // simply stays non-uniform here.
+    const EdgeId begin = in_offsets_[v];
+    const EdgeId end = in_offsets_[v + 1];
+    if (begin >= end || end > in_probs_.size()) continue;
+    const double p = in_probs_[begin];
+    if (!(p > 0.0 && p <= 1.0)) continue;
+    if (std::all_of(in_probs_.begin() + begin + 1, in_probs_.begin() + end,
+                    [p](double q) { return q == p; })) {
+      uniform->Set(v);
+    }
+  }
+  uniform_in_ = std::move(uniform);
+}
 
 double DirectedGraph::InProbabilitySum(NodeId v) const {
   double sum = 0.0;

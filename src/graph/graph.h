@@ -12,15 +12,24 @@
 // vectors; snapshot-mapped graphs (src/store/) span an mmap'd file
 // directly. Every traversal goes through the same spans, so the two paths
 // are bit-identical by construction.
+//
+// One value is derived rather than stored: whether all of a node's in-edges
+// carry one probability. Both constructors compute it with one O(m) pass
+// over the reverse probabilities, so every way a graph is made (builder,
+// ASMG load, delta mint, snapshot mmap) agrees on it without a file format
+// carrying it. Reverse samplers use it to skip dead in-edges without a
+// draw each and to pick an LT live edge in O(1) (sampling/rr_set.h).
 
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "graph/types.h"
+#include "util/bit_vector.h"
 #include "util/check.h"
 
 namespace asti {
@@ -59,6 +68,7 @@ class DirectedGraph {
         storage_(std::move(storage)) {
     ASM_CHECK(out_offsets_.size() == size_t{num_nodes_} + 1);
     ASM_CHECK(in_offsets_.size() == size_t{num_nodes_} + 1);
+    DeriveUniformIn();
   }
 
   /// View-backed graph: spans caller-described memory. `keepalive` must own
@@ -80,6 +90,7 @@ class DirectedGraph {
         storage_(std::move(keepalive)) {
     ASM_CHECK(out_offsets_.size() == size_t{num_nodes_} + 1);
     ASM_CHECK(in_offsets_.size() == size_t{num_nodes_} + 1);
+    DeriveUniformIn();
   }
 
   /// Number of nodes.
@@ -127,6 +138,16 @@ class DirectedGraph {
     ASM_DCHECK(v < num_nodes_);
     return in_edge_ids_.subspan(in_offsets_[v], in_offsets_[v + 1] - in_offsets_[v]);
   }
+  /// The one probability p every in-edge of v carries, when v has in-edges
+  /// and they all carry the same p in (0, 1] (weighted cascade: 1/indeg(v));
+  /// nullopt for indeg 0 and for mixed in-probabilities. Derived at
+  /// construction (one bit per node, shared by copies); p is read from v's
+  /// first in-probability.
+  std::optional<double> UniformInProbability(NodeId v) const {
+    ASM_DCHECK(v < num_nodes_);
+    if (!uniform_in_->Get(v)) return std::nullopt;
+    return in_probs_[in_offsets_[v]];
+  }
 
   /// Target node of a forward edge.
   NodeId EdgeTarget(EdgeId e) const {
@@ -156,6 +177,9 @@ class DirectedGraph {
   std::vector<Edge> ToEdgeList() const;
 
  private:
+  // Fills uniform_in_ from the reverse CSR; one O(m) pass.
+  void DeriveUniformIn();
+
   NodeId num_nodes_ = 0;
   // Forward CSR.
   std::span<const EdgeId> out_offsets_;
@@ -166,6 +190,8 @@ class DirectedGraph {
   std::span<const NodeId> in_sources_;
   std::span<const double> in_probs_;
   std::span<const EdgeId> in_edge_ids_;
+  /// Bit v set iff UniformInProbability(v) has a value.
+  std::shared_ptr<const BitVector> uniform_in_;
   /// Owns the spanned bytes: a GraphStorage for heap graphs, a mapped
   /// snapshot payload for mmap graphs.
   std::shared_ptr<const void> storage_;

@@ -3,14 +3,16 @@
 // Set first_index + i of a call owns the RNG stream
 // base.Split(first_index + i), so its content is a pure function of
 // (base, index) — independent of the thread that generates it, of the pool
-// size, and of whether there is a pool at all. Workers traverse into
-// private RrSetBuffers (chunk c of the ParallelFor covers a contiguous
-// index range), and the buffers are merged into the output RrCollection in
-// chunk order, which is index order. Without a pool the single chunk runs
-// on the calling thread through the same buffer and merge. The collection
-// a call produces is therefore bit-identical for ANY pool, including none.
+// size, and of whether there is a pool at all. A call cuts its range into
+// contiguous blocks (ThreadPool::ParallelBlocks, several per thread, so
+// the caller and the workers share the batch out as they get to it); each
+// block's sets go into that block's RrSetBuffer, and the buffers are
+// merged into the output RrCollection in block order, which is index
+// order. Without a pool the one block runs on the calling thread through
+// the same buffer and merge. The collection a call produces is therefore
+// bit-identical for ANY pool, including none.
 //
-// Traversal-cost counters accumulate per worker and are merged on join, so
+// Traversal-cost counters accumulate per thread and are merged on join, so
 // SamplerCost totals stay exact for the Lemma 3.8/3.9 benches.
 
 #pragma once
@@ -41,10 +43,11 @@ namespace asti {
 class ParallelRrSampler {
  public:
   /// The graph and pool must outlive the sampler; a null `pool` generates
-  /// on the calling thread. Worker-local scratch (visited sets, staging
-  /// buffers) is allocated once per pool thread, or once without a pool.
+  /// on the calling thread. Traversal scratch (visited sets) is allocated
+  /// once per pool thread, or once without a pool; staging buffers, one
+  /// per block, keep their capacity across calls.
   /// A non-null `cancel` is polled at generation-stride boundaries inside
-  /// every call: once it fires, workers stop traversing and the call
+  /// every call: once it fires, threads stop traversing and the call
   /// merges whatever was staged, leaving the output short of `count` (the
   /// caller unwinds and discards it). Calls that complete without the
   /// scope firing are bit-identical to an uncancellable run.
@@ -75,29 +78,34 @@ class ParallelRrSampler {
                           size_t count, RrCollection& out, const Rng& base);
 
  private:
-  // Scratch owned by ParallelFor chunk index (not OS thread): chunk c
-  // writes only to workers_[c], keeping the merge order deterministic.
-  struct Worker {
+  // Traversal scratch of one ParallelBlocks slot (the thread running a
+  // block); what a set contains never depends on which slot made it.
+  // Slots and blocks are filled by different threads at once, so each
+  // sits on its own cache line.
+  struct alignas(64) Worker {
     Worker(const DirectedGraph& graph, DiffusionModel model)
         : rr(graph, model), mrr(graph, model) {}
     RrSampler rr;
     MrrSampler mrr;
-    RrSetBuffer buffer;
+  };
+  struct alignas(64) BlockBuffer {
+    RrSetBuffer sets;
   };
 
   // Fans `count` sets with per-set streams base.Split(first_index + i)
-  // across the pool via `generate_one(worker, set_rng)`, then merges
-  // buffers and costs.
+  // across the pool via `generate_one(worker, buffer, set_rng)`, then
+  // merges the first `num_blocks` block buffers and the costs.
   template <class GenerateOne>
   void RunIndexed(size_t first_index, size_t count, RrCollection& out, const Rng& base,
                   GenerateOne&& generate_one);
 
-  void MergeInto(RrCollection& out);
+  void MergeInto(RrCollection& out, size_t num_blocks);
 
   ThreadPool* pool_;           // not owned; may be null
   const CancelScope* cancel_;  // not owned; may be null
   RequestProfile* profile_;    // not owned; may be null
-  std::vector<std::unique_ptr<Worker>> workers_;
+  std::vector<std::unique_ptr<Worker>> workers_;  // one per slot
+  std::vector<BlockBuffer> blocks_;               // staging, one per block
   SamplerCost cost_;
 };
 

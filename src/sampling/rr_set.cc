@@ -1,5 +1,8 @@
 #include "sampling/rr_set.h"
 
+#include <cmath>
+#include <optional>
+
 #include "sampling/rr_buffer.h"
 
 namespace asti {
@@ -7,27 +10,53 @@ namespace asti {
 template <class Sink>
 void RrSampler::TraverseFrom(const BitVector* active, Sink& out, Rng& rng) {
   const DirectedGraph& graph = *graph_;
+  // A live in-edge from u adds u unless u is already in the set or active
+  // (in-edges from active sources are absent from the residual graph).
+  const auto joins = [&](NodeId u) {
+    return !visited_.Visited(u) && (active == nullptr || !active->Get(u));
+  };
+  const auto add = [&](NodeId u) {
+    visited_.MarkVisited(u);
+    out.PushNode(u);
+  };
   size_t head = out.InProgressBegin();
   if (model_ == DiffusionModel::kIndependentCascade) {
-    // Reverse BFS; each in-edge of a popped node flips an independent coin.
+    // Reverse BFS; each in-edge of a popped node is live independently.
     while (head < out.PoolSize()) {
       const NodeId v = out.PoolNode(head++);
       auto sources = graph.InNeighbors(v);
       auto probs = graph.InProbabilities(v);
       ++cost_.nodes_visited;
       cost_.edges_examined += sources.size();
-      for (size_t i = 0; i < sources.size(); ++i) {
-        const NodeId u = sources[i];
-        if (visited_.Visited(u)) continue;
-        if (active != nullptr && active->Get(u)) continue;
-        if (!rng.NextBernoulli(probs[i])) continue;
-        visited_.MarkVisited(u);
-        out.PushNode(u);
+      const std::optional<double> uniform = graph.UniformInProbability(v);
+      if (uniform && *uniform >= 1.0) {
+        // Every in-edge is live; no coin is drawn.
+        for (const NodeId u : sources) {
+          if (joins(u)) add(u);
+        }
+      } else if (!uniform || sources.size() < kMinSkipInDegree) {
+        // A coin per in-edge; sources are looked up only at live edges.
+        for (size_t i = 0; i < sources.size(); ++i) {
+          if (rng.NextBernoulli(probs[i]) && joins(sources[i])) add(sources[i]);
+        }
+      } else {
+        // The dead edges before the next live one are Geometric(p):
+        // ⌊ln(1−U)/ln(1−p)⌋ (1 − U is exact for a 53-bit U). Compare
+        // before casting — with a tiny p the skip exceeds every integer.
+        const double log_dead = std::log1p(-*uniform);
+        size_t i = 0;
+        while (true) {
+          const double skip = std::floor(std::log(1.0 - rng.NextDouble()) / log_dead);
+          if (skip >= static_cast<double>(sources.size() - i)) break;
+          i += static_cast<size_t>(skip);
+          if (joins(sources[i])) add(sources[i]);
+          ++i;
+        }
       }
     }
   } else {
-    // LT live-edge: each popped node keeps at most one in-edge. In-edges
-    // from active sources are absent from the residual graph; their mass
+    // LT live-edge: each popped node keeps at most one in-edge, edge i with
+    // probability probs[i]; one draw x picks it. Mass on active sources
     // folds into the "no live in-edge" outcome (DESIGN.md §4).
     while (head < out.PoolSize()) {
       const NodeId v = out.PoolNode(head++);
@@ -36,18 +65,21 @@ void RrSampler::TraverseFrom(const BitVector* active, Sink& out, Rng& rng) {
       ++cost_.nodes_visited;
       cost_.edges_examined += sources.size();
       double x = rng.NextDouble();
+      if (const std::optional<double> uniform = graph.UniformInProbability(v)) {
+        // Equal slots of width p: the live edge is slot ⌊x/p⌋, if any.
+        const double slot = x / *uniform;
+        if (slot < static_cast<double>(sources.size())) {
+          const NodeId u = sources[static_cast<size_t>(slot)];
+          if (joins(u)) add(u);
+        }
+        continue;
+      }
       for (size_t i = 0; i < sources.size(); ++i) {
         if (x >= probs[i]) {
           x -= probs[i];
           continue;
         }
-        const NodeId u = sources[i];
-        const bool excluded =
-            (active != nullptr && active->Get(u)) || visited_.Visited(u);
-        if (!excluded) {
-          visited_.MarkVisited(u);
-          out.PushNode(u);
-        }
+        if (joins(sources[i])) add(sources[i]);
         break;  // at most one live in-edge per node
       }
     }

@@ -63,8 +63,8 @@ namespace asti {
 /// seed — so cached collections are a pure function of (graph snapshot,
 /// cache key), which is what makes any request history produce the same
 /// sets. It is also stamped into persisted collection sections (ASMS
-/// snapshots) and checked on load, so a snapshot written under a different
-/// stream family is refused rather than silently adopted. Changing it is a
+/// snapshots) and checked on load, so a section written under a different
+/// stream family is skipped rather than silently adopted. Changing it is a
 /// determinism-breaking change (documented in src/api/README.md).
 inline constexpr uint64_t kCacheStreamSeed = 0xa57150cc5eed0007ULL;
 
@@ -72,9 +72,12 @@ inline constexpr uint64_t kCacheStreamSeed = 0xa57150cc5eed0007ULL;
 /// derivation (base.Split(global_index) rooted at kCacheStreamSeed) AND
 /// the traversal algorithms consuming those streams. Bump on any change
 /// that alters what set i contains for a given (graph, key, i) — persisted
-/// collections carry it and the snapshot loader refuses a mismatch, which
+/// collections carry it and the snapshot loader skips a mismatch, which
 /// is what keeps "adopted from disk" bit-identical to "generated cold".
-inline constexpr uint32_t kSamplerContractVersion = 1;
+/// Version 2: IC traversal draws each in-edge's coin before it reads the
+/// visited/active scratch and skips dead in-edges at uniform hubs
+/// (sampling/rr_set.h), which changed IC sets; LT sets did not change.
+inline constexpr uint32_t kSamplerContractVersion = 2;
 
 /// What a full-residual collection's distribution depends on.
 struct SamplerCacheKey {

@@ -90,7 +90,7 @@ bool SharedRrCollection::ExtendTo(
   RrCollection staging(num_nodes_);
   generate(sealed, count, staging);
   if (staging.NumSets() != count) {
-    // Under-delivery means cancellation fired mid-batch (ParallelFor chunks
+    // Under-delivery means cancellation fired mid-batch (sampling blocks
     // stop at stride boundaries, leaving index holes). A hole would shift
     // every later set's global index and break the index-keyed determinism
     // contract, so the whole staging batch is discarded unpublished.

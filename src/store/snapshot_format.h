@@ -108,10 +108,12 @@ struct CollectionSectionHeader {
   uint8_t rounding;  // RootRounding
   uint8_t reserved0;
   uint32_t eta;
-  /// Must equal kCacheStreamSeed at load: collections generated under a
-  /// different stream family are not what cold generation would produce.
+  /// Must equal kCacheStreamSeed for the section to be adopted:
+  /// collections generated under a different stream family are not what
+  /// cold generation would produce, so the loader skips them.
   uint64_t stream_seed;
-  /// Must equal kSamplerContractVersion at load (see sampler_cache.h).
+  /// Must equal kSamplerContractVersion for the section to be adopted
+  /// (see sampler_cache.h); a stale section is skipped.
   uint32_t contract_version;
   uint32_t reserved1;
   /// Must equal the file header's graph_digest at load.

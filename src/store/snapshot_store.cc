@@ -292,7 +292,10 @@ StatusOr<Parsed> Parse(std::span<const std::byte> bytes, const std::string& path
   }
 
   // Collection sections: shape, then provenance (the certification
-  // AdoptSealedPrefix's caller is responsible for).
+  // AdoptSealedPrefix's caller is responsible for). A section for another
+  // graph is an error; one written under another stream seed or sampler
+  // contract version is stale, not broken — it is skipped (never adopted,
+  // never counted) so the graph sections stay usable.
   std::map<SamplerCacheKey, size_t> seen_keys;
   for (const size_t i : collection_sections) {
     const SectionEntry& entry = table[i];
@@ -329,24 +332,11 @@ StatusOr<Parsed> Parse(std::span<const std::byte> bytes, const std::string& path
                            ": generated for a different graph (digest mismatch); "
                            "stale collection cannot warm-start this snapshot");
     }
-    if (ch.stream_seed != kCacheStreamSeed) {
-      return Bad(path, label + ": written under a different sampler stream seed");
-    }
-    if (ch.contract_version != kSamplerContractVersion) {
-      return Bad(path, label + ": sampler contract version " +
-                           std::to_string(ch.contract_version) +
-                           " (this build implements version " +
-                           std::to_string(kSamplerContractVersion) + ")");
-    }
     CollectionRecord record;
     record.key.kind = static_cast<SamplerCacheKey::Kind>(ch.kind);
     record.key.model = static_cast<DiffusionModel>(ch.model);
     record.key.eta = static_cast<NodeId>(ch.eta);
     record.key.rounding = static_cast<RootRounding>(ch.rounding);
-    if (const auto [it, inserted] = seen_keys.emplace(record.key, i); !inserted) {
-      return Bad(path, label + ": duplicate collection key (also section " +
-                           std::to_string(it->second) + ")");
-    }
     uint64_t cursor = entry.offset + sizeof(CollectionSectionHeader);
     record.offsets = SpanAt<uint64_t>(bytes, cursor, ch.num_sets + 1);
     cursor += (ch.num_sets + 1) * sizeof(uint64_t);
@@ -358,6 +348,14 @@ StatusOr<Parsed> Parse(std::span<const std::byte> bytes, const std::string& path
     if (record.offsets.front() != 0 || record.offsets.back() != ch.total_entries) {
       return Bad(path, label + ": set offsets do not describe " +
                            std::to_string(ch.total_entries) + " pool entries");
+    }
+    if (ch.stream_seed != kCacheStreamSeed ||
+        ch.contract_version != kSamplerContractVersion) {
+      continue;  // stale: another stream family or traversal contract
+    }
+    if (const auto [it, inserted] = seen_keys.emplace(record.key, i); !inserted) {
+      return Bad(path, label + ": duplicate collection key (also section " +
+                           std::to_string(it->second) + ")");
     }
     parsed.collections.push_back(std::move(record));
   }

@@ -15,10 +15,11 @@
 //     section-table CRCs, per-section bounds/alignment/shape consistency,
 //     graph-digest recomputation from table CRCs, collection provenance
 //     (stream seed, contract version, digest) and O(1) payload endpoint
-//     peeks. This is what keeps registration time independent of m — a
-//     few page faults regardless of graph size. It TRUSTS the payload
-//     bytes themselves (no bit-rot scan); a snapshot you just wrote, or
-//     one on trusted storage, needs nothing more.
+//     peeks. Verification itself is independent of m; the one O(m) read
+//     of an open is DirectedGraph deriving each node's uniform
+//     in-probability from in_offsets/in_probs (graph/graph.h). It TRUSTS
+//     the payload bytes themselves (no bit-rot scan); a snapshot you just
+//     wrote, or one on trusted storage, needs nothing more.
 //   * kChecksums — structural plus a full per-section CRC pass over every
 //     payload byte. Any flipped bit anywhere in the file is caught and
 //     attributed to its section. Use for untrusted/long-archived files
@@ -56,7 +57,9 @@ struct GraphSnapshot {
   /// The file's graph digest (header + all collection sections agree).
   uint64_t graph_digest = 0;
   /// Persisted sealed collection prefixes, certified for warm start; null
-  /// when the file carries no collection sections.
+  /// when the file carries no current collection sections. Sections written
+  /// under another stream seed or sampler contract version are skipped:
+  /// neither adopted nor counted in `collection_sections`.
   std::shared_ptr<const CollectionWarmSource> warm;
   size_t collection_sections = 0;
   uint64_t file_bytes = 0;

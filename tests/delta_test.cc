@@ -41,7 +41,8 @@ DirectedGraph TestGraph(uint64_t seed = 501, NodeId nodes = 160) {
 }
 
 // Bit-level equality over all seven CSR arrays — stronger than digest
-// equality, which is what the delta contract actually promises.
+// equality, which is what the delta contract actually promises — plus the
+// uniform in-probability each graph derives from them.
 void ExpectGraphsBitIdentical(const DirectedGraph& a, const DirectedGraph& b) {
   ASSERT_EQ(a.NumNodes(), b.NumNodes());
   ASSERT_EQ(a.NumEdges(), b.NumEdges());
@@ -56,6 +57,9 @@ void ExpectGraphsBitIdentical(const DirectedGraph& a, const DirectedGraph& b) {
   EXPECT_TRUE(eq(a.InProbs(), b.InProbs()));
   EXPECT_TRUE(eq(a.InEdgeIdsFlat(), b.InEdgeIdsFlat()));
   EXPECT_EQ(ForwardCsrDigest(a), ForwardCsrDigest(b));
+  for (NodeId v = 0; v < a.NumNodes(); ++v) {
+    EXPECT_EQ(a.UniformInProbability(v), b.UniformInProbability(v)) << "node " << v;
+  }
 }
 
 // First node at or after `from` with at least one out-edge.
@@ -312,6 +316,19 @@ TEST_F(ApplyDeltaTest, ReweightsMatchRebuildAndShareStructure) {
   ASSERT_TRUE(minted.ok());
   EXPECT_EQ(minted->OutTargets().data(), base_.OutTargets().data());
   EXPECT_NE(minted->OutProbs().data(), base_.OutProbs().data());
+
+  // Reweighting one in-edge of a weighted-cascade node clears that node's
+  // uniform in-probability and no other node's.
+  const NodeId target = base_.OutNeighbors(u).front();
+  ASSERT_GE(base_.InDegree(target), 2u);
+  for (NodeId v = 0; v < base_.NumNodes(); ++v) {
+    if (base_.InDegree(v) > 0) {
+      ASSERT_EQ(base_.UniformInProbability(v), 1.0 / base_.InDegree(v));
+    }
+    EXPECT_EQ(minted->UniformInProbability(v),
+              v == target ? std::nullopt : base_.UniformInProbability(v))
+        << "node " << v;
+  }
 }
 
 TEST_F(ApplyDeltaTest, MixedBatchMatchesRebuild) {

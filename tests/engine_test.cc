@@ -969,7 +969,9 @@ TEST_F(EngineTest, EveryPoolSizeIncludingOneAgrees) {
 // one build, so none would notice both runs moving together. A refactor
 // must keep these fingerprints; a change that alters sampler streams on
 // purpose re-derives them and says so. At η = 90 every algorithm needs a
-// residual round under both models.
+// residual round under both models. The IC pins were re-derived once, when
+// IC traversal began skipping dead in-edges at uniform nodes (sampler
+// contract version 2); the LT pins did not move.
 TEST_F(EngineTest, AnswersMatchPinnedFingerprints) {
   struct Pin {
     AlgorithmId algorithm;
@@ -978,24 +980,25 @@ TEST_F(EngineTest, AnswersMatchPinnedFingerprints) {
   };
   const Pin pins[] = {
       {AlgorithmId::kAsti, DiffusionModel::kIndependentCascade,
-       "ASTI|90,94,|8,6,|0 2 1 3 4 15 27 6 /90/6724[1:0 90/33/33/31.5865/832]"
-       "[2:2 57/11/11/19.095/800][3:1 46/13/13/12.4094/1568]"
-       "[4:3 33/10/10/8.98816/1520][5:4 23/10/10/7.875/736][6:15 13/9/9/5.80891/696]"
-       "[7:27 4/3/3/3.12987/308][8:6 1/1/1/1/264];0 2 4 27 9 38 /94/4012"
-       "[1:0 90/18/18/31.5865/832][2:2 72/57/57/23.6471/816][3:4 15/1/1/5.98722/704]"
-       "[4:27 14/7/7/5.52841/704][5:9 7/4/4/4.15091/656][6:38 3/7/3/2.53/300];|7|92|1"},
+       "ASTI|90,94,|8,6,|0 2 1 3 4 7 15 6 /90/7832[1:0 90/33/33/31.262/832]"
+       "[2:2 57/11/11/20.4488/800][3:1 46/13/13/13.0548/1568][4:3 33/10/10/8.90132/1520]"
+       "[5:4 23/10/10/7.21875/1472][6:7 13/3/3/5.77155/696][7:15 10/9/9/4.80882/680]"
+       "[8:6 1/1/1/1/264];0 2 4 27 9 38 /94/4012[1:0 90/18/18/31.262/832]"
+       "[2:2 72/57/57/23.7353/816][3:4 15/1/1/5.9446/704][4:27 14/7/7/5.58807/704]"
+       "[5:9 7/4/4/4.14024/656][6:38 3/7/3/2.6/300];|7|92|1"},
       {AlgorithmId::kAsti4, DiffusionModel::kIndependentCascade,
-       "ASTI-4|91,92,|8,8,|0 2 1 7 15 4 3 9 /91/1448[1:0 2 1 7 90/61/61/56.0132/760]"
-       "[2:15 4 3 9 29/30/29/19.7689/688];0 2 1 7 4 27 9 15 /92/1082"
-       "[1:0 2 1 7 90/78/78/56.0132/760][2:4 27 9 15 12/14/12/10.9565/322];|8|91.5|1"},
+       "ASTI-4|97,97,|12,8,|0 2 3 4 1 21 7 9 27 63 6 8 /97/1722"
+       "[1:0 2 3 4 90/68/68/54.5921/760][2:1 21 7 9 22/19/19/16.9256/672]"
+       "[3:27 63 6 8 3/10/3/3/290];"
+       "0 2 3 4 9 27 15 38 /97/1086[1:0 2 3 4 90/76/76/54.5921/760]"
+       "[2:9 27 15 38 14/21/14/12.3252/326];|10|97|1"},
       {AlgorithmId::kAdaptIm, DiffusionModel::kIndependentCascade,
-       "AdaptIM|92,90,|9,6,|0 2 1 3 4 21 7 27 15 /92/41184[1:0 90/33/33/40.1923/1248]"
-       "[2:2 57/11/11/23.8363/2432][3:1 46/13/13/13.1267/4800]"
-       "[4:3 33/10/10/10.5271/4800][5:4 23/10/10/9.20714/4736]"
-       "[6:21 13/5/5/7.49893/4672][7:7 8/3/3/7.17765/4672][8:27 5/3/3/6.94336/4608]"
-       "[9:15 2/4/2/5.42839/9216];0 2 4 38 7 9 /90/22336[1:0 90/18/18/40.1923/1248]"
-       "[2:2 72/57/57/25.7419/2464][3:4 15/1/1/7.01413/4672][4:38 14/7/7/6.4726/4672]"
-       "[5:7 7/3/3/6.4512/4672][6:9 4/4/4/6.71745/4608];|7.5|91|1"},
+       "AdaptIM|92,90,|8,6,|0 2 1 3 4 15 27 7 /92/31904[1:0 90/33/33/38.0769/1248]"
+       "[2:2 57/11/11/23.7595/2432][3:1 46/13/13/13.7133/4800][4:3 33/10/10/10.6629/4800]"
+       "[5:4 23/10/10/8.75486/4736][6:15 13/9/9/7.86622/4672][7:27 4/3/3/6.65929/4608]"
+       "[8:7 1/3/1/6.3112/4608];0 2 4 9 7 38 /90/22400[1:0 90/18/18/38.0769/1248]"
+       "[2:2 72/57/57/26.9716/2464][3:4 15/1/1/7.29345/4672][4:9 14/4/4/7.21233/4672]"
+       "[5:7 10/3/3/6.71233/4672][6:38 7/7/7/6.53917/4672];|7|91|1"},
       {AlgorithmId::kAsti, DiffusionModel::kLinearThreshold,
        "ASTI|108,90,|4,4,|0 2 1 22 /108/3936[1:0 90/23/23/32.7764/832]"
        "[2:2 67/24/24/21.9228/816][3:1 43/25/25/12.6148/1568]"

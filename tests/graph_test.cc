@@ -1,14 +1,16 @@
 // Tests for graph/graph.h and graph/graph_builder.h: CSR construction,
-// adjacency consistency, duplicate/self-loop policies, and the pinned
-// ForwardCsrDigest value.
+// adjacency consistency, duplicate/self-loop policies, the derived
+// per-node uniform in-probability, and the pinned ForwardCsrDigest value.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
 
+#include "graph/generators.h"
 #include "graph/graph.h"
 #include "graph/graph_builder.h"
+#include "util/rng.h"
 
 namespace asti {
 namespace {
@@ -171,6 +173,57 @@ TEST(GraphTest, DegreeSumsMatchEdgeCount) {
   }
   EXPECT_EQ(out_total, graph.NumEdges());
   EXPECT_EQ(in_total, graph.NumEdges());
+}
+
+TEST(GraphTest, UniformInProbabilityIsDerivedPerNode) {
+  // Diamond: 1 and 2 have one in-edge each; 3's two disagree; 0 has none.
+  const DirectedGraph diamond = SmallDiamond();
+  EXPECT_EQ(diamond.UniformInProbability(0), std::nullopt);
+  EXPECT_EQ(diamond.UniformInProbability(1), 0.5);
+  EXPECT_EQ(diamond.UniformInProbability(2), 0.25);
+  EXPECT_EQ(diamond.UniformInProbability(3), std::nullopt);
+
+  // Weighted cascade: every node with in-edges reports 1/indeg (p = 1 at
+  // indeg 1); indeg-0 nodes report none. Copies agree.
+  Rng rng(17);
+  const EdgeSkeleton skeleton = MakeChungLu(300, 1500, 2.2, rng);
+  auto cascade = BuildWeightedGraph(skeleton, WeightScheme::kWeightedCascade);
+  ASSERT_TRUE(cascade.ok());
+  const DirectedGraph copy = *cascade;
+  size_t sources = 0;
+  size_t certain = 0;
+  for (NodeId v = 0; v < cascade->NumNodes(); ++v) {
+    const uint32_t indeg = cascade->InDegree(v);
+    if (indeg == 0) {
+      EXPECT_EQ(cascade->UniformInProbability(v), std::nullopt) << "node " << v;
+      ++sources;
+      continue;
+    }
+    EXPECT_EQ(cascade->UniformInProbability(v), 1.0 / indeg) << "node " << v;
+    EXPECT_EQ(copy.UniformInProbability(v), cascade->UniformInProbability(v));
+    certain += indeg == 1 ? 1 : 0;
+  }
+  EXPECT_GT(sources, 0u);
+  EXPECT_GT(certain, 0u);
+
+  // Trivalency: a node whose in-probabilities differ reports none; one
+  // whose in-probabilities happen to agree reports their value.
+  auto trivalency = BuildWeightedGraph(skeleton, WeightScheme::kTrivalency, 0.1, &rng);
+  ASSERT_TRUE(trivalency.ok());
+  size_t mixed = 0;
+  for (NodeId v = 0; v < trivalency->NumNodes(); ++v) {
+    const auto probs = trivalency->InProbabilities(v);
+    const bool agree =
+        !probs.empty() && std::all_of(probs.begin(), probs.end(),
+                                      [&](double p) { return p == probs[0]; });
+    if (agree) {
+      EXPECT_EQ(trivalency->UniformInProbability(v), probs[0]) << "node " << v;
+    } else {
+      EXPECT_EQ(trivalency->UniformInProbability(v), std::nullopt) << "node " << v;
+      mixed += probs.empty() ? 0 : 1;
+    }
+  }
+  EXPECT_GT(mixed, 0u);
 }
 
 // ASMD headers and staged <name>.delta.asms files persist this digest and

@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <future>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <thread>
@@ -50,27 +53,6 @@ bool SameCollections(const RrCollection& a, const RrCollection& b) {
 
 // --- ThreadPool ------------------------------------------------------------
 
-TEST(ThreadPoolTest, RunsEverySubmittedTask) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.NumThreads(), 4u);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, WaitIsReusableAcrossBatches) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  for (int batch = 0; batch < 5; ++batch) {
-    for (int i = 0; i < 10; ++i) pool.Submit([&counter] { counter.fetch_add(1); });
-    pool.Wait();
-    EXPECT_EQ(counter.load(), (batch + 1) * 10);
-  }
-}
-
 TEST(ThreadPoolTest, ParallelForCoversRangeExactlyOnce) {
   ThreadPool pool(3);
   std::vector<std::atomic<int>> touched(1000);
@@ -109,28 +91,6 @@ TEST(ThreadPoolTest, ParallelForHandlesFewerItemsThanThreads) {
   EXPECT_EQ(counter.load(), 3);
 }
 
-TEST(ThreadPoolTest, WaitForBatchIgnoresOtherCallersTasks) {
-  // Regression: Wait() used to block on a pool-global counter, so a caller
-  // sharing the pool with a long-running (here: deliberately blocked) task
-  // would wait for it. With per-batch TaskGroups, ParallelFor must return
-  // as soon as its own chunks finish — under the old code this deadlocks
-  // (ParallelFor waits on the blocked task, which we release only after).
-  ThreadPool pool(2);
-  std::promise<void> release;
-  std::shared_future<void> gate(release.get_future());
-  TaskGroup blocked;
-  pool.Submit(blocked, [gate] { gate.wait(); });
-
-  std::atomic<int> counter{0};
-  pool.ParallelFor(1, [&](size_t, size_t begin, size_t end) {
-    counter.fetch_add(static_cast<int>(end - begin));
-  });
-  EXPECT_EQ(counter.load(), 1);  // returned while the other task still runs
-
-  release.set_value();
-  blocked.Wait();
-}
-
 TEST(ThreadPoolTest, ConcurrentParallelForCallersAreIsolated) {
   // Two caller threads hammer one shared pool; each must observe exactly
   // its own items completed at every ParallelFor return. Also the TSAN
@@ -151,22 +111,6 @@ TEST(ThreadPoolTest, ConcurrentParallelForCallersAreIsolated) {
   b.join();
 }
 
-TEST(ThreadPoolTest, TaskGroupsTrackTheirOwnBatches) {
-  ThreadPool pool(2);
-  std::atomic<int> first{0};
-  std::atomic<int> second{0};
-  TaskGroup group_a;
-  TaskGroup group_b;
-  for (int i = 0; i < 20; ++i) {
-    pool.Submit(group_a, [&first] { first.fetch_add(1); });
-    pool.Submit(group_b, [&second] { second.fetch_add(1); });
-  }
-  group_a.Wait();
-  EXPECT_EQ(first.load(), 20);
-  group_b.Wait();
-  EXPECT_EQ(second.load(), 20);
-}
-
 TEST(ThreadPoolTest, SingleThreadPoolStillWorks) {
   ThreadPool pool(1);
   std::atomic<int> counter{0};
@@ -175,6 +119,69 @@ TEST(ThreadPoolTest, SingleThreadPoolStillWorks) {
     counter.fetch_add(static_cast<int>(end - begin));
   });
   EXPECT_EQ(counter.load(), 50);
+}
+
+TEST(ThreadPoolTest, ParallelBlocksRunsOrderedBlocksOnDistinctSlots) {
+  ThreadPool pool(3);
+  EXPECT_EQ(pool.NumThreads(), 3u);
+  std::mutex mutex;
+  std::vector<std::array<size_t, 3>> blocks;  // {block, begin, end}
+  std::vector<std::atomic<int>> touched(1000);
+  std::vector<std::atomic<int>> busy(3);
+  pool.ParallelBlocks(1000, 24, [&](size_t slot, size_t block, size_t begin, size_t end) {
+    ASSERT_LT(slot, 3u);
+    EXPECT_EQ(busy[slot].fetch_add(1), 0) << "slot " << slot << " ran two blocks at once";
+    for (size_t i = begin; i < end; ++i) touched[i].fetch_add(1);
+    busy[slot].fetch_sub(1);
+    std::lock_guard<std::mutex> lock(mutex);
+    blocks.push_back({block, begin, end});
+  });
+  for (const auto& t : touched) EXPECT_EQ(t.load(), 1);
+  // ceil(1000 / 24) = 42 indices per block, so 24 blocks, the last of 34.
+  std::sort(blocks.begin(), blocks.end());
+  ASSERT_EQ(blocks.size(), 24u);
+  for (size_t b = 0; b < blocks.size(); ++b) {
+    EXPECT_EQ(blocks[b][0], b);
+    EXPECT_EQ(blocks[b][1], 42 * b);
+    EXPECT_EQ(blocks[b][2], std::min<size_t>(1000, 42 * (b + 1)));
+  }
+}
+
+TEST(ThreadPoolTest, ParallelBlocksNeverWaitsForABusyWorker) {
+  // Two other callers' loops hold both workers (each of their blocks waits
+  // on a gate), so this loop's helper task queues behind them: the caller
+  // must run every block itself and return while the others still block,
+  // and the helper, which starts only after that, must not call fn.
+  const auto caller = std::this_thread::get_id();
+  std::atomic<int> calls{0};
+  std::atomic<int> off_caller{0};
+  {
+    ThreadPool pool(2);
+    std::promise<void> release;
+    const std::shared_future<void> gate(release.get_future());
+    std::atomic<int> entered{0};
+    std::promise<void> all_entered;
+    auto hold = [&] {
+      // Two blocks, each waiting: the other caller and one worker.
+      pool.ParallelBlocks(2, 2, [&](size_t, size_t, size_t, size_t) {
+        if (entered.fetch_add(1) == 3) all_entered.set_value();
+        std::shared_future<void>(gate).wait();
+      });
+    };
+    std::thread a(hold);
+    std::thread b(hold);
+    all_entered.get_future().wait();
+    pool.ParallelBlocks(100, 10, [&](size_t slot, size_t, size_t, size_t) {
+      calls.fetch_add(1);
+      if (slot != 0 || std::this_thread::get_id() != caller) off_caller.fetch_add(1);
+    });
+    EXPECT_EQ(calls.load(), 10);
+    release.set_value();
+    a.join();
+    b.join();
+  }  // the pool runs its queued tasks, this loop's late helper included, before joining
+  EXPECT_EQ(calls.load(), 10);
+  EXPECT_EQ(off_caller.load(), 0);
 }
 
 // --- RrCollection bulk APIs ------------------------------------------------

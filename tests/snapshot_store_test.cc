@@ -51,11 +51,13 @@ DirectedGraph MakeTestGraph(uint64_t seed = 411, NodeId nodes = 180, size_t edge
   return std::move(graph).value();
 }
 
-// Both CSR directions, edge by edge.
+// Both CSR directions, edge by edge, and the derived uniform in-probability.
 void ExpectSameAdjacency(const DirectedGraph& expected, const DirectedGraph& actual) {
   ASSERT_EQ(expected.NumNodes(), actual.NumNodes());
   ASSERT_EQ(expected.NumEdges(), actual.NumEdges());
   for (NodeId u = 0; u < expected.NumNodes(); ++u) {
+    EXPECT_EQ(expected.UniformInProbability(u), actual.UniformInProbability(u))
+        << "node " << u;
     const auto out_want = expected.OutNeighbors(u);
     const auto out_got = actual.OutNeighbors(u);
     ASSERT_EQ(out_want.size(), out_got.size()) << "node " << u;
@@ -352,6 +354,111 @@ TEST(SnapshotCorruptionTest, CollectionFromDifferentGraphIsRejected) {
     EXPECT_EQ(snapshot.status().code(), StatusCode::kInvalidArgument);
     EXPECT_NE(snapshot.status().ToString().find("different graph"), std::string::npos)
         << snapshot.status().ToString();
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(SnapshotCorruptionTest, StaleCollectionSectionIsSkippedAndGraphStaysUsable) {
+  // A collection section written under another sampler contract version or
+  // stream seed (an older build's warm cache) is stale, not broken: the
+  // file opens under both tiers with its graph intact, nothing is adopted
+  // or counted, and serving from it answers exactly like a cold cache.
+  const DirectedGraph graph = MakeTestGraph(423);
+  const auto key = SamplerCacheKey::Rr(DiffusionModel::kIndependentCascade);
+  SamplerCache seeding_cache(graph);
+  seeding_cache.Acquire(key, 64, nullptr, nullptr, nullptr);
+  const std::string path = TempPath("stale.asms");
+  ASSERT_TRUE(store::WriteSnapshot(graph, "stale", WeightScheme::kWeightedCascade,
+                                   seeding_cache.ExportSealed(), path)
+                  .ok());
+  uint64_t digest = 0;
+  {
+    const auto current = store::OpenSnapshot(path);
+    ASSERT_TRUE(current.ok()) << current.status().ToString();
+    ASSERT_EQ(current->collection_sections, 1u);
+    digest = current->graph_digest;
+  }
+
+  std::vector<SolveRequest> requests;
+  for (const AlgorithmId algorithm :
+       {AlgorithmId::kAsti, AlgorithmId::kAdaptIm, AlgorithmId::kAteuc}) {
+    SolveRequest request;
+    request.graph = "stale";
+    request.algorithm = algorithm;
+    request.eta = 30;
+    request.realizations = 2;
+    request.seed = 950;
+    request.keep_traces = true;
+    requests.push_back(request);
+  }
+  const auto fingerprint = [](const SolveResult& result) {
+    std::ostringstream out;
+    for (const AdaptiveRunTrace& trace : result.traces) {
+      for (NodeId seed : trace.seeds) out << seed << ',';
+      out << '/' << trace.total_activated << '/' << trace.total_samples << ';';
+    }
+    return out.str();
+  };
+  std::vector<std::string> cold;
+  {
+    GraphCatalog catalog;
+    ASSERT_TRUE(catalog.Register("stale", graph).ok());
+    SeedMinEngine engine(catalog, {2});
+    for (const SolveRequest& request : requests) {
+      const auto solved = engine.Solve(request);
+      ASSERT_TRUE(solved.ok()) << solved.status().ToString();
+      cold.push_back(fingerprint(*solved));
+    }
+  }
+
+  const FileSurgeon pristine = FileSurgeon::Load(path);
+  for (const bool forge_version : {true, false}) {
+    SCOPED_TRACE(forge_version ? "contract_version" : "stream_seed");
+    FileSurgeon surgeon = pristine;
+    const std::vector<SectionEntry> table = surgeon.Table();
+    for (size_t i = 0; i < table.size(); ++i) {
+      if (table[i].type != static_cast<uint32_t>(SectionType::kRrCollection)) continue;
+      store::CollectionSectionHeader header;
+      std::memcpy(&header, surgeon.bytes.data() + table[i].offset, sizeof(header));
+      if (forge_version) {
+        header.contract_version = kSamplerContractVersion - 1;
+      } else {
+        header.stream_seed ^= 0x1ULL;
+      }
+      std::memcpy(surgeon.bytes.data() + table[i].offset, &header, sizeof(header));
+      SectionEntry entry = table[i];
+      entry.payload_crc =
+          Crc32(surgeon.bytes.data() + entry.offset, static_cast<size_t>(entry.bytes));
+      surgeon.PutEntry(i, entry);
+    }
+    surgeon.Reseal();
+    surgeon.Store();
+
+    for (const SnapshotVerify verify :
+         {SnapshotVerify::kStructural, SnapshotVerify::kChecksums}) {
+      auto snapshot = store::OpenSnapshot(path, verify);
+      ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+      EXPECT_EQ(snapshot->collection_sections, 0u);
+      EXPECT_EQ(snapshot->warm, nullptr);
+      EXPECT_EQ(snapshot->graph_digest, digest);
+      EXPECT_EQ(ForwardCsrDigest(snapshot->graph), ForwardCsrDigest(graph));
+      ExpectSameAdjacency(graph, snapshot->graph);
+
+      SamplerCache warm_cache(snapshot->graph, snapshot->warm);
+      warm_cache.Acquire(key, 32, nullptr, nullptr, nullptr);
+      EXPECT_EQ(warm_cache.Stats().warm_starts, 0u);
+      EXPECT_EQ(warm_cache.Stats().sets_adopted, 0u);
+    }
+    EXPECT_TRUE(store::VerifySnapshotFile(path).ok());
+
+    GraphCatalog catalog;
+    ASSERT_TRUE(RegisterSnapshotFile(catalog, path).ok());
+    SeedMinEngine engine(catalog, {2});
+    for (size_t r = 0; r < requests.size(); ++r) {
+      const auto solved = engine.Solve(requests[r]);
+      ASSERT_TRUE(solved.ok()) << solved.status().ToString();
+      EXPECT_EQ(fingerprint(*solved), cold[r]) << "request " << r;
+    }
   }
   std::filesystem::remove(path);
 }
