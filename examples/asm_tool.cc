@@ -49,10 +49,6 @@
 //   --snapshot-compact     with --save-snapshot: omit the reverse CSR
 //                          (~half the file; rebuilt on load).
 //   --verify-snapshot PATH full checksum validation of a snapshot; exits.
-//   --convert-asmg IN --snapshot-out OUT
-//                          rewrite a legacy ASMG v1 graph file as an ASMS
-//                          snapshot (name from --graph, default
-//                          "converted"); exits.
 
 #include <filesystem>
 #include <iostream>
@@ -79,11 +75,10 @@ constexpr const char* kCustomGraphName = "custom";
 // the query should route to: --graph-file registers "custom"; a --graph /
 // --dataset value naming a built-in surrogate registers that; with
 // neither, the NetHEPT surrogate is the default target.
-StatusOr<std::string> PopulateCatalog(const CommandLine& cli,
-                                      const GraphFlagSelection& flags,
-                                      GraphCatalog& catalog) {
+StatusOr<std::string> PopulateCatalog(const CommandLine& cli, GraphCatalog& catalog) {
   const uint64_t seed = static_cast<uint64_t>(cli.GetInt("seed", 7));
-  std::string target = flags.graph;
+  // --dataset is a legacy alias; an explicit --graph wins.
+  std::string target = cli.GetString("graph", cli.GetString("dataset", ""));
 
   if (cli.Has("graph-file")) {
     auto file = LoadEdgeList(cli.GetString("graph-file", ""));
@@ -165,9 +160,10 @@ int ListGraphs() {
   return 0;
 }
 
-// Standalone snapshot utilities (no solve): returns an exit code, or -1
-// when no utility flag was given and the normal query path should run.
-int RunSnapshotUtility(const CommandLine& cli) {
+int Run(int argc, char** argv) {
+  const CommandLine cli(argc, argv);
+  if (cli.Has("list-algorithms")) return ListAlgorithms();
+  if (cli.Has("list-graphs")) return ListGraphs();
   if (cli.Has("verify-snapshot")) {
     const std::string path = cli.GetString("verify-snapshot", "");
     const Status status = store::VerifySnapshotFile(path);
@@ -178,39 +174,9 @@ int RunSnapshotUtility(const CommandLine& cli) {
     std::cout << "snapshot OK: " << path << " (every section checksum verified)\n";
     return 0;
   }
-  if (cli.Has("convert-asmg")) {
-    const std::string in = cli.GetString("convert-asmg", "");
-    const std::string out = cli.GetString("snapshot-out", "");
-    if (out.empty()) {
-      std::cerr << "--convert-asmg requires --snapshot-out PATH\n";
-      return 1;
-    }
-    const std::string name = cli.GetString("graph", "converted");
-    const Status status =
-        store::ConvertAsmgV1(in, out, name, WeightScheme::kWeightedCascade);
-    if (!status.ok()) {
-      std::cerr << status.ToString() << "\n";
-      return 1;
-    }
-    std::cout << "converted " << in << " -> " << out << " (graph '" << name << "')\n";
-    return 0;
-  }
-  return -1;
-}
-
-int Run(int argc, char** argv) {
-  const CommandLine cli(argc, argv);
-  if (cli.Has("list-algorithms")) return ListAlgorithms();
-  if (cli.Has("list-graphs")) return ListGraphs();
-  if (const int code = RunSnapshotUtility(cli); code >= 0) return code;
 
   GraphCatalog catalog;
-  // Shared graph-flag parsing (benchutil/cli): --graph/--graphs.
-  // --dataset stays an asm_tool-only legacy alias, folded in as the
-  // default so an explicit --graph still wins.
-  const GraphFlagSelection graph_flags =
-      ParseGraphFlags(cli, cli.GetString("dataset", ""));
-  auto target = PopulateCatalog(cli, graph_flags, catalog);
+  auto target = PopulateCatalog(cli, catalog);
   if (!target.ok()) {
     std::cerr << "graph: " << target.status().ToString() << "\n";
     return 1;

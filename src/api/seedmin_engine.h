@@ -206,9 +206,9 @@ class SeedMinEngine {
   /// asti_collection_bytes — keyed {graph, algorithm}) plus synthesized
   /// admission counters (asti_admission_total{outcome}), the admission
   /// inflight gauge, and per-graph inflight/completed/epoch series derived
-  /// from admission_stats(). Feed the result to ExportPrometheusText /
-  /// ExportMetricsJson (obs/export.h). Empty histogram set when the engine
-  /// runs with enable_metrics = false.
+  /// from admission_stats(). Feed the result to ExportPrometheusText
+  /// (obs/export.h). Empty histogram set when the engine runs with
+  /// enable_metrics = false.
   MetricsSnapshot metrics_snapshot() const;
 
   /// Persists the named graph AND its current sealed sampler-cache

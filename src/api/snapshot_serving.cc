@@ -3,45 +3,17 @@
 #include <memory>
 #include <utility>
 
+#include "store/snapshot_store.h"
+
 namespace asti {
 
-namespace {
-
-template <class RegisterFn>
-StatusOr<GraphRef> InstallSnapshot(const std::string& path, store::SnapshotVerify verify,
-                                   const std::string& override_name,
-                                   RegisterFn&& register_fn) {
-  ASM_ASSIGN_OR_RETURN(store::GraphSnapshot snapshot, store::OpenSnapshot(path, verify));
-  const std::string& name = override_name.empty() ? snapshot.name : override_name;
+StatusOr<GraphRef> RegisterSnapshotFile(GraphCatalog& catalog, const std::string& path) {
+  ASM_ASSIGN_OR_RETURN(store::GraphSnapshot snapshot, store::OpenSnapshot(path));
   // The DirectedGraph is spans + the payload keepalive; moving it into the
   // catalog's shared snapshot transfers the mapping pin, no array copies.
-  return register_fn(name,
-                     std::make_shared<const DirectedGraph>(std::move(snapshot.graph)),
-                     snapshot.weight_scheme, std::move(snapshot.warm));
-}
-
-}  // namespace
-
-StatusOr<GraphRef> RegisterSnapshotFile(GraphCatalog& catalog, const std::string& path,
-                                        store::SnapshotVerify verify,
-                                        const std::string& override_name) {
-  return InstallSnapshot(path, verify, override_name,
-                         [&catalog](const std::string& name, auto graph,
-                                    WeightScheme scheme, auto warm) {
-                           return catalog.Register(name, std::move(graph), scheme,
-                                                   std::move(warm));
-                         });
-}
-
-StatusOr<GraphRef> SwapSnapshotFile(GraphCatalog& catalog, const std::string& path,
-                                    store::SnapshotVerify verify,
-                                    const std::string& override_name) {
-  return InstallSnapshot(path, verify, override_name,
-                         [&catalog](const std::string& name, auto graph,
-                                    WeightScheme scheme, auto warm) {
-                           return catalog.Swap(name, std::move(graph), scheme,
-                                               std::move(warm));
-                         });
+  return catalog.Register(snapshot.name,
+                          std::make_shared<const DirectedGraph>(std::move(snapshot.graph)),
+                          snapshot.weight_scheme, std::move(snapshot.warm));
 }
 
 }  // namespace asti

@@ -1,16 +1,16 @@
 // Register-from-file: the bridge between the snapshot store (src/store/)
 // and the serving catalog (graph_catalog.h).
 //
-// RegisterSnapshotFile / SwapSnapshotFile open an ASMS snapshot read-only
-// (mmap + structural verification — O(section count), not O(m); the graph
-// then reads in_probs once to derive its uniform in-probabilities) and
-// install the resulting zero-copy graph into the catalog, carrying the
-// file's persisted sealed RR-collection prefixes as the entry's
-// CollectionWarmSource. The first request against the registered graph
-// therefore starts with a warm sampler cache: cache entries whose key the
-// file covers adopt the persisted prefix instead of sampling from scratch,
-// bit-identically to cold generation (the loader certifies stream seed,
-// contract version, and graph digest before offering anything).
+// RegisterSnapshotFile opens an ASMS snapshot read-only (mmap + structural
+// verification — O(section count), not O(m); the graph then reads in_probs
+// once to derive its uniform in-probabilities) and installs the resulting
+// zero-copy graph into the catalog, carrying the file's persisted sealed
+// RR-collection prefixes as the entry's CollectionWarmSource. The first
+// request against the registered graph therefore starts with a warm
+// sampler cache: cache entries whose key the file covers adopt the
+// persisted prefix instead of sampling from scratch, bit-identically to
+// cold generation (the loader certifies stream seed, contract version, and
+// graph digest before offering anything).
 //
 // Lifecycle: the mapping is pinned by the catalog entry, by every GraphRef
 // handed out, and by every collection chunk adopted from it. Swapping or
@@ -24,30 +24,17 @@
 #include <string>
 
 #include "api/graph_catalog.h"
-#include "store/snapshot_store.h"
 #include "util/status.h"
 
 namespace asti {
 
 /// Opens the ASMS snapshot at `path` and Registers it under its embedded
-/// graph name — or `override_name`, when non-empty. Registration cost is
-/// the snapshot's structural verification (the header and section table)
-/// plus one read of in_offsets/in_probs, which the graph constructor walks
-/// to derive uniform in-probabilities — O(n + m) page reads, still no
-/// parse and no CSR rebuild. Forwards OpenSnapshot's
-/// errors (InvalidArgument / IOError) and Register's (FailedPrecondition
-/// for an already-registered name).
-StatusOr<GraphRef> RegisterSnapshotFile(
-    GraphCatalog& catalog, const std::string& path,
-    store::SnapshotVerify verify = store::SnapshotVerify::kStructural,
-    const std::string& override_name = "");
-
-/// Same, but hot-swaps an existing catalog entry (epoch bump). In-flight
-/// requests pinned to the old epoch are unaffected; new requests see the
-/// mapped graph and its warm collections.
-StatusOr<GraphRef> SwapSnapshotFile(
-    GraphCatalog& catalog, const std::string& path,
-    store::SnapshotVerify verify = store::SnapshotVerify::kStructural,
-    const std::string& override_name = "");
+/// graph name. Registration cost is the snapshot's structural verification
+/// (the header and section table) plus one read of in_offsets/in_probs,
+/// which the graph constructor walks to derive uniform in-probabilities —
+/// O(n + m) page reads, still no parse and no CSR rebuild. Forwards
+/// OpenSnapshot's errors (InvalidArgument / IOError) and Register's
+/// (FailedPrecondition for an already-registered name).
+StatusOr<GraphRef> RegisterSnapshotFile(GraphCatalog& catalog, const std::string& path);
 
 }  // namespace asti

@@ -69,8 +69,7 @@ size_t NumThreadsOverride(const CommandLine& cli, size_t fallback) {
                                                 static_cast<int64_t>(fallback))));
 }
 
-std::vector<size_t> ParseSizeList(const std::string& spec, const char* flag,
-                                  size_t min_value) {
+std::vector<size_t> ParseSizeList(const std::string& spec, const char* flag) {
   std::vector<size_t> counts;
   std::stringstream stream(spec);
   std::string token;
@@ -84,46 +83,10 @@ std::vector<size_t> ParseSizeList(const std::string& spec, const char* flag,
     } catch (...) {
       ASM_CHECK(false) << flag << " count '" << token << "' out of range";
     }
-    ASM_CHECK(count >= min_value)
-        << flag << " counts must be >= " << min_value << ", got " << count;
     counts.push_back(count);
   }
   ASM_CHECK(!counts.empty()) << "empty " << flag << " list";
   return counts;
-}
-
-std::vector<std::string> ParseNameList(const std::string& spec, const char* flag) {
-  std::vector<std::string> names;
-  std::stringstream stream(spec);
-  std::string token;
-  while (std::getline(stream, token, ',')) {
-    if (!token.empty()) names.push_back(token);
-  }
-  ASM_CHECK(!names.empty()) << "empty " << flag << " list";
-  return names;
-}
-
-GraphFlagSelection ParseGraphFlags(const CommandLine& cli,
-                                   const std::string& default_graph,
-                                   const std::string& default_graphs) {
-  GraphFlagSelection selection;
-  const std::string graphs_spec =
-      cli.GetString("graphs", default_graphs.empty() ? default_graph : default_graphs);
-  // An empty spec (asm_tool with the target still to be derived from a
-  // snapshot) parses as an empty set; an explicit --graphs list must be
-  // non-empty.
-  if (!graphs_spec.empty() || cli.Has("graphs")) {
-    selection.graphs = ParseNameList(graphs_spec, "--graphs");
-  }
-  selection.graph = cli.GetString(
-      "graph", selection.graphs.empty() ? std::string() : selection.graphs.front());
-  // The primary graph is always part of the routing set.
-  if (!selection.graph.empty()) {
-    bool found = false;
-    for (const std::string& name : selection.graphs) found |= name == selection.graph;
-    if (!found) selection.graphs.insert(selection.graphs.begin(), selection.graph);
-  }
-  return selection;
 }
 
 void ApplyRequestOverrides(const CommandLine& cli, SolveRequest& request) {

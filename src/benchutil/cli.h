@@ -47,31 +47,8 @@ size_t NumThreadsOverride(const CommandLine& cli, size_t fallback = 1);
 void ApplyRequestOverrides(const CommandLine& cli, SolveRequest& request);
 
 /// Parses a comma-separated count list ("1,2,4,8") for sweep flags like
-/// --threads / --clients. Crashes with a message naming `flag` on
-/// non-numeric tokens, an empty list, or counts below `min_value`.
-std::vector<size_t> ParseSizeList(const std::string& spec, const char* flag,
-                                  size_t min_value = 0);
-
-/// Parses a comma-separated name list ("nethept,epinions") for routing
-/// flags like --graphs. Skips empty tokens; crashes with a message naming
-/// `flag` when the list ends up empty.
-std::vector<std::string> ParseNameList(const std::string& spec, const char* flag);
-
-/// The graph-routing flag pair shared by asm_tool and the benches: which
-/// graph a single-target verb works on, and which set of graphs a
-/// multi-tenant phase routes across. Parsed in ONE place (ParseGraphFlags)
-/// so the tools cannot drift.
-struct GraphFlagSelection {
-  /// --graph: primary target (defaults to the first of `graphs`).
-  std::string graph;
-  /// --graphs: comma-separated routing set; always contains `graph`.
-  std::vector<std::string> graphs;
-};
-
-/// Parses --graph/--graphs with the shared semantics above. Crashes with a
-/// flag-naming message on an empty --graphs list.
-GraphFlagSelection ParseGraphFlags(const CommandLine& cli,
-                                   const std::string& default_graph,
-                                   const std::string& default_graphs = "");
+/// --threads. Crashes with a message naming `flag` on non-numeric tokens
+/// or an empty list.
+std::vector<size_t> ParseSizeList(const std::string& spec, const char* flag);
 
 }  // namespace asti

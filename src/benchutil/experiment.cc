@@ -30,21 +30,6 @@ CellResult RunCell(const DirectedGraph& graph, const CellConfig& config) {
   return std::move(result).value();
 }
 
-std::string SummarizePhases(const RequestProfile& profile) {
-  const double phased = profile.sampling_seconds + profile.coverage_seconds +
-                        profile.certify_seconds;
-  if (phased <= 0.0) return "no phase profile";
-  auto percent = [phased](double seconds) {
-    return FormatDouble(100.0 * seconds / phased, 0) + "%";
-  };
-  return "sampling " + percent(profile.sampling_seconds) + " / coverage " +
-         percent(profile.coverage_seconds) + " / certify " +
-         percent(profile.certify_seconds) + " of " +
-         FormatDouble(profile.total_seconds) + "s (" +
-         FormatDouble(static_cast<double>(profile.sets_generated), 0) +
-         " RR sets)";
-}
-
 std::string ImprovementRatio(const CellResult& asti, const CellResult& ateuc) {
   if (!ateuc.always_reached) return "N/A";
   if (asti.aggregate.mean_seeds <= 0.0) return "N/A";

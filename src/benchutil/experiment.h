@@ -60,10 +60,4 @@ CellResult RunCell(const DirectedGraph& graph, const CellConfig& config);
 /// threshold on any realization, matching the paper's table.
 std::string ImprovementRatio(const CellResult& asti, const CellResult& ateuc);
 
-/// One-line phase breakdown of a cell's request profile, e.g.
-/// "sampling 62% / coverage 31% / certify 5% of 1.84s (1.2e+05 RR sets)"
-/// — percentages of the profiled execution time. "no phase profile" when
-/// the engine ran with metrics disabled (all phase slots zero).
-std::string SummarizePhases(const RequestProfile& profile);
-
 }  // namespace asti

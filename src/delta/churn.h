@@ -1,8 +1,8 @@
-// Deterministic random EdgeDelta generation — the mutation source of the
-// open-loop churn harness (bench_engine_throughput) and the delta tests.
-// Pure function of (graph, spec, rng state): the same seed replays the
-// same mutation trace, which is what lets a churn run's end state be
-// checked against a from-scratch rebuild.
+// Deterministic random EdgeDelta generation — the mutation source of
+// servebench's lt-churn swaps and the delta tests. Pure function of
+// (graph, spec, rng state): the same seed replays the same mutation trace,
+// which is what lets a churn run's end state be checked against a
+// from-scratch rebuild.
 
 #pragma once
 

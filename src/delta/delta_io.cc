@@ -19,8 +19,7 @@ Status Bad(const std::string& path, const std::string& msg) {
 
 }  // namespace
 
-Status WriteDeltaBinary(const EdgeDelta& delta, const std::string& path,
-                        uint64_t base_store_digest) {
+Status WriteDeltaBinary(const EdgeDelta& delta, const std::string& path) {
   ASM_RETURN_NOT_OK(ValidateDelta(delta));
 
   std::vector<DeltaOpRecord> records;
@@ -40,7 +39,6 @@ Status WriteDeltaBinary(const EdgeDelta& delta, const std::string& path,
   header.op_count = records.size();
   header.base_digest = delta.base_digest;
   header.result_digest = delta.result_digest;
-  header.base_store_digest = base_store_digest;
   header.ops_crc = Crc32(records.data(), records.size() * sizeof(DeltaOpRecord));
   header.header_crc = 0;
   header.header_crc = Crc32(&header, sizeof(header));
@@ -62,8 +60,7 @@ Status WriteDeltaBinary(const EdgeDelta& delta, const std::string& path,
   return Status::OK();
 }
 
-StatusOr<EdgeDelta> ReadDeltaBinary(const std::string& path,
-                                    uint64_t* base_store_digest) {
+StatusOr<EdgeDelta> ReadDeltaBinary(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IOError("cannot open '" + path + "'");
   std::ostringstream buffer;
@@ -128,7 +125,6 @@ StatusOr<EdgeDelta> ReadDeltaBinary(const std::string& path,
   }
   const Status valid = ValidateDelta(delta);
   if (!valid.ok()) return Bad(path, valid.message());
-  if (base_store_digest != nullptr) *base_store_digest = header.base_store_digest;
   return delta;
 }
 

@@ -2,14 +2,8 @@
 // snapshot store's ASMS format: a fixed little-endian header with its own
 // CRC, then a flat array of fixed-width op records guarded by a payload
 // CRC. Any flipped byte is caught and attributed (header vs ops) before a
-// single op is trusted.
-//
-// Besides the in-memory digests the EdgeDelta itself carries
-// (base_digest / result_digest — forward-CSR digests), the file header
-// records the ASMS graph_digest of the base *snapshot file* the delta was
-// staged next to (0 = unbound). That is the key the incremental store
-// (store/delta_store.h) checks so `<name>.delta.asms` can never be applied
-// over a swapped-out or foreign `<name>.asms`.
+// single op is trusted. The header carries the EdgeDelta's own
+// forward-CSR digests (base_digest / result_digest).
 
 #pragma once
 
@@ -30,7 +24,7 @@ struct DeltaFileHeader {
   uint64_t op_count;
   uint64_t base_digest;      // ForwardCsrDigest of the base graph (0 = unbound)
   uint64_t result_digest;    // expected ForwardCsrDigest after apply (0 = unchecked)
-  uint64_t base_store_digest;  // ASMS graph_digest of the base snapshot file
+  uint64_t base_store_digest;  // unused: written as 0, ignored on read
   uint32_t ops_crc;          // CRC-32 of the op records
   uint32_t header_crc;       // CRC-32 of this struct with header_crc = 0
   uint64_t reserved[2];
@@ -47,17 +41,13 @@ struct DeltaOpRecord {
 static_assert(sizeof(DeltaOpRecord) == 24);
 
 /// Writes `delta` to `path` (tmp + rename, like the snapshot writer).
-/// `base_store_digest` (0 = unbound) is the ASMS graph_digest of the base
-/// snapshot file this delta belongs to. The batch is validated first.
-Status WriteDeltaBinary(const EdgeDelta& delta, const std::string& path,
-                        uint64_t base_store_digest = 0);
+/// The batch is validated first.
+Status WriteDeltaBinary(const EdgeDelta& delta, const std::string& path);
 
 /// Reads an ASMD v1 file. InvalidArgument for truncation, bad magic or
 /// version, CRC mismatches, or a batch that fails ValidateDelta; IOError
-/// for filesystem failures. `base_store_digest` (nullable) receives the
-/// header's base-snapshot binding.
-StatusOr<EdgeDelta> ReadDeltaBinary(const std::string& path,
-                                    uint64_t* base_store_digest = nullptr);
+/// for filesystem failures.
+StatusOr<EdgeDelta> ReadDeltaBinary(const std::string& path);
 
 /// Loads a delta from either serialization: sniffs the ASMD magic and
 /// dispatches to ReadDeltaBinary or ParseDeltaText. The asm_tool

@@ -52,8 +52,8 @@ struct EdgeDelta {
   /// 0 = unbound (applies to any graph whose edges satisfy the ops).
   uint64_t base_digest = 0;
   /// Expected ForwardCsrDigest of the minted graph; 0 = unchecked. Stamped
-  /// by StampDigests / the delta store so a loaded delta proves its apply
-  /// produced the epoch it was staged for.
+  /// by StampDigests so a loaded delta proves its apply produced the epoch
+  /// it was staged for.
   uint64_t result_digest = 0;
   std::vector<DeltaOp> ops;
 

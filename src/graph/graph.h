@@ -8,7 +8,7 @@
 //
 // Storage is span-backed: the graph itself holds only read-only views over
 // the seven CSR arrays plus one type-erased keepalive owning the bytes.
-// Heap-resident graphs (GraphBuilder, ASMG load) span a GraphStorage of
+// Heap-resident graphs (GraphBuilder, delta mint) span a GraphStorage of
 // vectors; snapshot-mapped graphs (src/store/) span an mmap'd file
 // directly. Every traversal goes through the same spans, so the two paths
 // are bit-identical by construction.
@@ -16,8 +16,8 @@
 // One value is derived rather than stored: whether all of a node's in-edges
 // carry one probability. Both constructors compute it with one O(m) pass
 // over the reverse probabilities, so every way a graph is made (builder,
-// ASMG load, delta mint, snapshot mmap) agrees on it without a file format
-// carrying it. Reverse samplers use it to skip dead in-edges without a
+// delta mint, snapshot mmap) agrees on it without a file format carrying
+// it. Reverse samplers use it to skip dead in-edges without a
 // draw each and to pick an LT live edge in O(1) (sampling/rr_set.h).
 
 #pragma once
@@ -34,9 +34,9 @@
 
 namespace asti {
 
-/// Owned backing arrays for a heap-resident graph. GraphBuilder and the
-/// ASMG conversion path fill one of these and hand it to DirectedGraph;
-/// mmap-backed graphs never materialize it.
+/// Owned backing arrays for a heap-resident graph. GraphBuilder and
+/// ApplyDelta fill one of these and hand it to DirectedGraph; mmap-backed
+/// graphs never materialize it.
 struct GraphStorage {
   std::vector<EdgeId> out_offsets;   // size n+1
   std::vector<NodeId> out_targets;   // size m
@@ -47,8 +47,8 @@ struct GraphStorage {
   std::vector<EdgeId> in_edge_ids;   // size m; forward EdgeId per in-edge
 };
 
-/// CSR graph; construct through GraphBuilder, LoadGraphBinary, or the
-/// snapshot store. Copying is cheap (spans + a shared keepalive) and the
+/// CSR graph; construct through GraphBuilder, ApplyDelta, or the snapshot
+/// store. Copying is cheap (spans + a shared keepalive) and the
 /// copy shares immutable storage with the original.
 class DirectedGraph {
  public:

@@ -44,9 +44,9 @@ class GraphBuilder {
 
 /// Fills `csr`'s reverse arrays (in_offsets / in_sources / in_probs /
 /// in_edge_ids) from its forward arrays by counting sort — O(n + m), no
-/// comparison sort. Shared by GraphBuilder, the ASMG loader, and the
-/// snapshot store's omit-reverse rebuild path, so every rebuild produces
-/// the identical reverse CSR a persisted one would contain.
+/// comparison sort. Shared by GraphBuilder, ApplyDelta, and the snapshot
+/// store's omit-reverse rebuild path, so every rebuild produces the
+/// identical reverse CSR a persisted one would contain.
 void BuildReverseCsr(GraphStorage& csr);
 
 /// Same counting sort, reading the forward CSR from caller-owned spans and

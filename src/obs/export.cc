@@ -7,9 +7,8 @@ namespace asti {
 
 namespace {
 
-// Minimal escaping for label values / JSON strings (graph names and
-// algorithm names are benign, but a custom graph name could contain
-// anything).
+// Minimal escaping for label values (graph names and algorithm names are
+// benign, but a custom graph name could contain anything).
 std::string Escape(const std::string& raw) {
   std::string out;
   out.reserve(raw.size());
@@ -40,22 +39,6 @@ std::string PrometheusLabels(const MetricLabels& labels, const std::string& extr
   if (!extra.empty()) {
     if (out.size() > 1) out += ",";
     out += extra;
-  }
-  out += "}";
-  return out;
-}
-
-std::string JsonLabels(const MetricLabels& labels) {
-  std::string out = "{";
-  for (const auto& [key, value] : labels) {
-    if (out.size() > 1) out += ", ";
-    // Appended piece by piece: g++ 12 reports a false -Wrestrict on a
-    // std::string operator+ chain here.
-    out += '"';
-    out += Escape(key);
-    out += "\": \"";
-    out += Escape(value);
-    out += '"';
   }
   out += "}";
   return out;
@@ -99,52 +82,6 @@ std::string ExportPrometheusText(const MetricsSnapshot& snapshot) {
     out << sample.name << "_count" << PrometheusLabels(sample.labels) << " "
         << cumulative << "\n";
   }
-  return out.str();
-}
-
-std::string ExportMetricsJson(const MetricsSnapshot& snapshot) {
-  std::ostringstream out;
-  out << "{\n  \"counters\": [";
-  for (size_t i = 0; i < snapshot.counters.size(); ++i) {
-    const CounterSample& sample = snapshot.counters[i];
-    out << (i == 0 ? "\n" : ",\n") << "    {\"name\": \"" << Escape(sample.name)
-        << "\", \"labels\": " << JsonLabels(sample.labels)
-        << ", \"value\": " << sample.value << "}";
-  }
-  out << "\n  ],\n  \"gauges\": [";
-  for (size_t i = 0; i < snapshot.gauges.size(); ++i) {
-    const GaugeSample& sample = snapshot.gauges[i];
-    out << (i == 0 ? "\n" : ",\n") << "    {\"name\": \"" << Escape(sample.name)
-        << "\", \"labels\": " << JsonLabels(sample.labels)
-        << ", \"value\": " << sample.value << "}";
-  }
-  out << "\n  ],\n  \"histograms\": [";
-  for (size_t i = 0; i < snapshot.histograms.size(); ++i) {
-    const HistogramSample& sample = snapshot.histograms[i];
-    const HistogramData& data = sample.data;
-    auto scaled = [&sample](uint64_t raw) {
-      return FormatNumber(static_cast<double>(raw) * sample.scale);
-    };
-    out << (i == 0 ? "\n" : ",\n") << "    {\"name\": \"" << Escape(sample.name)
-        << "\", \"labels\": " << JsonLabels(sample.labels)
-        << ", \"count\": " << data.Count() << ", \"sum\": " << scaled(data.sum)
-        << ", \"p50\": " << scaled(data.Quantile(0.50))
-        << ", \"p90\": " << scaled(data.Quantile(0.90))
-        << ", \"p99\": " << scaled(data.Quantile(0.99))
-        << ", \"p999\": " << scaled(data.Quantile(0.999))
-        << ", \"max\": " << scaled(data.MaxValue()) << ", \"buckets\": [";
-    bool first = true;
-    for (size_t b = 0; b < data.buckets.size(); ++b) {
-      if (data.buckets[b] == 0) continue;
-      out << (first ? "" : ", ") << "{\"le\": "
-          << FormatNumber(static_cast<double>(HistogramLayout::BucketMax(b)) *
-                          sample.scale)
-          << ", \"count\": " << data.buckets[b] << "}";
-      first = false;
-    }
-    out << "]}";
-  }
-  out << "\n  ]\n}\n";
   return out.str();
 }
 

@@ -1,8 +1,7 @@
-// Exporters for MetricsSnapshot: Prometheus-style text exposition and the
-// machine-readable JSON shape the bench harness CI artifacts use.
+// Exporter for MetricsSnapshot: Prometheus-style text exposition.
 //
-// Both exporters are pure functions of the snapshot, emit entries in
-// snapshot order (sorted — see MetricsRegistry::Snapshot), and apply each
+// The exporter is a pure function of the snapshot, emits entries in
+// snapshot order (sorted — see MetricsRegistry::Snapshot), and applies each
 // histogram's scale so time series recorded in nanoseconds read as
 // seconds. Histogram buckets are emitted sparsely (only non-empty
 // buckets, plus the +Inf/cumulative terminator), which keeps a 244-bucket
@@ -26,14 +25,5 @@ namespace asti {
 /// Bucket `le` bounds are the fixed grid's scaled BucketMax values;
 /// bucket counts are cumulative, per the format.
 std::string ExportPrometheusText(const MetricsSnapshot& snapshot);
-
-/// JSON document (2-space indented, stable key order) with the shape
-///   {"counters": [{"name", "labels", "value"}, ...],
-///    "gauges": [...],
-///    "histograms": [{"name", "labels", "count", "sum",
-///                    "p50", "p90", "p99", "p999", "max",
-///                    "buckets": [{"le", "count"}, ...]}, ...]}
-/// Quantiles/sum/bounds are scaled to display units.
-std::string ExportMetricsJson(const MetricsSnapshot& snapshot);
 
 }  // namespace asti

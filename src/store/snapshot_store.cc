@@ -8,7 +8,6 @@
 #include <optional>
 #include <utility>
 
-#include "graph/binary_io.h"
 #include "graph/graph_builder.h"
 #include "store/mapped_file.h"
 #include "store/snapshot_format.h"
@@ -108,11 +107,6 @@ StatusOr<Parsed> Parse(std::span<const std::byte> bytes, const std::string& path
   std::memcpy(&parsed.header, bytes.data(), sizeof(FileHeader));
   const FileHeader& header = parsed.header;
   if (std::memcmp(header.magic, kSnapshotMagic, sizeof(header.magic)) != 0) {
-    if (std::memcmp(header.magic, "ASMG", 4) == 0) {
-      return Bad(path,
-                 "file header: this is an ASMG v1 graph file, not an ASMS snapshot; "
-                 "convert it first (asm_tool --convert-asmg)");
-    }
     return Bad(path, "file header: bad magic (not an ASMS snapshot)");
   }
   if (header.version != kSnapshotVersion) {
@@ -469,19 +463,11 @@ Status VerifySnapshotFile(const std::string& path) {
   return Parse(file.bytes(), path, SnapshotVerify::kChecksums).status();
 }
 
-Status ConvertAsmgV1(const std::string& asmg_path, const std::string& asms_path,
-                     const std::string& name, WeightScheme scheme,
-                     const SnapshotWriteOptions& options) {
-  ASM_ASSIGN_OR_RETURN(const DirectedGraph graph, LoadGraphBinary(asmg_path));
-  return WriteSnapshot(graph, name, scheme, /*collections=*/{}, asms_path, options);
-}
-
 std::string SnapshotStore::PathFor(const std::string& name) const {
   return directory_ + "/" + name + ".asms";
 }
 
-StatusOr<GraphSnapshot> SnapshotStore::Load(const std::string& name,
-                                            SnapshotVerify verify) const {
+StatusOr<GraphSnapshot> SnapshotStore::Load(const std::string& name) const {
   if (!PathSafeName(name)) {
     return Status::InvalidArgument("snapshot name '" + name + "' is not path-safe");
   }
@@ -489,7 +475,7 @@ StatusOr<GraphSnapshot> SnapshotStore::Load(const std::string& name,
   if (!std::filesystem::exists(PathFor(name), ec)) {
     return Status::NotFound("no snapshot named '" + name + "' in '" + directory_ + "'");
   }
-  return OpenSnapshot(PathFor(name), verify);
+  return OpenSnapshot(PathFor(name));
 }
 
 Status SnapshotStore::Save(const DirectedGraph& graph, const std::string& name,

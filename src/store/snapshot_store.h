@@ -71,8 +71,7 @@ struct GraphSnapshot {
 };
 
 /// Maps `path` and validates it at the requested tier. InvalidArgument for
-/// format violations (message names the offending section; an ASMG v1 file
-/// is recognized and redirected to the conversion path), IOError for
+/// format violations (message names the offending section), IOError for
 /// filesystem failures.
 StatusOr<GraphSnapshot> OpenSnapshot(const std::string& path,
                                      SnapshotVerify verify = SnapshotVerify::kStructural);
@@ -82,14 +81,6 @@ StatusOr<GraphSnapshot> OpenSnapshot(const std::string& path,
 /// kChecksums) would succeed.
 Status VerifySnapshotFile(const std::string& path);
 
-/// Satellite path for legacy files: loads an ASMG v1 graph (forward CSR
-/// only; reverse derived by counting sort) and rewrites it as an ASMS
-/// snapshot at `asms_path` under `name`. The scheme is recorded in the
-/// snapshot's metadata (ASMG files do not carry one).
-Status ConvertAsmgV1(const std::string& asmg_path, const std::string& asms_path,
-                     const std::string& name, WeightScheme scheme,
-                     const SnapshotWriteOptions& options = {});
-
 /// A directory of snapshots, one file per graph name (`<dir>/<name>.asms`).
 /// Thin naming convention over WriteSnapshot/OpenSnapshot — the unit the
 /// serving layer points --snapshot-dir at.
@@ -97,14 +88,13 @@ class SnapshotStore {
  public:
   explicit SnapshotStore(std::string directory) : directory_(std::move(directory)) {}
 
-  const std::string& directory() const { return directory_; }
-
   /// `<dir>/<name>.asms`. Names must be non-empty and path-safe
   /// ([A-Za-z0-9._-]); Save/Load reject anything else.
   std::string PathFor(const std::string& name) const;
 
-  StatusOr<GraphSnapshot> Load(const std::string& name,
-                               SnapshotVerify verify = SnapshotVerify::kStructural) const;
+  /// OpenSnapshot of `<dir>/<name>.asms` at the structural tier; NotFound
+  /// when the directory holds no such file.
+  StatusOr<GraphSnapshot> Load(const std::string& name) const;
 
   /// Writes `<dir>/<name>.asms` (creating the directory if needed),
   /// overwriting atomically via rename.

@@ -1,8 +1,7 @@
 // Tests for the dynamic-graph delta subsystem (src/delta/): batch
 // validation and both serializations, the ApplyDelta digest-identity
-// contract against the from-scratch GraphBuilder rebuild, epoch minting
-// through the catalog (SwapWithDelta) under live traffic, and the
-// incremental snapshot store (`<name>.delta.asms`).
+// contract against the from-scratch GraphBuilder rebuild, and epoch
+// minting through the catalog (SwapWithDelta) under live traffic.
 
 #include <gtest/gtest.h>
 
@@ -24,8 +23,6 @@
 #include "delta/edge_delta.h"
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
-#include "store/delta_store.h"
-#include "store/snapshot_store.h"
 #include "util/crc32.h"
 #include "util/rng.h"
 
@@ -90,6 +87,13 @@ DeltaOp FindAbsentPair(const DirectedGraph& graph, double probability, size_t sk
 
 std::string TempPath(const std::string& leaf) {
   return (std::filesystem::temp_directory_path() / leaf).string();
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
 }
 
 // Solve fingerprint for bit-identity assertions across engines.
@@ -181,13 +185,29 @@ TEST(DeltaIoTest, BinaryRoundTripsAndSniffs) {
   delta.ops.push_back({DeltaOpKind::kDelete, 6, 5, 0.0});
 
   const std::string path = TempPath("delta_io_roundtrip.asmd");
-  ASSERT_TRUE(WriteDeltaBinary(delta, path, /*base_store_digest=*/99).ok());
-
-  uint64_t store_digest = 0;
-  const auto read = ReadDeltaBinary(path, &store_digest);
+  ASSERT_TRUE(WriteDeltaBinary(delta, path).ok());
+  const auto read = ReadDeltaBinary(path);
   ASSERT_TRUE(read.ok()) << read.status().ToString();
   EXPECT_EQ(*read, delta);
-  EXPECT_EQ(store_digest, 99u);
+
+  // The header's store-digest field is written as 0 and ignored on read:
+  // the same file carrying 99 there, header CRC resealed, reads back the
+  // same delta.
+  std::string bytes = ReadFileBytes(path);
+  DeltaFileHeader header;
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  EXPECT_EQ(header.base_store_digest, 0u);
+  header.base_store_digest = 99;
+  header.header_crc = 0;
+  header.header_crc = Crc32(&header, sizeof(header));
+  std::memcpy(bytes.data(), &header, sizeof(header));
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  const auto stamped = ReadDeltaBinary(path);
+  ASSERT_TRUE(stamped.ok()) << stamped.status().ToString();
+  EXPECT_EQ(*stamped, delta);
 
   // LoadDeltaFile dispatches on the magic: binary here, text below.
   const auto sniffed = LoadDeltaFile(path);
@@ -213,13 +233,7 @@ TEST(DeltaIoTest, CorruptBinaryIsRejected) {
   const std::string path = TempPath("delta_io_corrupt.asmd");
   ASSERT_TRUE(WriteDeltaBinary(delta, path).ok());
 
-  std::string bytes;
-  {
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    bytes = buffer.str();
-  }
+  const std::string bytes = ReadFileBytes(path);
   auto write_variant = [&](const std::string& mutated) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(mutated.data(), static_cast<std::streamsize>(mutated.size()));
@@ -416,22 +430,38 @@ TEST(ChurnTest, RandomDeltasAreDeterministicInTheSeed) {
 
 // --- Serving on minted epochs -----------------------------------------------
 
-// The acceptance pin: results computed on a delta-minted graph are
-// bit-identical to results on a from-scratch rebuild of the mutated edge
-// list, at pool sizes 1 and 4.
+// The acceptance pin: a chain of delta-minted epochs is bit-identical to
+// the chain of from-scratch rebuilds of the mutated edge lists, and results
+// on the last minted epoch equal results on the last rebuild, at pool sizes
+// 1 and 4. The middle batch is reweight-only, so the last one applies over
+// structure arrays that epoch shares with its base by span.
 TEST(DeltaServingTest, MintedEpochServesBitIdenticalToRebuild) {
-  const DirectedGraph base = TestGraph(503, 200);
-  Rng rng(21);
-  const auto delta = MakeRandomDelta(base, ChurnSpec{}, rng);
-  ASSERT_TRUE(delta.ok());
-  auto minted = ApplyDelta(base, *delta);
-  ASSERT_TRUE(minted.ok());
-  auto rebuilt = ApplyDeltaByRebuild(base, *delta);
-  ASSERT_TRUE(rebuilt.ok());
-
   GraphCatalog catalog;
-  ASSERT_TRUE(catalog.Register("minted", std::move(minted).value()).ok());
-  ASSERT_TRUE(catalog.Register("rebuilt", std::move(rebuilt).value()).ok());
+  ASSERT_TRUE(catalog.Register("minted", TestGraph(503, 200)).ok());
+  DirectedGraph rebuilt = TestGraph(503, 200);
+  ChurnSpec reweight_only;
+  reweight_only.inserts = 0;
+  reweight_only.deletes = 0;
+  Rng rng(21);
+  for (const ChurnSpec& spec : {ChurnSpec{}, reweight_only, ChurnSpec{}}) {
+    const auto current = catalog.Get("minted");
+    ASSERT_TRUE(current.ok());
+    const auto delta = MakeRandomDelta(current->graph(), spec, rng);
+    ASSERT_TRUE(delta.ok());
+    const auto swapped = SwapWithDelta(catalog, "minted", *delta);
+    ASSERT_TRUE(swapped.ok()) << swapped.status().ToString();
+    EXPECT_EQ(swapped->stats.shared_structure, spec.inserts + spec.deletes == 0);
+    EXPECT_GT(swapped->apply_seconds, 0.0);
+    EXPECT_GT(swapped->swap_seconds, 0.0);
+    auto next = ApplyDeltaByRebuild(rebuilt, *delta);
+    ASSERT_TRUE(next.ok()) << next.status().ToString();
+    rebuilt = std::move(next).value();
+  }
+  const auto minted = catalog.Get("minted");
+  ASSERT_TRUE(minted.ok());
+  EXPECT_EQ(minted->epoch(), 4u);
+  ExpectGraphsBitIdentical(minted->graph(), rebuilt);
+  ASSERT_TRUE(catalog.Register("rebuilt", std::move(rebuilt)).ok());
 
   for (size_t pool : {size_t{1}, size_t{4}}) {
     SeedMinEngine::ServingOptions options;
@@ -513,76 +543,6 @@ TEST(DeltaServingTest, SwapWithDeltaPinsInflightRequestsToOldEpoch) {
   const auto on_rebuilt = engine.Solve(request);
   ASSERT_TRUE(on_rebuilt.ok());
   EXPECT_EQ(ResultFingerprint(*fresh), ResultFingerprint(*on_rebuilt));
-}
-
-// --- Incremental snapshots --------------------------------------------------
-
-class DeltaStoreTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    directory_ = TempPath("asti_delta_store_test");
-    std::filesystem::remove_all(directory_);
-  }
-  void TearDown() override { std::filesystem::remove_all(directory_); }
-
-  std::string directory_;
-};
-
-TEST_F(DeltaStoreTest, StagedDeltaRoundTripsAndMintsVerifiedEpoch) {
-  const DirectedGraph base = TestGraph(506);
-  store::SnapshotStore snapshots(directory_);
-  ASSERT_TRUE(snapshots.Save(base, "tenant", WeightScheme::kWeightedCascade).ok());
-  EXPECT_FALSE(store::HasDelta(snapshots, "tenant"));
-
-  Rng rng(91);
-  auto delta = MakeRandomDelta(base, ChurnSpec{.stamp_digests = false}, rng);
-  ASSERT_TRUE(delta.ok());
-  ASSERT_TRUE(store::SaveDelta(snapshots, "tenant", *delta).ok());
-  EXPECT_TRUE(store::HasDelta(snapshots, "tenant"));
-
-  const auto loaded = store::LoadSnapshotWithDelta(snapshots, "tenant");
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  // The loaded base is byte-equal to what was saved and the minted epoch
-  // is digest-identical to a from-scratch rebuild of the mutated list.
-  ExpectGraphsBitIdentical(loaded->base.graph, base);
-  const auto rebuilt = ApplyDeltaByRebuild(base, loaded->delta);
-  ASSERT_TRUE(rebuilt.ok());
-  ExpectGraphsBitIdentical(loaded->minted, *rebuilt);
-  EXPECT_EQ(loaded->minted_digest, ForwardCsrDigest(*rebuilt));
-  EXPECT_GT(loaded->stats.inserted + loaded->stats.deleted + loaded->stats.reweighted,
-            0u);
-
-  ASSERT_TRUE(store::DropDelta(snapshots, "tenant").ok());
-  EXPECT_FALSE(store::HasDelta(snapshots, "tenant"));
-  EXPECT_EQ(store::LoadSnapshotWithDelta(snapshots, "tenant").status().code(),
-            StatusCode::kNotFound);
-}
-
-TEST_F(DeltaStoreTest, ReplacedBaseSnapshotInvalidatesStagedDelta) {
-  const DirectedGraph base = TestGraph(507);
-  store::SnapshotStore snapshots(directory_);
-  ASSERT_TRUE(snapshots.Save(base, "tenant", WeightScheme::kWeightedCascade).ok());
-
-  Rng rng(92);
-  auto delta = MakeRandomDelta(base, ChurnSpec{}, rng);
-  ASSERT_TRUE(delta.ok());
-  ASSERT_TRUE(store::SaveDelta(snapshots, "tenant", *delta).ok());
-
-  // Replace `<name>.asms` under the staged delta: the O(1) store-digest
-  // binding refuses before ApplyDelta ever runs.
-  ASSERT_TRUE(
-      snapshots.Save(TestGraph(508), "tenant", WeightScheme::kWeightedCascade).ok());
-  const auto stale = store::LoadSnapshotWithDelta(snapshots, "tenant");
-  ASSERT_FALSE(stale.ok());
-  EXPECT_EQ(stale.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST_F(DeltaStoreTest, MissingBaseIsNotFound) {
-  store::SnapshotStore snapshots(directory_);
-  EdgeDelta delta;
-  EXPECT_EQ(store::SaveDelta(snapshots, "ghost", delta).code(), StatusCode::kNotFound);
-  EXPECT_EQ(store::LoadSnapshotWithDelta(snapshots, "ghost").status().code(),
-            StatusCode::kNotFound);
 }
 
 }  // namespace

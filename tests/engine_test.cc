@@ -477,11 +477,17 @@ TEST_F(EngineTest, InterleavingAnotherGraphLeavesResultsIdentical) {
       EXPECT_EQ(beta->graph_name, "beta");
     }
 
-    // Both tenants show up in the per-graph serving stats, fully drained.
+    // Both tenants show up in the per-graph serving stats, fully drained,
+    // and each one's queue waits were recorded under its own graph label.
     const SeedMinEngine::EngineStats stats = engine.admission_stats();
     ASSERT_EQ(stats.graphs.size(), 2u);
     EXPECT_EQ(stats.graphs[0].name, "alpha");
     EXPECT_EQ(stats.graphs[1].name, "beta");
+    const MetricsSnapshot snapshot = engine.metrics_snapshot();
+    EXPECT_EQ(snapshot.MergedHistogram("asti_queue_wait_seconds", "graph", "alpha").Count(),
+              alpha_requests.size());
+    EXPECT_EQ(snapshot.MergedHistogram("asti_queue_wait_seconds", "graph", "beta").Count(),
+              beta_requests.size());
   }
 }
 
@@ -604,7 +610,10 @@ TEST_F(EngineTest, PerGraphCountersSurviveHotSwap) {
 // Admission-rework pin: requests served through the bounded queue and the
 // fixed driver pool — strictly serialized (one driver) or racing (three
 // drivers) over a deliberately tiny queue, so blocking admission really
-// engages — stay bit-identical to solo Solve runs at every pool size.
+// engages — stay bit-identical to solo Solve runs at every pool size. The
+// same burst through rejecting admission (SubmitAsync, block_when_full =
+// false) may be partly refused; every request it admits still equals its
+// solo run, and the queue counts exactly the refusals clients saw.
 TEST_F(EngineTest, QueuedAndRacingDriversMatchSoloAtEveryPoolSize) {
   const std::vector<SolveRequest> requests = MixedRequests("alpha");
   for (size_t threads : {1u, 2u, 4u, 8u}) {
@@ -636,6 +645,27 @@ TEST_F(EngineTest, QueuedAndRacingDriversMatchSoloAtEveryPoolSize) {
       ASSERT_EQ(stats.graphs.size(), 1u);   // one tenant served
       EXPECT_EQ(stats.graphs[0].name, "alpha");
       EXPECT_EQ(stats.graphs[0].epoch, 1u);
+
+      SeedMinEngine rejecting(catalog_, options);
+      std::vector<std::future<StatusOr<SolveResult>>> futures;
+      for (const SolveRequest& request : requests) {
+        futures.push_back(rejecting.SubmitAsync(request));
+      }
+      size_t refused = 0;
+      for (size_t i = 0; i < futures.size(); ++i) {
+        const auto result = futures[i].get();
+        if (!result.ok()) {
+          EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)
+              << "threads=" << threads << " drivers=" << drivers << " request=" << i;
+          ++refused;
+          continue;
+        }
+        EXPECT_EQ(Fingerprint(*result), solo[i])
+            << "threads=" << threads << " drivers=" << drivers << " request=" << i;
+      }
+      const SeedMinEngine::EngineStats rejecting_stats = rejecting.admission_stats();
+      EXPECT_EQ(rejecting_stats.queue.rejected, refused);
+      EXPECT_EQ(rejecting_stats.queue.accepted + refused, requests.size());
     }
   }
 }
@@ -713,9 +743,13 @@ TEST_F(EngineTest, MetricsSnapshotAggregatesServedRequests) {
   ASSERT_FALSE(engine.Solve(failing).ok());
 
   const MetricsSnapshot snapshot = engine.metrics_snapshot();
-  // Every served request landed in the latency histogram, once.
-  EXPECT_EQ(snapshot.MergedHistogram("asti_request_latency_seconds").Count(),
-            requests.size());
+  // Every served request landed in the latency histogram, once, and its
+  // quantiles are populated and ordered.
+  const HistogramData latency = snapshot.MergedHistogram("asti_request_latency_seconds");
+  EXPECT_EQ(latency.Count(), requests.size());
+  EXPECT_GT(latency.Quantile(0.50), 0u);
+  EXPECT_LE(latency.Quantile(0.50), latency.Quantile(0.99));
+  EXPECT_LE(latency.Quantile(0.99), latency.Quantile(0.999));
   EXPECT_EQ(snapshot.MergedHistogram("asti_queue_wait_seconds").Count(),
             requests.size());
   // Requests-total with outcome=OK sums to the served count across

@@ -226,9 +226,9 @@ TEST(GraphTest, UniformInProbabilityIsDerivedPerNode) {
   EXPECT_GT(mixed, 0u);
 }
 
-// ASMD headers and staged <name>.delta.asms files persist this digest and
-// ApplyDelta refuses a batch whose base_digest differs, so its value is a
-// persisted format: these literals must never change.
+// ASMD headers persist this digest and ApplyDelta refuses a batch whose
+// base_digest differs, so its value is a persisted format: these literals
+// must never change.
 TEST(GraphTest, ForwardCsrDigestIsPinned) {
   EXPECT_EQ(ForwardCsrDigest(SmallDiamond()), 0xf292a05114022d50ULL);
   GraphBuilder empty(3);

@@ -1,6 +1,6 @@
 // Tests for the observability subsystem (src/obs/): the fixed histogram
 // bucket grid, merge/quantile determinism, concurrent recorders, the
-// metrics registry, phase spans, and the exporters.
+// metrics registry, phase spans, and the Prometheus exporter.
 
 #include <gtest/gtest.h>
 
@@ -248,20 +248,6 @@ TEST(ExportTest, PrometheusTextShape) {
   ASSERT_NE(first, std::string::npos);
   EXPECT_EQ(two.find("# TYPE asti_requests_total counter", first + 1),
             std::string::npos);
-}
-
-TEST(ExportTest, JsonShape) {
-  MetricsRegistry registry;
-  registry.GetCounter("c", {{"k", "v"}}).Add(7);
-  registry.GetHistogram("h", {}, 1.0).Record(5);
-  const std::string json = ExportMetricsJson(registry.Snapshot());
-  EXPECT_NE(json.find("\"counters\""), std::string::npos);
-  EXPECT_NE(json.find("\"gauges\""), std::string::npos);
-  EXPECT_NE(json.find("\"histograms\""), std::string::npos);
-  EXPECT_NE(json.find("\"value\": 7"), std::string::npos);
-  EXPECT_NE(json.find("\"count\": 1"), std::string::npos);
-  EXPECT_NE(json.find("\"p50\""), std::string::npos);
-  EXPECT_NE(json.find("\"p999\""), std::string::npos);
 }
 
 }  // namespace

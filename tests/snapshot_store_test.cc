@@ -1,18 +1,22 @@
 // Tests for src/store/ (ASMS snapshots): round trip through the writer and
-// the mmap loader, the omit-reverse rebuild, legacy ASMG conversion, the
-// SnapshotStore directory convention, corruption attribution (every broken
-// file yields a Status naming the offending section — never UB), sealed
-// RR-collection persistence with bit-identical warm-start adoption, and
-// mapping lifetime: views and catalog pins keep the file resident through
-// unlink, snapshot destruction, and retire-mid-solve.
+// the mmap loader, the omit-reverse rebuild, the SnapshotStore directory
+// convention, registration cost against an edge-list load, corruption
+// attribution (every broken file yields a Status naming the offending
+// section — never UB), sealed RR-collection persistence with bit-identical
+// warm-start adoption, and mapping lifetime: views and catalog pins keep
+// the file resident through unlink, snapshot destruction, and
+// retire-mid-solve.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -21,7 +25,7 @@
 #include "api/graph_catalog.h"
 #include "api/seedmin_engine.h"
 #include "api/snapshot_serving.h"
-#include "graph/binary_io.h"
+#include "graph/edge_list_io.h"
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
 #include "sampling/sampler_cache.h"
@@ -29,6 +33,7 @@
 #include "store/snapshot_store.h"
 #include "store/snapshot_writer.h"
 #include "util/crc32.h"
+#include "util/timer.h"
 
 namespace asti {
 namespace {
@@ -192,31 +197,6 @@ TEST(SnapshotStoreTest, EmptyGraphRoundTrips) {
   std::filesystem::remove(path);
 }
 
-TEST(SnapshotStoreTest, ConvertAsmgV1MatchesOriginal) {
-  const DirectedGraph graph = MakeTestGraph(413);
-  const std::string asmg_path = TempPath("legacy.asmg");
-  const std::string asms_path = TempPath("converted.asms");
-  ASSERT_TRUE(SaveGraphBinary(graph, asmg_path).ok());
-
-  // Opening the legacy file as a snapshot is refused with a redirect to the
-  // conversion path, not a generic bad-magic error.
-  auto as_snapshot = store::OpenSnapshot(asmg_path);
-  ASSERT_FALSE(as_snapshot.ok());
-  EXPECT_EQ(as_snapshot.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(as_snapshot.status().ToString().find("convert"), std::string::npos)
-      << as_snapshot.status().ToString();
-
-  ASSERT_TRUE(store::ConvertAsmgV1(asmg_path, asms_path, "legacy",
-                                   WeightScheme::kWeightedCascade)
-                  .ok());
-  auto converted = store::OpenSnapshot(asms_path);
-  ASSERT_TRUE(converted.ok()) << converted.status().ToString();
-  EXPECT_EQ(converted->name, "legacy");
-  ExpectSameAdjacency(graph, converted->graph);
-  std::filesystem::remove(asmg_path);
-  std::filesystem::remove(asms_path);
-}
-
 TEST(SnapshotStoreTest, DirectoryStoreSaveLoadList) {
   const std::string dir = TempPath("snapdir");
   std::filesystem::remove_all(dir);
@@ -243,6 +223,59 @@ TEST(SnapshotStoreTest, DirectoryStoreSaveLoadList) {
   std::filesystem::remove_all(dir);
 }
 
+// --- Registration cost ------------------------------------------------------
+
+// A snapshot exists so that serving a graph after a restart skips parsing
+// and building it. Registering the mapped file must therefore cost no more
+// than the alternative it replaces: loading the same graph from a text edge
+// list and building it (LoadEdgeList + BuildGraphFromEdgeList + Register).
+// Chung–Lu, weighted cascade, n = 400 and m = 2,400; minimum of 5 runs per
+// side, the two sides interleaved.
+TEST(SnapshotStoreTest, MmapRegistrationBeatsEdgeListLoad) {
+  Rng rng(419);
+  const auto graph = BuildWeightedGraph(MakeChungLu(400, 2400, 2.1, rng),
+                                        WeightScheme::kWeightedCascade);
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  const std::string text_path = TempPath("register.txt");
+  const std::string asms_path = TempPath("register.asms");
+  ASSERT_TRUE(SaveEdgeList(*graph, text_path).ok());
+  ASSERT_TRUE(store::WriteSnapshot(*graph, "g", WeightScheme::kWeightedCascade, {},
+                                   asms_path)
+                  .ok());
+
+  double parse_seconds = std::numeric_limits<double>::infinity();
+  double mmap_seconds = std::numeric_limits<double>::infinity();
+  for (int run = 0; run < 5; ++run) {
+    {
+      GraphCatalog catalog;
+      const WallTimer timer;
+      auto file = LoadEdgeList(text_path);
+      ASSERT_TRUE(file.ok()) << file.status().ToString();
+      auto built = BuildGraphFromEdgeList(*file);
+      ASSERT_TRUE(built.ok()) << built.status().ToString();
+      const auto registered = catalog.Register("g", std::move(built).value());
+      ASSERT_TRUE(registered.ok()) << registered.status().ToString();
+      parse_seconds = std::min(parse_seconds, timer.Seconds());
+      EXPECT_EQ(registered->num_edges(), graph->NumEdges());
+    }
+    {
+      GraphCatalog catalog;
+      const WallTimer timer;
+      const auto registered = RegisterSnapshotFile(catalog, asms_path);
+      ASSERT_TRUE(registered.ok()) << registered.status().ToString();
+      mmap_seconds = std::min(mmap_seconds, timer.Seconds());
+      EXPECT_EQ(registered->num_edges(), graph->NumEdges());
+    }
+  }
+  ASSERT_GT(mmap_seconds, 0.0);
+  const double ratio = parse_seconds / mmap_seconds;
+  std::cout << "edge-list load " << parse_seconds * 1e6 << " us vs mmap registration "
+            << mmap_seconds * 1e6 << " us: " << ratio << "x\n";
+  EXPECT_GE(ratio, 1.0);
+  std::filesystem::remove(text_path);
+  std::filesystem::remove(asms_path);
+}
+
 // --- Corruption: every broken file is a Status, never UB --------------------
 
 TEST(SnapshotCorruptionTest, TruncatedFileIsRejected) {
@@ -250,12 +283,23 @@ TEST(SnapshotCorruptionTest, TruncatedFileIsRejected) {
   const std::string path = TempPath("truncated.asms");
   ASSERT_TRUE(
       store::WriteSnapshot(graph, "t", WeightScheme::kWeightedCascade, {}, path).ok());
-  FileSurgeon surgeon = FileSurgeon::Load(path);
+  const FileSurgeon pristine = FileSurgeon::Load(path);
+  FileSurgeon surgeon = pristine;
   surgeon.bytes.resize(surgeon.bytes.size() / 2);
   surgeon.Store();
   auto snapshot = store::OpenSnapshot(path);
   ASSERT_FALSE(snapshot.ok());
   EXPECT_EQ(snapshot.status().code(), StatusCode::kInvalidArgument);
+
+  // A file that is not an ASMS snapshot at all is refused by its magic.
+  surgeon = pristine;
+  surgeon.bytes[0] = 'X';
+  surgeon.Store();
+  snapshot = store::OpenSnapshot(path);
+  ASSERT_FALSE(snapshot.ok());
+  EXPECT_EQ(snapshot.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(snapshot.status().ToString().find("bad magic"), std::string::npos)
+      << snapshot.status().ToString();
   std::filesystem::remove(path);
 }
 
