@@ -21,7 +21,7 @@
 
 int main(int argc, char** argv) {
   using namespace asti;
-  const CommandLine cli(argc, argv);
+  const CommandLine cli(argc, argv, {"scale", "seed", "threads", "repeats"});
   const double scale = EnvDouble("ASM_BENCH_SCALE", cli.GetDouble("scale", 0.5));
   const uint64_t seed = static_cast<uint64_t>(cli.GetInt("seed", 7));
   const size_t num_threads = NumThreadsOverride(cli);

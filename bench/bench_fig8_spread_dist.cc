@@ -15,7 +15,7 @@
 
 int main(int argc, char** argv) {
   using namespace asti;
-  const CommandLine cli(argc, argv);
+  const CommandLine cli(argc, argv, {"scale", "realizations", "seed", "threads"});
   const double scale = EnvDouble("ASM_BENCH_SCALE", cli.GetDouble("scale", 1.0));
   const size_t realizations =
       EnvSize("ASM_BENCH_REALIZATIONS_FIG8",

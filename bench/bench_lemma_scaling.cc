@@ -23,7 +23,7 @@
 
 int main(int argc, char** argv) {
   using namespace asti;
-  const CommandLine cli(argc, argv);
+  const CommandLine cli(argc, argv, {"scale", "seed", "epsilon"});
   const double scale = EnvDouble("ASM_BENCH_SCALE", cli.GetDouble("scale", 0.5));
   const uint64_t seed = static_cast<uint64_t>(cli.GetInt("seed", 7));
   const double epsilon = cli.GetDouble("epsilon", 0.5);

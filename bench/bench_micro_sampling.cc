@@ -167,26 +167,39 @@ void BM_LazyGreedyMaxCoverage(benchmark::State& state) {
 }
 BENCHMARK(BM_LazyGreedyMaxCoverage)->Arg(1)->Arg(8)->Arg(64);
 
-void BM_IcRealizationSampling(benchmark::State& state) {
+Realization SampleWorld(const DirectedGraph& graph, DiffusionModel model, Rng& rng) {
+  return model == DiffusionModel::kIndependentCascade ? Realization::SampleIc(graph, rng)
+                                                      : Realization::SampleLt(graph, rng);
+}
+
+// One hidden world (arg = model: 0 IC, 1 LT), live-edge CSR build included.
+void BM_RealizationSampling(benchmark::State& state) {
   const DirectedGraph& graph = BenchGraph();
+  const DiffusionModel model = static_cast<DiffusionModel>(state.range(0));
   Rng rng(5);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(Realization::SampleIc(graph, rng));
+    benchmark::DoNotOptimize(SampleWorld(graph, model, rng));
   }
 }
-BENCHMARK(BM_IcRealizationSampling);
+BENCHMARK(BM_RealizationSampling)->Arg(0)->Arg(1);
 
+// Forward BFS from five seeds over one fixed world (arg = model); reads
+// only the activated nodes' live out-edges.
 void BM_ForwardPropagation(benchmark::State& state) {
   const DirectedGraph& graph = BenchGraph();
+  const DiffusionModel model = static_cast<DiffusionModel>(state.range(0));
   Rng rng(6);
-  const Realization realization = Realization::SampleIc(graph, rng);
+  const Realization realization = SampleWorld(graph, model, rng);
   ForwardSimulator simulator(graph);
   const std::vector<NodeId> seeds = {0, 1, 2, 3, 4};
+  size_t activated = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(simulator.Propagate(realization, seeds));
+    activated = simulator.Propagate(realization, seeds).size();
+    benchmark::DoNotOptimize(activated);
   }
+  state.counters["activated"] = static_cast<double>(activated);
 }
-BENCHMARK(BM_ForwardPropagation);
+BENCHMARK(BM_ForwardPropagation)->Arg(0)->Arg(1);
 
 // --- Shared-collection substrate ----------------------------------------
 

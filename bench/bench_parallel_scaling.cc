@@ -74,7 +74,8 @@ uint64_t SelectionChecksum(const MaxCoverageResult& result) {
 
 int main(int argc, char** argv) {
   using namespace asti;
-  const CommandLine cli(argc, argv);
+  const CommandLine cli(argc, argv,
+                        {"scale", "sets", "seed", "model", "threads", "coverage-sets", "budget"});
   const double scale = EnvDouble("ASM_BENCH_SCALE", cli.GetDouble("scale", 1.0));
   const size_t sets = EnvSize("ASM_BENCH_SETS",
                               static_cast<size_t>(cli.GetInt("sets", 20000)));

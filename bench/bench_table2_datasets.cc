@@ -15,7 +15,7 @@
 
 int main(int argc, char** argv) {
   using namespace asti;
-  const CommandLine cli(argc, argv);
+  const CommandLine cli(argc, argv, {"scale", "seed"});
   const double scale = EnvDouble("ASM_BENCH_SCALE", cli.GetDouble("scale", 1.0));
   const uint64_t seed = static_cast<uint64_t>(cli.GetInt("seed", 7));
 

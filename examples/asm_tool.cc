@@ -40,8 +40,9 @@
 // Snapshot persistence (src/store/, ASMS files):
 //   --snapshot-dir DIR     before building a surrogate, try DIR/<name>.asms
 //                          (mmap-registered, cache warm-started from any
-//                          persisted collection prefixes); also the default
-//                          destination for --save-snapshot.
+//                          persisted collection prefixes; a file whose n
+//                          differs from the n --scale builds is refused);
+//                          also the default destination for --save-snapshot.
 //   --save-snapshot [PATH] after the run, persist the served graph plus the
 //                          sealed sampler-cache prefixes it accumulated
 //                          (default PATH: DIR/<name>.asms).
@@ -99,11 +100,26 @@ StatusOr<std::string> PopulateCatalog(const CommandLine& cli, GraphCatalog& cata
   // A snapshot directory outranks rebuilding a surrogate: registering from
   // the mapped file costs page faults and carries the persisted sampler
   // cache, so repeat invocations skip both graph construction and the
-  // first request's sampling.
+  // first request's sampling. A built-in surrogate's snapshot must have the
+  // node count --scale builds, or the run would silently serve another
+  // scale. The --seed that shaped its edges is not in the file, so a
+  // snapshot saved under another --seed cannot be told apart this way.
   if (!catalog.Get(target).ok() && cli.Has("snapshot-dir")) {
     const store::SnapshotStore snapshots(cli.GetString("snapshot-dir", ""));
     auto loaded = snapshots.Load(target);
     if (loaded.ok()) {
+      if (auto id = DatasetIdFromName(target); id.ok()) {
+        ASM_ASSIGN_OR_RETURN(const NodeId built,
+                             SurrogateNodeCount(*id, cli.GetDouble("scale", 0.2)));
+        const NodeId stored = loaded->graph.NumNodes();
+        if (stored != built) {
+          return Status::InvalidArgument(
+              snapshots.PathFor(target) + " holds n=" + std::to_string(stored) +
+              ", but --scale " + cli.GetString("scale", "0.2") + " builds n=" +
+              std::to_string(built) + "; pass the --scale it was saved with, or "
+              "delete the file or choose another --snapshot-dir to rebuild");
+        }
+      }
       auto registered = catalog.Register(
           target, std::make_shared<const DirectedGraph>(std::move(loaded->graph)),
           loaded->weight_scheme, std::move(loaded->warm));
@@ -161,7 +177,13 @@ int ListGraphs() {
 }
 
 int Run(int argc, char** argv) {
-  const CommandLine cli(argc, argv);
+  const CommandLine cli(
+      argc, argv,
+      {"graph", "dataset", "graph-file", "scale", "eta", "eta-fraction", "model", "algorithm",
+       "epsilon", "threads", "runs", "realizations", "seed", "timeout", "no-cache",
+       "save-traces", "quiet", "metrics", "apply-delta", "snapshot-dir", "save-snapshot",
+       "load-snapshot", "snapshot-compact", "verify-snapshot", "list-algorithms",
+       "list-graphs"});
   if (cli.Has("list-algorithms")) return ListAlgorithms();
   if (cli.Has("list-graphs")) return ListGraphs();
   if (cli.Has("verify-snapshot")) {

@@ -8,9 +8,7 @@ namespace asti {
 AdaptIm::AdaptIm(const DirectedGraph& graph, DiffusionModel model, AdaptImOptions options)
     : graph_(&graph),
       model_(model),
-      options_(options),
-      parallel_sampler_(graph, model, options.pool, options.cancel, options.profile),
-      collection_(graph.NumNodes()) {
+      options_(options) {
   ASM_CHECK(options_.epsilon > 0.0 && options_.epsilon < 1.0);
 }
 
@@ -34,7 +32,12 @@ SelectionResult AdaptIm::SelectBatch(const ResidualView& view, Rng& rng) {
                           *view.inactive_nodes, n_d, options_.pool, options_.cancel,
                           options_.profile);
   }
-  return CertifyOnLadder(OwnedLadder(parallel_sampler_, collection_, *view.inactive_nodes,
+  if (!parallel_sampler_) {
+    parallel_sampler_.emplace(*graph_, model_, options_.pool, options_.cancel,
+                              options_.profile);
+    collection_.emplace(graph_->NumNodes());
+  }
+  return CertifyOnLadder(OwnedLadder(*parallel_sampler_, *collection_, *view.inactive_nodes,
                                      view.active, /*root_size=*/nullptr, rng),
                          schedule, *view.inactive_nodes, n_d, options_.pool,
                          options_.cancel, options_.profile);

@@ -12,6 +12,8 @@
 
 #pragma once
 
+#include <optional>
+
 #include "core/selector.h"
 #include "diffusion/model.h"
 #include "graph/graph.h"
@@ -51,8 +53,10 @@ class AdaptIm : public RoundSelector {
   const DirectedGraph* graph_;
   DiffusionModel model_;
   AdaptImOptions options_;
-  ParallelRrSampler parallel_sampler_;
-  RrCollection collection_;
+  // Owned-ladder scratch, built by the first round that samples (see
+  // Trim's).
+  std::optional<ParallelRrSampler> parallel_sampler_;
+  std::optional<RrCollection> collection_;
 };
 
 }  // namespace asti

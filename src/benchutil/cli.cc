@@ -1,15 +1,20 @@
 #include "benchutil/cli.h"
 
+#include <algorithm>
 #include <cstdlib>
+#include <iostream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "api/request.h"
 #include "util/check.h"
 
 namespace asti {
 
-CommandLine::CommandLine(int argc, const char* const* argv) {
+CommandLine::CommandLine(int argc, const char* const* argv,
+                         std::vector<std::string> accepted)
+    : accepted_(std::move(accepted)) {
   for (int i = 1; i < argc; ++i) {
     const std::string token = argv[i];
     if (token.rfind("--", 0) != 0) continue;
@@ -23,31 +28,45 @@ CommandLine::CommandLine(int argc, const char* const* argv) {
       values_.insert_or_assign(body, std::string("1"));
     }
   }
+  for (const auto& [key, value] : values_) {
+    if (std::find(accepted_.begin(), accepted_.end(), key) != accepted_.end()) continue;
+    std::cerr << "unknown flag --" << key << "; accepted:";
+    for (const std::string& flag : accepted_) std::cerr << " --" << flag;
+    std::cerr << "\n";
+    std::exit(2);
+  }
 }
 
-bool CommandLine::Has(const std::string& key) const { return values_.count(key) > 0; }
+const std::string* CommandLine::Find(const std::string& key) const {
+  ASM_CHECK(std::find(accepted_.begin(), accepted_.end(), key) != accepted_.end())
+      << "flag --" << key << " is read but not in the binary's accepted list";
+  const auto it = values_.find(key);
+  return it == values_.end() ? nullptr : &it->second;
+}
+
+bool CommandLine::Has(const std::string& key) const { return Find(key) != nullptr; }
 
 std::string CommandLine::GetString(const std::string& key,
                                    const std::string& fallback) const {
-  const auto it = values_.find(key);
-  return it == values_.end() ? fallback : it->second;
+  const std::string* value = Find(key);
+  return value == nullptr ? fallback : *value;
 }
 
 double CommandLine::GetDouble(const std::string& key, double fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
+  const std::string* value = Find(key);
+  if (value == nullptr) return fallback;
   try {
-    return std::stod(it->second);
+    return std::stod(*value);
   } catch (...) {
     return fallback;
   }
 }
 
 int64_t CommandLine::GetInt(const std::string& key, int64_t fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
+  const std::string* value = Find(key);
+  if (value == nullptr) return fallback;
   try {
-    return std::stoll(it->second);
+    return std::stoll(*value);
   } catch (...) {
     return fallback;
   }

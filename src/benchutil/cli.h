@@ -16,9 +16,14 @@ namespace asti {
 struct SolveRequest;  // api/request.h; full include only in cli.cc
 
 /// Parsed --key=value / --key value / --flag command-line options.
+/// `accepted` names every flag the binary reads (without the dashes). A
+/// flag outside it prints its name and the accepted list to stderr and
+/// exits with status 2, so a misspelt or unsupported option never runs a
+/// default configuration; reading a key outside it is a programming error
+/// (ASM_CHECK).
 class CommandLine {
  public:
-  CommandLine(int argc, const char* const* argv);
+  CommandLine(int argc, const char* const* argv, std::vector<std::string> accepted);
 
   bool Has(const std::string& key) const;
   std::string GetString(const std::string& key, const std::string& fallback) const;
@@ -26,6 +31,10 @@ class CommandLine {
   int64_t GetInt(const std::string& key, int64_t fallback) const;
 
  private:
+  // The parsed value of an accepted `key`, or null when it was not given.
+  const std::string* Find(const std::string& key) const;
+
+  std::vector<std::string> accepted_;
   std::map<std::string, std::string> values_;
 };
 

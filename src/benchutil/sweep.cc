@@ -53,7 +53,7 @@ std::vector<SweepCell> RunEvaluationSweep(
 }
 
 void ApplyStandardOverrides(int argc, const char* const* argv, SweepOptions& options) {
-  const CommandLine cli(argc, argv);
+  const CommandLine cli(argc, argv, {"scale", "threads", "epsilon", "seed", "realizations"});
   options.scale = EnvDouble("ASM_BENCH_SCALE", cli.GetDouble("scale", options.scale));
   ApplyRequestOverrides(cli, options.base);
   options.num_threads = NumThreadsOverride(cli, options.num_threads);

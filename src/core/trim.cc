@@ -120,8 +120,6 @@ Trim::Trim(const DirectedGraph& graph, DiffusionModel model, TrimOptions options
     : graph_(&graph),
       model_(model),
       options_(options),
-      parallel_sampler_(graph, model, options.pool, options.cancel, options.profile),
-      collection_(graph.NumNodes()),
       name_(options.batch_size == 1 ? "ASTI"
                                     : "ASTI-" + std::to_string(options.batch_size)) {
   ASM_CHECK(options_.epsilon > 0.0 && options_.epsilon < 1.0);
@@ -149,8 +147,13 @@ SelectionResult Trim::SelectBatch(const ResidualView& view, Rng& rng) {
                           *view.inactive_nodes, gain_scale, options_.pool, options_.cancel,
                           options_.profile);
   }
+  if (!parallel_sampler_) {
+    parallel_sampler_.emplace(*graph_, model_, options_.pool, options_.cancel,
+                              options_.profile);
+    collection_.emplace(graph_->NumNodes());
+  }
   const RootSizeSampler root_size(ni, eta_i, options_.rounding);
-  return CertifyOnLadder(OwnedLadder(parallel_sampler_, collection_, *view.inactive_nodes,
+  return CertifyOnLadder(OwnedLadder(*parallel_sampler_, *collection_, *view.inactive_nodes,
                                      view.active, &root_size, rng),
                          schedule, *view.inactive_nodes, gain_scale, options_.pool,
                          options_.cancel, options_.profile);

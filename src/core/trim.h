@@ -11,6 +11,7 @@
 
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -73,8 +74,11 @@ class Trim : public RoundSelector {
   const DirectedGraph* graph_;
   DiffusionModel model_;
   TrimOptions options_;
-  ParallelRrSampler parallel_sampler_;
-  RrCollection collection_;
+  // Owned-ladder scratch (visited sets per pool slot, n coverage
+  // counters), built by the first round that samples into it: a request
+  // whose round 1 is served from the cache and reaches η never pays for it.
+  std::optional<ParallelRrSampler> parallel_sampler_;
+  std::optional<RrCollection> collection_;
   std::string name_;
 };
 

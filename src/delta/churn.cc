@@ -88,9 +88,7 @@ StatusOr<EdgeDelta> MakeRandomDelta(const DirectedGraph& graph, const ChurnSpec&
     ++inserted;
   }
 
-  if (spec.stamp_digests) {
-    ASM_RETURN_NOT_OK(StampDigests(graph, delta));
-  }
+  ASM_RETURN_NOT_OK(StampDigests(graph, delta));
   return delta;
 }
 

@@ -21,13 +21,13 @@ struct ChurnSpec {
   size_t inserts = 8;
   size_t deletes = 8;
   size_t reweights = 8;
-  /// Stamp base_digest/result_digest (binds the batch to this epoch).
-  bool stamp_digests = true;
 };
 
 /// A valid batch against `graph`: deletes and reweights pick distinct
 /// existing edges, inserts pick currently-absent non-self-loop pairs, no
-/// two ops share an edge. InvalidArgument only for graphs with < 2 nodes.
+/// two ops share an edge. The batch carries base_digest and result_digest
+/// (StampDigests), binding it to this epoch. InvalidArgument only for
+/// graphs with < 2 nodes.
 StatusOr<EdgeDelta> MakeRandomDelta(const DirectedGraph& graph, const ChurnSpec& spec,
                                     Rng& rng);
 

@@ -8,34 +8,20 @@ std::vector<NodeId> ForwardSimulator::Run(const Realization& realization,
                                           const BitVector* active) {
   ASM_CHECK(&realization.graph() == graph_) << "realization belongs to another graph";
   visited_.Reset();
+  // The activation list is the BFS queue: it grows while `head` walks it.
   std::vector<NodeId> activated;
-  frontier_.clear();
+  const auto reach = [&](NodeId v) {
+    if constexpr (kResidual) {
+      if (active->Get(v)) return;
+    }
+    if (visited_.MarkVisited(v)) activated.push_back(v);
+  };
   for (NodeId s : seeds) {
     ASM_DCHECK(s < graph_->NumNodes());
-    if constexpr (kResidual) {
-      if (active->Get(s)) continue;
-    }
-    if (visited_.MarkVisited(s)) {
-      activated.push_back(s);
-      frontier_.push_back(s);
-    }
+    reach(s);
   }
-  // BFS over live edges.
-  for (size_t head = 0; head < frontier_.size(); ++head) {
-    const NodeId u = frontier_[head];
-    const EdgeId first = graph_->FirstOutEdge(u);
-    auto neighbors = graph_->OutNeighbors(u);
-    for (size_t i = 0; i < neighbors.size(); ++i) {
-      const NodeId v = neighbors[i];
-      if constexpr (kResidual) {
-        if (active->Get(v)) continue;
-      }
-      if (visited_.Visited(v)) continue;
-      if (!realization.IsLive(static_cast<EdgeId>(first + i))) continue;
-      visited_.MarkVisited(v);
-      activated.push_back(v);
-      frontier_.push_back(v);
-    }
+  for (size_t head = 0; head < activated.size(); ++head) {
+    for (const NodeId v : realization.LiveOutNeighbors(activated[head])) reach(v);
   }
   return activated;
 }

@@ -4,6 +4,11 @@
 // of nodes reachable from S over live edges. The residual variants restrict
 // propagation to currently-inactive nodes, computing marginal spreads
 // I_φ(S | S_{i-1}) on the residual graph G_i (Eq. 3).
+//
+// The BFS walks Realization::LiveOutNeighbors, so a call costs
+// O(|S| + activated nodes + their live out-edges); dead edges are never
+// read. Nodes come out in discovery order: seeds first, then each node's
+// live targets in its out-edge order.
 
 #pragma once
 
@@ -43,7 +48,6 @@ class ForwardSimulator {
 
   const DirectedGraph* graph_;
   EpochVisitedSet visited_;
-  std::vector<NodeId> frontier_;
 };
 
 }  // namespace asti

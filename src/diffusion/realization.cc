@@ -1,5 +1,7 @@
 #include "diffusion/realization.h"
 
+#include <optional>
+
 namespace asti {
 
 Status ValidateLtCompatible(const DirectedGraph& graph) {
@@ -15,51 +17,64 @@ Status ValidateLtCompatible(const DirectedGraph& graph) {
 }
 
 Realization Realization::SampleIc(const DirectedGraph& graph, Rng& rng) {
-  Realization realization(graph, DiffusionModel::kIndependentCascade);
-  const EdgeId m = graph.NumEdges();
-  realization.ic_live_ = BitVector(m);
+  Realization realization(graph);
+  std::vector<NodeId>& live = realization.live_targets_;
+  // Σ p live edges are expected, at most n under weighted cascade, so one
+  // allocation usually holds the world.
+  live.reserve(graph.NumNodes());
   for (NodeId u = 0; u < graph.NumNodes(); ++u) {
-    const EdgeId first = graph.FirstOutEdge(u);
+    auto targets = graph.OutNeighbors(u);
     auto probs = graph.OutProbabilities(u);
     for (size_t i = 0; i < probs.size(); ++i) {
-      if (rng.NextBernoulli(probs[i])) realization.ic_live_.Set(first + i);
+      if (rng.NextBernoulli(probs[i])) live.push_back(targets[i]);
     }
+    realization.live_offsets_[u + 1] = static_cast<EdgeId>(live.size());
   }
   return realization;
 }
 
 Realization Realization::SampleLt(const DirectedGraph& graph, Rng& rng) {
-  Realization realization(graph, DiffusionModel::kLinearThreshold);
+  Realization realization(graph);
   const NodeId n = graph.NumNodes();
-  realization.lt_chosen_edge_.assign(n, kInvalidEdge);
-  realization.lt_chosen_source_.assign(n, kInvalidNode);
+  std::vector<EdgeId>& offsets = realization.live_offsets_;
+  // Pass 1, node order (the draw order): v's chosen source, counted at
+  // offsets[source].
+  std::vector<NodeId> chosen(n, kInvalidNode);
   for (NodeId v = 0; v < n; ++v) {
     auto sources = graph.InNeighbors(v);
-    auto probs = graph.InProbabilities(v);
-    auto edge_ids = graph.InEdgeIds(v);
     if (sources.empty()) continue;
     ASM_DCHECK(graph.InProbabilitySum(v) <= 1.0 + 1e-9)
         << "LT requires in-probabilities to sum to <= 1 at node " << v;
     double x = rng.NextDouble();
-    for (size_t i = 0; i < sources.size(); ++i) {
-      if (x < probs[i]) {
-        realization.lt_chosen_edge_[v] = edge_ids[i];
-        realization.lt_chosen_source_[v] = sources[i];
-        break;
+    size_t slot = sources.size();  // none
+    if (const std::optional<double> uniform = graph.UniformInProbability(v)) {
+      // Compare before casting: a tiny p puts x/p past every integer.
+      const double index = x / *uniform;
+      if (index < static_cast<double>(sources.size())) slot = static_cast<size_t>(index);
+    } else {
+      auto probs = graph.InProbabilities(v);
+      for (size_t i = 0; i < probs.size(); ++i) {
+        if (x < probs[i]) {
+          slot = i;
+          break;
+        }
+        x -= probs[i];
       }
-      x -= probs[i];
     }
+    if (slot == sources.size()) continue;
+    chosen[v] = sources[slot];
+    ++offsets[sources[slot]];
+  }
+  // Pass 2: offsets[u] becomes the end of u's run, then each node, taken
+  // in descending order, is placed at the back of its source's run, which
+  // leaves every run ascending and offsets[u] at its start.
+  for (NodeId u = 1; u < n; ++u) offsets[u] += offsets[u - 1];
+  if (n > 0) offsets[n] = offsets[n - 1];
+  realization.live_targets_.resize(offsets[n]);
+  for (NodeId v = n; v-- > 0;) {
+    if (chosen[v] != kInvalidNode) realization.live_targets_[--offsets[chosen[v]]] = v;
   }
   return realization;
-}
-
-size_t Realization::CountLiveEdges() const {
-  if (model_ == DiffusionModel::kIndependentCascade) return ic_live_.Count();
-  size_t count = 0;
-  for (EdgeId e : lt_chosen_edge_) {
-    if (e != kInvalidEdge) ++count;
-  }
-  return count;
 }
 
 }  // namespace asti

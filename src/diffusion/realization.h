@@ -9,14 +9,31 @@
 //
 // A Realization fixes all randomness of one propagation world; forward
 // simulation on it is deterministic.
+//
+// Storage, both models: one live out-edge CSR — n + 1 offsets and one
+// target per live edge, each source's live targets in its out-edge order.
+// A forward walk reads only live edges, so observing a batch costs
+// O(activated nodes + their live out-edges), not their out-degree.
+// - IC flips one coin per forward edge, in forward order, and appends the
+//   target of each live edge as its coin lands: Σ p targets in expectation
+//   (at most n under weighted cascade, whose in-probabilities sum to 1).
+// - LT draws one x per node with in-edges, in node order. At a node whose
+//   in-edges share one p (DirectedGraph::UniformInProbability) the live
+//   edge is slot ⌊x/p⌋ if that slot is below the in-degree, in O(1), the
+//   rule reverse sampling uses (sampling/rr_set.h); elsewhere a scan
+//   subtracts the in-probabilities from x until one exceeds it. The slot
+//   and the scan pick the same edge unless x lies within rounding of a
+//   slot boundary. Each node is then filed under its chosen source in
+//   ascending id order, which is that source's out-edge order: the
+//   builder, delta mints and the snapshot writer all store a source's
+//   targets ascending. At most n targets.
 
 #pragma once
 
+#include <span>
 #include <vector>
 
-#include "diffusion/model.h"
 #include "graph/graph.h"
-#include "util/bit_vector.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -27,7 +44,7 @@ namespace asti {
 /// Weighted-cascade weights satisfy it by construction.
 Status ValidateLtCompatible(const DirectedGraph& graph);
 
-/// One sampled world. Copyable; sized O(m) for IC and O(n) for LT.
+/// One sampled world. Copyable; sized O(n + live edges).
 class Realization {
  public:
   /// Samples a full IC realization (one coin per edge).
@@ -37,35 +54,26 @@ class Realization {
   /// Requires Σ in-probabilities ≤ 1 + 1e-9 for every node.
   static Realization SampleLt(const DirectedGraph& graph, Rng& rng);
 
-  DiffusionModel model() const { return model_; }
   const DirectedGraph& graph() const { return *graph_; }
 
-  /// Whether forward edge e = (u, v) is live. For LT, an edge is live iff it
-  /// is v's chosen in-edge.
-  bool IsLive(EdgeId e) const {
-    if (model_ == DiffusionModel::kIndependentCascade) return ic_live_.Get(e);
-    return lt_chosen_edge_[graph_->EdgeTarget(e)] == e;
-  }
-
-  /// LT only: the chosen in-edge's source for v, or kInvalidNode.
-  NodeId ChosenSource(NodeId v) const {
-    ASM_DCHECK(model_ == DiffusionModel::kLinearThreshold);
-    const EdgeId e = lt_chosen_edge_[v];
-    return e == kInvalidEdge ? kInvalidNode : lt_chosen_source_[v];
+  /// Targets of u's live out-edges, in u's out-edge order. Under LT, v is
+  /// here iff u is the source of v's one live in-edge.
+  std::span<const NodeId> LiveOutNeighbors(NodeId u) const {
+    ASM_DCHECK(u < graph_->NumNodes());
+    return std::span<const NodeId>(live_targets_)
+        .subspan(live_offsets_[u], live_offsets_[u + 1] - live_offsets_[u]);
   }
 
   /// Number of live edges (testing / statistics).
-  size_t CountLiveEdges() const;
+  size_t CountLiveEdges() const { return live_targets_.size(); }
 
  private:
-  Realization(const DirectedGraph& graph, DiffusionModel model)
-      : graph_(&graph), model_(model) {}
+  explicit Realization(const DirectedGraph& graph)
+      : graph_(&graph), live_offsets_(size_t{graph.NumNodes()} + 1, 0) {}
 
   const DirectedGraph* graph_;
-  DiffusionModel model_;
-  BitVector ic_live_;                    // IC: live flag per forward EdgeId
-  std::vector<EdgeId> lt_chosen_edge_;   // LT: chosen forward EdgeId per node
-  std::vector<NodeId> lt_chosen_source_;  // LT: source of that edge per node
+  std::vector<EdgeId> live_offsets_;  // size n + 1
+  std::vector<NodeId> live_targets_;  // one per live edge, grouped by source
 };
 
 }  // namespace asti

@@ -6,12 +6,21 @@
 // newly activated set. The world also maintains the residual-graph
 // bookkeeping every sampler needs: the active mask, the inactive node list
 // (for uniform root sampling), n_i and the shortfall η_i.
+//
+// A world stores its realization (a live out-edge CSR: n + 1 offsets and
+// one target per live edge, see realization.h), the active mask (n bits),
+// the inactive list with each node's position in it (two n-sized arrays)
+// and the simulator's visited stamps (n). Making one costs the
+// realization's sampling plus O(n) to fill those arrays. Observe costs
+// O(|seeds| + newly activated nodes + their live out-edges) and never
+// reads a dead edge.
 
 #pragma once
 
 #include <vector>
 
 #include "diffusion/forward_sim.h"
+#include "diffusion/model.h"
 #include "diffusion/realization.h"
 #include "graph/graph.h"
 #include "util/bit_vector.h"

@@ -62,11 +62,21 @@ EdgeSkeleton Mirror(EdgeSkeleton skeleton) {
 
 }  // namespace
 
+StatusOr<NodeId> SurrogateNodeCount(DatasetId id, double scale) {
+  if (!(scale > 0.0)) return Status::InvalidArgument("scale must be positive");
+  // Compare before casting: a large scale puts the count past every NodeId.
+  const double nodes = GetDatasetInfo(id).surrogate_nodes * scale;
+  if (!(nodes < static_cast<double>(kInvalidNode))) {
+    return Status::InvalidArgument("scale " + std::to_string(scale) +
+                                   " gives more nodes than a NodeId can index");
+  }
+  return std::max<NodeId>(64, static_cast<NodeId>(nodes));
+}
+
 StatusOr<DirectedGraph> MakeSurrogateDataset(DatasetId id, double scale, uint64_t seed,
                                              WeightScheme scheme) {
-  if (!(scale > 0.0)) return Status::InvalidArgument("scale must be positive");
+  ASM_ASSIGN_OR_RETURN(const NodeId n, SurrogateNodeCount(id, scale));
   const DatasetInfo& info = GetDatasetInfo(id);
-  const NodeId n = std::max<NodeId>(64, static_cast<NodeId>(info.surrogate_nodes * scale));
   const size_t m = std::max<size_t>(
       128, static_cast<size_t>(static_cast<double>(info.surrogate_edges) * scale));
   Rng rng(seed ^ (static_cast<uint64_t>(id) << 32));

@@ -48,7 +48,12 @@ StatusOr<DatasetId> DatasetIdFromName(const std::string& name);
 /// DatasetIdFromName for the canonical spelling.
 std::string CanonicalDatasetName(DatasetId id);
 
-/// Builds the surrogate graph. Deterministic given (id, scale, seed).
+/// Node count of the surrogate at `scale`: surrogate_nodes · scale, at least
+/// 64. InvalidArgument unless scale > 0 and the count fits a NodeId.
+StatusOr<NodeId> SurrogateNodeCount(DatasetId id, double scale);
+
+/// Builds the surrogate graph. Deterministic given (id, scale, seed); its
+/// node count is SurrogateNodeCount(id, scale).
 /// The weight scheme defaults to the paper's weighted-cascade setting.
 StatusOr<DirectedGraph> MakeSurrogateDataset(
     DatasetId id, double scale = 1.0, uint64_t seed = 7,

@@ -52,11 +52,4 @@ uint64_t HistogramData::Quantile(double q) const {
   return HistogramLayout::kMaxValue;  // unreachable: cumulative == count
 }
 
-uint64_t HistogramData::MaxValue() const {
-  for (size_t i = buckets.size(); i > 0; --i) {
-    if (buckets[i - 1] != 0) return HistogramLayout::BucketMax(i - 1);
-  }
-  return 0;
-}
-
 }  // namespace asti

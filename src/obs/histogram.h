@@ -88,9 +88,6 @@ struct HistogramData {
   /// 0 on an empty histogram. Merge-of-shards == single-stream by
   /// construction: only bucket counts enter the estimate.
   uint64_t Quantile(double q) const;
-
-  /// Largest recorded bucket's BucketMax (0 when empty).
-  uint64_t MaxValue() const;
 };
 
 /// Concurrent recorder on the fixed grid. Record() is wait-free: one

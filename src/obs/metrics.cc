@@ -62,14 +62,6 @@ const CounterSample* MetricsSnapshot::FindCounter(const std::string& name,
   return nullptr;
 }
 
-const HistogramSample* MetricsSnapshot::FindHistogram(const std::string& name,
-                                                      const MetricLabels& labels) const {
-  for (const HistogramSample& sample : histograms) {
-    if (sample.name == name && sample.labels == labels) return &sample;
-  }
-  return nullptr;
-}
-
 HistogramData MetricsSnapshot::MergedHistogram(const std::string& name,
                                                const std::string& label_key,
                                                const std::string& label_value) const {

@@ -126,8 +126,6 @@ struct MetricsSnapshot {
 
   const CounterSample* FindCounter(const std::string& name,
                                    const MetricLabels& labels) const;
-  const HistogramSample* FindHistogram(const std::string& name,
-                                       const MetricLabels& labels) const;
 
   /// Element-wise merge of every histogram named `name` whose labels
   /// contain `label_key == label_value` (empty key = every label set).

@@ -42,7 +42,7 @@ TEST(FormatTest, Counts) {
 
 TEST(CommandLineTest, ParsesAllForms) {
   const char* argv[] = {"prog", "--alpha=0.5", "--beta", "7", "--gamma"};
-  CommandLine cli(5, argv);
+  CommandLine cli(5, argv, {"alpha", "beta", "gamma", "missing"});
   EXPECT_TRUE(cli.Has("alpha"));
   EXPECT_DOUBLE_EQ(cli.GetDouble("alpha", 0.0), 0.5);
   EXPECT_EQ(cli.GetInt("beta", 0), 7);
@@ -51,9 +51,30 @@ TEST(CommandLineTest, ParsesAllForms) {
   EXPECT_EQ(cli.GetInt("missing", 42), 42);
 }
 
+// A flag the binary does not read is refused by name, whatever its form,
+// with exit status 2; accepted flags alone parse as before.
+TEST(CommandLineDeathTest, UnknownFlagExitsTwoNamingIt) {
+  const char* convert[] = {"asm_tool", "--convert-asmg", "x", "--snapshot-out", "y"};
+  EXPECT_EXIT(CommandLine(5, convert, {"seed", "snapshot-out"}),
+              ::testing::ExitedWithCode(2), "unknown flag --convert-asmg; accepted: --seed");
+  const char* typo[] = {"prog", "--seed=3", "--thread=4"};
+  EXPECT_EXIT(CommandLine(3, typo, {"seed", "threads"}), ::testing::ExitedWithCode(2),
+              "unknown flag --thread;");
+  const char* bare[] = {"prog", "--quiet"};
+  EXPECT_EXIT(CommandLine(2, bare, {}), ::testing::ExitedWithCode(2), "unknown flag --quiet");
+  const char* known[] = {"prog", "--seed=3", "positional"};
+  EXPECT_EQ(CommandLine(3, known, {"seed"}).GetInt("seed", 0), 3);
+}
+
+TEST(CommandLineDeathTest, ReadingAnUndeclaredFlagAborts) {
+  const char* argv[] = {"prog"};
+  const CommandLine cli(1, argv, {"seed"});
+  EXPECT_DEATH(cli.Has("threads"), "--threads is read but not in the binary's accepted list");
+}
+
 TEST(CommandLineTest, InvalidNumbersFallBack) {
   const char* argv[] = {"prog", "--x=abc"};
-  CommandLine cli(2, argv);
+  CommandLine cli(2, argv, {"x"});
   EXPECT_DOUBLE_EQ(cli.GetDouble("x", 1.5), 1.5);
   EXPECT_EQ(cli.GetInt("x", 3), 3);
 }

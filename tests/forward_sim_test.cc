@@ -1,5 +1,6 @@
 // Tests for diffusion/forward_sim.h, including a replay of the paper's
-// Figure 1 walk-through (adaptive rounds on a fixed realization).
+// Figure 1 walk-through (adaptive rounds on a fixed realization) and the
+// world oracle's BFS (world_oracle.h) as a reference for the live walk.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +9,7 @@
 #include "diffusion/forward_sim.h"
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
+#include "world_oracle.h"
 
 namespace asti {
 namespace {
@@ -129,15 +131,12 @@ class Figure1Replay : public ::testing::Test {
   }
 
   bool Matches(const Realization& realization) {
-    // Edge order within a source is by target id; map them explicitly.
     auto live = [&](NodeId u, NodeId v) {
       auto neighbors = graph_->OutNeighbors(u);
-      const EdgeId first = graph_->FirstOutEdge(u);
-      for (size_t i = 0; i < neighbors.size(); ++i) {
-        if (neighbors[i] == v) return realization.IsLive(first + i);
+      if (std::find(neighbors.begin(), neighbors.end(), v) == neighbors.end()) {
+        ADD_FAILURE() << "no edge " << u << "->" << v;
       }
-      ADD_FAILURE() << "no edge " << u << "->" << v;
-      return false;
+      return oracle::Live(realization, u, v);
     };
     return live(0, 3) && live(0, 5) && !live(5, 4) && live(2, 4) && !live(3, 2) &&
            live(4, 1);
@@ -169,6 +168,48 @@ TEST_F(Figure1Replay, RoundTwoWithV3ReachesEta) {
   // {0,3,5} + {1,2,4} = 6 ≥ η = 4 — v5->v2 live matches Fig. 1d's 5 total
   // when v2 is counted. Either way the η = 4 target is met in round 2.
   EXPECT_EQ(round2, (std::vector<NodeId>{1, 2, 4}));
+}
+
+// --- World oracle ----------------------------------------------------------
+
+// On every oracle graph, both models, random seed sets (duplicates
+// allowed) and random active masks, the live walk returns the reference
+// BFS's list, order included. The reference reads every out-edge and asks
+// the per-edge world of the same stream.
+TEST(WorldOracleTest, WalkMatchesPerEdgeBfs) {
+  Rng draws(77);
+  for (const auto& [name, graph] : oracle::OracleGraphs()) {
+    ForwardSimulator simulator(graph);
+    const NodeId n = graph.NumNodes();
+    for (const DiffusionModel model :
+         {DiffusionModel::kIndependentCascade, DiffusionModel::kLinearThreshold}) {
+      for (uint64_t seed = 0; seed < 50; ++seed) {
+        Rng library_rng(seed);
+        Rng reference_rng(seed);
+        const Realization world = model == DiffusionModel::kIndependentCascade
+                                      ? Realization::SampleIc(graph, library_rng)
+                                      : Realization::SampleLt(graph, library_rng);
+        const std::vector<bool> live = oracle::ReferenceLiveEdges(graph, model, reference_rng);
+        for (int trial = 0; trial < 4; ++trial) {
+          std::vector<NodeId> seeds(1 + draws.NextBounded(8));
+          for (NodeId& s : seeds) s = static_cast<NodeId>(draws.NextBounded(n));
+          BitVector active(n);
+          const double density = 0.1 * static_cast<double>(trial);
+          for (NodeId v = 0; v < n; ++v) {
+            if (draws.NextBernoulli(density)) active.Set(v);
+          }
+          const std::string where = name + " " + DiffusionModelName(model) + " seed " +
+                                    std::to_string(seed) + " trial " + std::to_string(trial);
+          ASSERT_EQ(simulator.Propagate(world, seeds),
+                    oracle::ReferencePropagate(graph, live, seeds, nullptr))
+              << where;
+          ASSERT_EQ(simulator.PropagateResidual(world, seeds, active),
+                    oracle::ReferencePropagate(graph, live, seeds, &active))
+              << where;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

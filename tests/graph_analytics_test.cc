@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "graph/datasets.h"
 #include "graph/degree_stats.h"
 #include "graph/generators.h"
@@ -152,6 +154,26 @@ TEST(DatasetsTest, WeightedCascadeAppliedByDefault) {
 TEST(DatasetsTest, RejectsNonPositiveScale) {
   EXPECT_FALSE(MakeSurrogateDataset(DatasetId::kNetHept, 0.0).ok());
   EXPECT_FALSE(MakeSurrogateDataset(DatasetId::kNetHept, -1.0).ok());
+}
+
+// asm_tool checks a surrogate's snapshot against this count, so it must be
+// the n the builder makes; a scale past every NodeId is refused, not cast.
+TEST(DatasetsTest, SurrogateNodeCountIsTheBuiltN) {
+  for (const DatasetInfo& info : AllDatasets()) {
+    for (const double scale : {0.001, 0.01, 0.1}) {
+      const auto count = SurrogateNodeCount(info.id, scale);
+      ASSERT_TRUE(count.ok());
+      EXPECT_EQ(*count, MakeSurrogateDataset(info.id, scale, 7)->NumNodes())
+          << info.name << " at " << scale;
+    }
+  }
+  EXPECT_EQ(*SurrogateNodeCount(DatasetId::kNetHept, 0.1), 1520u);
+  EXPECT_EQ(*SurrogateNodeCount(DatasetId::kNetHept, 0.2), 3040u);
+  EXPECT_EQ(*SurrogateNodeCount(DatasetId::kNetHept, 0.001), 64u);
+  EXPECT_FALSE(SurrogateNodeCount(DatasetId::kNetHept, 0.0).ok());
+  EXPECT_FALSE(SurrogateNodeCount(DatasetId::kNetHept, std::nan("")).ok());
+  EXPECT_FALSE(SurrogateNodeCount(DatasetId::kNetHept, 1e12).ok());
+  EXPECT_FALSE(MakeSurrogateDataset(DatasetId::kNetHept, 1e12).ok());
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "sampling/root_size.h"
 #include "stats/truncation.h"
 #include "util/bit_vector.h"
+#include "world_oracle.h"
 
 namespace asti {
 namespace {
@@ -28,10 +29,10 @@ TEST(PaperFidelityTest, Figure2HasFourEquiprobableRealizations) {
   const int trials = 40000;
   for (int t = 0; t < trials; ++t) {
     const Realization realization = Realization::SampleIc(*graph, rng);
-    // Edges 0: v1->v2 (.5), 1: v1->v3 (.5); 2 and 3 are prob 1.
-    EXPECT_TRUE(realization.IsLive(2));
-    EXPECT_TRUE(realization.IsLive(3));
-    ++counts[{realization.IsLive(0), realization.IsLive(1)}];
+    // v1->v2 and v1->v3 have p = .5; v2->v4 and v3->v4 have p = 1.
+    EXPECT_TRUE(oracle::Live(realization, 1, 3));
+    EXPECT_TRUE(oracle::Live(realization, 2, 3));
+    ++counts[{oracle::Live(realization, 0, 1), oracle::Live(realization, 0, 2)}];
   }
   ASSERT_EQ(counts.size(), 4u);
   for (const auto& [key, count] : counts) {

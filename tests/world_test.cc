@@ -101,7 +101,7 @@ TEST(WorldTest, SuppliedRealizationIsHonored) {
   Rng rng(47);
   for (int attempt = 0; attempt < 1000; ++attempt) {
     Realization candidate = Realization::SampleIc(graph, rng);
-    if (candidate.IsLive(0) && !candidate.IsLive(1)) {
+    if (candidate.LiveOutNeighbors(0).size() == 1 && candidate.LiveOutNeighbors(1).empty()) {
       AdaptiveWorld world(graph, 2, std::move(candidate));
       const auto activated = world.Observe(0u);
       EXPECT_EQ(activated.size(), 2u);
