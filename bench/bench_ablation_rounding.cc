@@ -33,7 +33,8 @@ int main(int argc, char** argv) {
   std::unique_ptr<ThreadPool> pool;  // 1 = no pool
   if (num_threads != 1) pool = std::make_unique<ThreadPool>(num_threads);
 
-  std::cout << "Ablation: randomized rounding of the mRR root count (DESIGN.md §4)\n";
+  std::cout << "Ablation: randomized rounding of the mRR root count (the paper's "
+               "scheme, E[k] = n/eta exactly, against fixed floor and ceil k)\n";
   std::cout << "\nPart 1: worst-case bias ratio f(x) = E[Gamma~]/Gamma over x\n";
   TextTable bias({"n", "eta", "randomized min..max", "floor min..max", "ceil min..max"});
   for (const auto& [n, eta] : std::vector<std::pair<uint64_t, uint64_t>>{

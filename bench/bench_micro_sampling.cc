@@ -7,7 +7,7 @@
 // mRR-set cost scales with OPT_i/η_i · m_i).
 //
 // The BM_*Profiled / BM_Obs* group pins the observability overhead
-// contract: with metrics off (null profile) sampling must be
+// contract: with a null profile sampling must be
 // indistinguishable from the bare loop (< 2%, i.e. noise), the absolute
 // cost of a live span (two steady_clock reads) must stay tens of ns so
 // production's per-batch spans amortize it below 2%, and the metric
@@ -71,7 +71,7 @@ BENCHMARK(BM_RrSetGeneration)
 // RR generation with the request-profile instrumentation attached, at a
 // deliberately finer grain than production (a span per Generate call
 // instead of per batch). Arg 0 runs with a null profile (spans are
-// no-ops, no clock reads — the enable_metrics=false path) and must match
+// no-ops, no clock reads — a selector built without one) and must match
 // BM_RrSetGeneration within noise (< 2%). Arg 1 runs a live profile and
 // exposes the absolute span cost — two steady_clock reads + accumulate,
 // tens of ns per call — which production pays once per *batch* of

@@ -1,7 +1,8 @@
 // Table 2 — dataset details: n, m, type, average degree, LWCC size.
 //
 // Prints the paper's reported numbers side by side with our synthetic
-// surrogates (DESIGN.md documents the substitution). The shape to check:
+// surrogates, which stand in for the SNAP files because those cannot be
+// fetched offline. The shape to check:
 // power-law surrogates whose LWCC covers nearly all nodes, like the
 // originals.
 

@@ -25,17 +25,16 @@
 // --algorithm NAME (see --list-algorithms; ASTI-b accepts any b >= 1),
 // --epsilon E, --threads T (1 = no pool, 0 = all cores), --runs R,
 // --seed S, --timeout SECONDS (abandon the run with DeadlineExceeded past
-// the budget; unset = no deadline), --no-cache (sample full-residual
-// collections into a request-private cache instead of the engine's shared
-// one — an A/B timing knob; seeds/spreads/traces are bit-identical either
-// way), --save-traces PATH, --quiet, --metrics (print the request's phase
-// profile — including cache_hit and reused-vs-extended set counts — and
-// the engine's metrics snapshot in Prometheus text format after the run),
-// --apply-delta FILE (mutate the target graph before solving: FILE is an
-// EdgeDelta batch in text or binary ASMD form — see src/delta/README.md —
-// applied through SwapWithDelta, so the query serves the minted epoch;
-// the minted graph is digest-identical to a from-scratch rebuild of the
-// mutated edge list).
+// the budget; unset = no deadline), --save-traces PATH, --quiet, --metrics
+// (print the request's phase profile — including cache_hit and
+// reused-vs-extended set counts — and the engine's metrics snapshot in
+// Prometheus text format after the run), --apply-delta FILE (mutate the
+// target graph before solving: FILE is an EdgeDelta batch in the text form
+// of src/delta/README.md, applied through SwapWithDelta, so the query
+// serves the minted epoch; the minted graph is digest-identical to a
+// from-scratch rebuild of the mutated edge list). A malformed number, a
+// flag the tool does not read, or a token that is neither a flag nor a
+// flag's value prints what was wrong and exits 2.
 //
 // Snapshot persistence (src/store/, ASMS files):
 //   --snapshot-dir DIR     before building a surrogate, try DIR/<name>.asms
@@ -58,7 +57,7 @@
 #include "api/seedmin_engine.h"
 #include "api/snapshot_serving.h"
 #include "delta/catalog_delta.h"
-#include "delta/delta_io.h"
+#include "delta/edge_delta.h"
 #include "obs/export.h"
 #include "benchutil/cli.h"
 #include "benchutil/table.h"
@@ -180,10 +179,9 @@ int Run(int argc, char** argv) {
   const CommandLine cli(
       argc, argv,
       {"graph", "dataset", "graph-file", "scale", "eta", "eta-fraction", "model", "algorithm",
-       "epsilon", "threads", "runs", "realizations", "seed", "timeout", "no-cache",
-       "save-traces", "quiet", "metrics", "apply-delta", "snapshot-dir", "save-snapshot",
-       "load-snapshot", "snapshot-compact", "verify-snapshot", "list-algorithms",
-       "list-graphs"});
+       "epsilon", "threads", "runs", "realizations", "seed", "timeout", "save-traces",
+       "quiet", "metrics", "apply-delta", "snapshot-dir", "save-snapshot", "load-snapshot",
+       "snapshot-compact", "verify-snapshot", "list-algorithms", "list-graphs"});
   if (cli.Has("list-algorithms")) return ListAlgorithms();
   if (cli.Has("list-graphs")) return ListGraphs();
   if (cli.Has("verify-snapshot")) {
@@ -281,9 +279,6 @@ int Run(int argc, char** argv) {
     }
     request.deadline = DeadlineAfter(timeout);
   }
-  // A/B knob only: the shared and private cache paths produce bit-identical
-  // results (key-derived streams); --no-cache just skips cross-request reuse.
-  request.use_shared_cache = !cli.Has("no-cache");
   const int64_t threads = cli.GetInt("threads", 1);
   if (threads < 0) {
     std::cerr << "InvalidArgument: --threads must be >= 0, got " << threads << "\n";

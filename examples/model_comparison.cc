@@ -29,9 +29,9 @@ int main() {
   std::cout << "IC vs LT on a friendship network: n=" << youtube->num_nodes()
             << ", m=" << youtube->num_edges() << ", eta=" << eta << "\n\n";
 
-  // Four drivers serve the four queries concurrently; the admission queue
-  // would absorb (or, with block_when_full, throttle) anything beyond
-  // drivers + max_queue_depth in a real serving deployment.
+  // Four drivers serve the four queries concurrently; in a real serving
+  // deployment SubmitAsync would answer ResourceExhausted beyond drivers +
+  // max_queue_depth admitted requests (SolveBatch waits for a slot).
   SeedMinEngine::ServingOptions options;
   options.num_drivers = 4;
   SeedMinEngine engine(catalog, options);

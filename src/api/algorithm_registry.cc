@@ -91,7 +91,6 @@ StatusOr<std::unique_ptr<RoundSelector>> AlgorithmRegistry::Make(
       TrimOptions options;
       options.epsilon = ctx.epsilon;
       options.batch_size = ctx.batch_size != 0 ? ctx.batch_size : Find(id)->default_batch;
-      options.rounding = ctx.rounding;
       options.pool = ctx.pool;
       options.cancel = ctx.cancel;
       options.profile = ctx.profile;
@@ -111,12 +110,8 @@ StatusOr<std::unique_ptr<RoundSelector>> AlgorithmRegistry::Make(
     }
     case AlgorithmId::kDegree:
       return std::unique_ptr<RoundSelector>(std::make_unique<DegreeAdaptive>(graph));
-    case AlgorithmId::kOracle: {
-      OracleGreedyOptions options;
-      options.trials_per_node = ctx.oracle_trials;
-      return std::unique_ptr<RoundSelector>(
-          std::make_unique<OracleGreedy>(graph, ctx.model, options));
-    }
+    case AlgorithmId::kOracle:
+      return std::unique_ptr<RoundSelector>(std::make_unique<OracleGreedy>(graph, ctx.model));
     case AlgorithmId::kAteuc:
     case AlgorithmId::kBisection:
       return Status::InvalidArgument(

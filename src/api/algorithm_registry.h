@@ -19,7 +19,6 @@
 #include "core/selector.h"
 #include "diffusion/model.h"
 #include "obs/span.h"
-#include "stats/truncation.h"
 #include "util/cancellation.h"
 #include "util/status.h"
 
@@ -69,8 +68,6 @@ struct AlgorithmContext {
   DiffusionModel model = DiffusionModel::kIndependentCascade;
   double epsilon = 0.5;      // sampling slack ε for TRIM (any b) and AdaptIM
   NodeId batch_size = 0;     // 0 = the algorithm id's default batch
-  RootRounding rounding = RootRounding::kRandomized;
-  size_t oracle_trials = 200;  // MC trials per candidate (kOracle only)
   /// Shared sampling/coverage pool (not owned; null = run on the calling
   /// thread). Results are identical at every pool size; see
   /// TrimOptions::pool.

@@ -4,18 +4,17 @@
 // model, η, ε), return a minimal seed sequence. SolveRequest is that query
 // as a value type: the *name* of a catalog graph plus every knob the nine
 // legacy entry points re-threaded (algorithm id, model, η, ε, batch size,
-// realizations, per-request seed, algorithm-specific params) in one
-// struct. The graph name is resolved against the engine's GraphCatalog at
-// admission; the request pins that snapshot (name, epoch) for its whole
-// execution, so hot-swapping the graph never perturbs in-flight work. A
-// request carries its own RNG seed; request-owned streams (hidden worlds,
+// realizations, per-request seed) in one struct. The graph name is
+// resolved against the engine's GraphCatalog at admission; the request
+// pins that snapshot (name, epoch) for its whole execution, so
+// hot-swapping the graph never perturbs in-flight work. A request carries
+// its own RNG seed; request-owned streams (hidden worlds,
 // residual-round sampling) are derived from that seed alone, while shared
 // full-residual collections use streams derived from the sampler-cache KEY
 // (never any request's seed — see src/api/README.md). A SolveResult is
 // therefore a pure function of (graph snapshot, request) — bit-identical
 // whether the request runs solo, batched, interleaved with other clients
-// on a shared pool, against a warm or cold cache, or with
-// use_shared_cache off.
+// on a shared pool, or against a warm or cold cache.
 
 #pragma once
 
@@ -29,7 +28,6 @@
 #include "diffusion/model.h"
 #include "graph/types.h"
 #include "obs/span.h"
-#include "stats/truncation.h"
 #include "util/cancellation.h"
 
 namespace asti {
@@ -69,20 +67,6 @@ struct SolveRequest {
   uint64_t seed = 1;
   /// Retain full per-round traces in the result (Fig. 10 style analyses).
   bool keep_traces = false;
-  /// Root-count rounding ablation hook (TRIM family).
-  RootRounding rounding = RootRounding::kRandomized;
-  /// MC trials per candidate for OracleGreedy.
-  size_t oracle_trials = 200;
-  /// When true (default) the request's full-residual collections — ATEUC /
-  /// Bisection whole runs, round 1 of every adaptive algorithm — are served
-  /// from the engine's per-(graph, epoch) shared sampler cache. When false
-  /// the request samples those collections fresh into a request-private
-  /// cache (the asm_tool --no-cache A/B path). Results are BIT-IDENTICAL
-  /// either way: cache streams are derived from the cache key, never the
-  /// request seed (see src/api/README.md, "Sampler cache & certified
-  /// reuse"). Only timing, profile cache counters, and engine cache metrics
-  /// differ.
-  bool use_shared_cache = true;
   /// Cooperative cancellation handle (optional, not owned; may be shared
   /// by several requests). Must stay alive until this request's result —
   /// or future — resolves; the engine polls it at chunk/pick/round
@@ -113,10 +97,9 @@ struct SolveResult {
   /// True iff every realization reached η.
   bool always_reached = false;
   /// Serving-phase breakdown of this request (queue wait, sampling,
-  /// coverage, certify, total; sampling volume). Phase slots are populated
-  /// when the engine runs with ServingOptions::enable_metrics (the default);
-  /// total/queue-wait are always filled. Profiling is passive — the seeds,
-  /// spreads, and traces above are bit-identical with metrics on or off.
+  /// coverage, certify, total; sampling volume). Profiling is passive: it
+  /// never touches an RNG stream, so the seeds, spreads and traces above
+  /// do not depend on it.
   RequestProfile profile;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <optional>
 #include <tuple>
 #include <utility>
 
@@ -196,10 +195,8 @@ SeedMinEngine::SeedMinEngine(GraphCatalog& catalog, ServingOptions options)
     : catalog_(&catalog), options_(options) {
   if (options_.num_threads != 1) pool_ = std::make_unique<ThreadPool>(options_.num_threads);
   options_.num_drivers = ResolveThreadCount(options_.num_drivers);
-  const size_t capacity = options_.max_inflight != 0
-                              ? options_.max_inflight
-                              : options_.num_drivers + options_.max_queue_depth;
-  queue_ = std::make_unique<AdmissionQueue>(capacity);
+  queue_ = std::make_unique<AdmissionQueue>(options_.num_drivers +
+                                            options_.max_queue_depth);
 }
 
 SeedMinEngine::~SeedMinEngine() {
@@ -322,24 +319,7 @@ Status SeedMinEngine::ValidateAgainst(const SolveRequest& request,
         std::string("batch_size override is only valid with ASTI (got ") +
         info->name + "); use the ASTI-b id or batch_size on ASTI");
   }
-  if (request.algorithm == AlgorithmId::kOracle && request.oracle_trials == 0) {
-    return Status::InvalidArgument("oracle_trials must be >= 1");
-  }
   return Status::OK();
-}
-
-SolveRequest SeedMinEngine::NewRequest(std::string graph) const {
-  const RequestDefaults& defaults = options_.request_defaults;
-  SolveRequest request;
-  request.graph = std::move(graph);
-  request.algorithm = defaults.algorithm;
-  request.model = defaults.model;
-  request.eta = defaults.eta;
-  request.epsilon = defaults.epsilon;
-  request.realizations = defaults.realizations;
-  request.seed = defaults.seed;
-  request.rounding = defaults.rounding;
-  return request;
 }
 
 Status SeedMinEngine::Validate(const SolveRequest& request) const {
@@ -365,20 +345,17 @@ StatusOr<SolveResult> SeedMinEngine::SolveOn(GraphState& state,
                                              const SolveRequest& request,
                                              const CancelScope& scope,
                                              double queue_wait_seconds) {
-  // Phase slots are threaded through the selector stack only when metrics
-  // are on; total/queue-wait are always filled (two clock reads). The
-  // profile is passive everywhere it travels, so the seeds/spreads/traces
-  // of the result are bit-identical with metrics on or off.
+  // The profile is passive everywhere it travels through the selector
+  // stack: it reads clocks and counts sets, never an RNG stream.
   RequestProfile profile;
   profile.queue_wait_seconds = queue_wait_seconds;
-  RequestProfile* slots = options_.enable_metrics ? &profile : nullptr;
   WallTimer exec_timer;
   StatusOr<SolveResult> result =
       request.algorithm == AlgorithmId::kAteuc
-          ? RunAteucRequest(state, request, scope, slots)
+          ? RunAteucRequest(state, request, scope, &profile)
           : request.algorithm == AlgorithmId::kBisection
-                ? RunBisectionRequest(state, request, scope, slots)
-                : RunAdaptive(state, request, scope, slots);
+                ? RunBisectionRequest(state, request, scope, &profile)
+                : RunAdaptive(state, request, scope, &profile);
   profile.total_seconds = queue_wait_seconds + exec_timer.Seconds();
   // A request is a cache hit iff every cacheable collection it read came
   // entirely from already-sealed prefixes. Computed once here (not in the
@@ -397,7 +374,6 @@ StatusOr<SolveResult> SeedMinEngine::SolveOn(GraphState& state,
 void SeedMinEngine::RecordRequestMetrics(const GraphState& state,
                                          const SolveRequest& request, StatusCode code,
                                          const RequestProfile& profile) {
-  if (!options_.enable_metrics) return;
   auto to_nanos = [](double seconds) {
     return seconds <= 0.0 ? uint64_t{0} : static_cast<uint64_t>(seconds * 1e9);
   };
@@ -613,9 +589,7 @@ std::future<StatusOr<SolveResult>> SeedMinEngine::Submit(
 }
 
 std::future<StatusOr<SolveResult>> SeedMinEngine::SubmitAsync(SolveRequest request) {
-  return Submit(std::move(request), options_.block_when_full
-                                        ? AdmissionQueue::AdmitPolicy::kBlock
-                                        : AdmissionQueue::AdmitPolicy::kReject);
+  return Submit(std::move(request), AdmissionQueue::AdmitPolicy::kReject);
 }
 
 std::vector<StatusOr<SolveResult>> SeedMinEngine::SolveBatch(
@@ -638,24 +612,15 @@ StatusOr<SolveResult> SeedMinEngine::RunAdaptive(GraphState& state,
                                                  const CancelScope& scope,
                                                  RequestProfile* profile) {
   const DirectedGraph& graph = state.ref.graph();
-  // Full-residual collections come from the epoch's shared cache, or — for
-  // --no-cache A/B runs — a request-private one. Streams are key-derived
-  // either way, so the choice never changes seeds/spreads/traces.
-  std::optional<SamplerCache> private_cache;
-  SamplerCache* sampler_cache = request.use_shared_cache
-                                    ? &state.sampler_cache
-                                    : &private_cache.emplace(graph);
   AlgorithmContext ctx;
   ctx.graph = &graph;
   ctx.model = request.model;
   ctx.epsilon = request.epsilon;
   ctx.batch_size = request.batch_size;
-  ctx.rounding = request.rounding;
-  ctx.oracle_trials = request.oracle_trials;
   ctx.pool = pool_.get();
   ctx.cancel = &scope;
   ctx.profile = profile;
-  ctx.sampler_cache = sampler_cache;
+  ctx.sampler_cache = &state.sampler_cache;
 
   SolveResult result;
   std::vector<AdaptiveRunTrace> traces;
@@ -720,14 +685,11 @@ StatusOr<SolveResult> SeedMinEngine::RunAteucRequest(GraphState& state,
                                                      const CancelScope& scope,
                                                      RequestProfile* profile) {
   Rng select_rng = StreamFor(request.seed, kAteucDomain, 0);
-  std::optional<SamplerCache> private_cache;
   AteucOptions options;
   options.pool = pool_.get();
   options.cancel = &scope;
   options.profile = profile;
-  options.sampler_cache = request.use_shared_cache
-                              ? &state.sampler_cache
-                              : &private_cache.emplace(state.ref.graph());
+  options.sampler_cache = &state.sampler_cache;
   WallTimer select_timer;
   const AteucResult selection =
       RunAteuc(state.ref.graph(), request.model, request.eta, options, select_rng);
@@ -745,14 +707,11 @@ StatusOr<SolveResult> SeedMinEngine::RunBisectionRequest(GraphState& state,
                                                          const CancelScope& scope,
                                                          RequestProfile* profile) {
   Rng select_rng = StreamFor(request.seed, kBisectionDomain, 0);
-  std::optional<SamplerCache> private_cache;
   BisectionOptions options;
   options.pool = pool_.get();
   options.cancel = &scope;
   options.profile = profile;
-  options.sampler_cache = request.use_shared_cache
-                              ? &state.sampler_cache
-                              : &private_cache.emplace(state.ref.graph());
+  options.sampler_cache = &state.sampler_cache;
   WallTimer select_timer;
   const BisectionResult selection = RunBisectionSeedMin(
       state.ref.graph(), request.model, request.eta, options, select_rng);

@@ -25,11 +25,11 @@
 //
 // Concurrency model: Solve runs on the caller's thread and fans sampling/
 // coverage work onto the shared pool. SubmitAsync admits the request into
-// a bounded queue (ServingOptions::max_queue_depth / max_inflight) served by a
-// small fixed pool of driver threads (ServingOptions::num_drivers) — never one
-// thread per request — so a burst beyond capacity is answered with
-// Status::ResourceExhausted (or blocks, with ServingOptions::block_when_full)
-// instead of spawning unbounded threads onto the shared pool.
+// a bounded queue (ServingOptions::max_queue_depth) served by a small fixed
+// pool of driver threads (ServingOptions::num_drivers) — never one thread
+// per request — so a burst beyond capacity is answered with
+// Status::ResourceExhausted instead of spawning unbounded threads onto the
+// shared pool. SolveBatch blocks for a slot instead.
 //
 // Sampler cache: each (name, epoch) GraphState owns a SamplerCache of
 // grow-only SharedRrCollections holding the full-residual RR/mRR sets —
@@ -40,26 +40,23 @@
 // cache KEY (never a request seed), so a set's content is independent of
 // which request generated it. A Swap/Retire invalidates by construction:
 // new requests resolve a fresh state with an empty cache, old-epoch work
-// keeps its pinned cache alive. request.use_shared_cache = false swaps in
-// a request-private cache (timing A/B) with bit-identical results.
+// keeps its pinned cache alive.
 //
-// Observability: with ServingOptions::enable_metrics (the default) every served
-// request carries a populated RequestProfile on its SolveResult (queue
-// wait, sampling/coverage/certify seconds, sampling volume, cache_hit and
-// reused-vs-extended set counts, request-owned vs shared collection
-// bytes) and feeds the engine-wide MetricsRegistry — latency/queue-wait/
-// phase histograms and per-outcome counters keyed {graph, algorithm},
-// plus per-graph asti_sampler_cache_* hit/miss/extension/bytes families —
-// exposed via metrics_snapshot() and the obs/export.h exporters.
-// Profiling is passive (spans never touch RNG streams, partitioning, or
-// merge order), so results are bit-identical with metrics on or off.
-// Request-owned RNG streams derive from request.seed alone and shared
-// cache streams from the cache key alone, so *completed* results are
-// bit-identical — in every field except the wall-clock timings (trace
-// seconds, aggregate mean_seconds), which measure the run that produced
-// them — whether a request runs solo, in SolveBatch, queued behind other
-// requests, interleaved with requests against other catalog graphs,
-// against a cold or warm cache, or with the cache disabled, at any pool
+// Observability: every served request carries a populated RequestProfile
+// on its SolveResult (queue wait, sampling/coverage/certify seconds,
+// sampling volume, cache_hit and reused-vs-extended set counts,
+// request-owned vs shared collection bytes) and feeds the engine-wide
+// MetricsRegistry — latency/queue-wait/phase histograms and per-outcome
+// counters keyed {graph, algorithm}, plus per-graph asti_sampler_cache_*
+// hit/miss/extension/bytes families — exposed via metrics_snapshot() and
+// the obs/export.h exporters. Profiling is passive: spans never touch RNG
+// streams, partitioning, or merge order. Request-owned RNG streams derive
+// from request.seed alone and shared cache streams from the cache key
+// alone, so *completed* results are bit-identical — in every field except
+// the wall-clock timings (trace seconds, aggregate mean_seconds), which
+// measure the run that produced them — whether a request runs solo, in
+// SolveBatch, queued behind other requests, interleaved with requests
+// against other catalog graphs, against a cold or warm cache, at any pool
 // size — including 1, which samples on the driving thread with the same
 // index-derived streams. See src/api/README.md.
 
@@ -90,22 +87,7 @@ class ForwardSimulator;
 /// pool, and one admission queue.
 class SeedMinEngine {
  public:
-  /// Per-request algorithm defaults, applied by NewRequest(). Split out of
-  /// the serving knobs so harness configuration ("this deployment runs LT
-  /// with η=50 unless the query says otherwise") lives in one place and a
-  /// SolveRequest built by hand is unaffected — these are factory
-  /// defaults, never overrides. Field meanings match SolveRequest.
-  struct RequestDefaults {
-    AlgorithmId algorithm = AlgorithmId::kAsti;
-    DiffusionModel model = DiffusionModel::kIndependentCascade;
-    NodeId eta = 1;
-    double epsilon = 0.5;
-    size_t realizations = 1;
-    uint64_t seed = 1;
-    RootRounding rounding = RootRounding::kRandomized;
-  };
-
-  /// How the engine SERVES: pool size, drivers, queue depth, metrics.
+  /// How the engine SERVES: pool size, drivers, queue depth, cache budget.
   struct ServingOptions {
     /// Shared sampling/coverage workers for all requests: 1 = no pool (work
     /// runs on the driving thread), 0 = one per hardware thread, k = k
@@ -118,27 +100,12 @@ class SeedMinEngine {
     /// run blocks of their own requests' loops and are never pool workers.
     size_t num_drivers = 4;
     /// Waiting-room slots beyond the executing drivers: admission capacity
-    /// is num_drivers + max_queue_depth (unless max_inflight overrides).
-    /// A burst of capacity + k submissions yields exactly k rejections.
+    /// (queued + executing requests) is num_drivers + max_queue_depth. A
+    /// burst of capacity + k SubmitAsync calls yields exactly k
+    /// ResourceExhausted answers; SolveBatch waits for slots instead (a
+    /// synchronous batch caller *is* the backpressure), so batches larger
+    /// than capacity still complete.
     size_t max_queue_depth = 64;
-    /// Hard cap on admitted (queued + executing) requests; 0 derives it as
-    /// num_drivers + max_queue_depth.
-    size_t max_inflight = 0;
-    /// Admission policy when the queue is full: false = SubmitAsync
-    /// resolves to Status::ResourceExhausted immediately (backpressure the
-    /// client can see), true = SubmitAsync blocks the calling thread until
-    /// a slot frees. SolveBatch always blocks (a synchronous batch caller
-    /// *is* the backpressure), so batches larger than capacity still
-    /// complete.
-    bool block_when_full = false;
-    /// Per-request phase profiling + engine-wide metric aggregation. On
-    /// (the default): SolveResult::profile is fully populated and every
-    /// completion records into the metrics registry (handle lookups once
-    /// per request — never per RR-set; phase spans read the clock at batch
-    /// boundaries only). Off: phase slots stay zero and the registry is
-    /// not touched; total/queue-wait on the profile are still filled (two
-    /// clock reads). Results are bit-identical either way.
-    bool enable_metrics = true;
     /// Byte budget for each graph's shared sampler cache: when an Acquire
     /// pushes the cache's resident bytes past this, least-recently-used
     /// (kind, model, η, rounding) entries are evicted until it fits (the
@@ -147,9 +114,6 @@ class SeedMinEngine {
     /// — it trades recomputation for memory; asti_sampler_cache_evictions
     /// counts the drops.
     size_t cache_byte_budget = 0;
-    /// Factory defaults NewRequest() stamps onto fresh requests. Purely a
-    /// construction convenience — requests built by hand ignore it.
-    RequestDefaults request_defaults = {};
   };
 
   /// Per-graph serving counters, part of admission_stats(): one row per
@@ -191,11 +155,6 @@ class SeedMinEngine {
   /// The shared pool, or nullptr in sequential mode.
   ThreadPool* pool() { return pool_.get(); }
 
-  /// A fresh request against `graph`, pre-filled with this engine's
-  /// ServingOptions::request_defaults. The graph name is required up
-  /// front — there is no "default graph" to fall back to.
-  SolveRequest NewRequest(std::string graph) const;
-
   /// Admission counters (per-outcome, since construction) plus per-graph
   /// serving counters — the serving front's observability hook.
   EngineStats admission_stats() const;
@@ -207,8 +166,7 @@ class SeedMinEngine {
   /// admission counters (asti_admission_total{outcome}), the admission
   /// inflight gauge, and per-graph inflight/completed/epoch series derived
   /// from admission_stats(). Feed the result to ExportPrometheusText
-  /// (obs/export.h). Empty histogram set when the engine runs with
-  /// enable_metrics = false.
+  /// (obs/export.h).
   MetricsSnapshot metrics_snapshot() const;
 
   /// Persists the named graph AND its current sealed sampler-cache
@@ -239,12 +197,11 @@ class SeedMinEngine {
   /// resolved — and its snapshot pinned — here, at admission: a Swap or
   /// Retire of the name after SubmitAsync returns does not affect this
   /// request. The future resolves to the same StatusOr Solve would return,
-  /// or to ResourceExhausted when admission is full (never blocks unless
-  /// ServingOptions::block_when_full), or to Cancelled when the engine is
-  /// destroyed before execution starts. Invalid requests, unknown graph
-  /// names, and already-expired deadlines resolve immediately without
-  /// consuming admission capacity. The engine (and its catalog) must
-  /// outlive every outstanding future.
+  /// or to ResourceExhausted when admission is full (never blocks), or to
+  /// Cancelled when the engine is destroyed before execution starts.
+  /// Invalid requests, unknown graph names, and already-expired deadlines
+  /// resolve immediately without consuming admission capacity. The engine
+  /// (and its catalog) must outlive every outstanding future.
   std::future<StatusOr<SolveResult>> SubmitAsync(SolveRequest request);
 
   /// Serves a batch through the admission queue with *blocking* admission
@@ -304,8 +261,8 @@ class SeedMinEngine {
                                 double queue_wait_seconds = 0.0);
   Status ValidateAgainst(const SolveRequest& request, const DirectedGraph& graph) const;
 
-  /// Records one finished request (any verdict) into the registry; no-op
-  /// when enable_metrics is off.
+  /// Records one finished request (any verdict) into the registry (handle
+  /// lookups once per request, never per RR set).
   void RecordRequestMetrics(const GraphState& state, const SolveRequest& request,
                             StatusCode code, const RequestProfile& profile);
 

@@ -1,6 +1,7 @@
 #include "benchutil/cli.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
@@ -12,12 +13,34 @@
 
 namespace asti {
 
+namespace {
+
+// The whole of `value` as a T, or exit 2 naming the flag and the token: a
+// typo must not run the default, and a numeric prefix ("4x", "1e1" for an
+// integer) must not run another value.
+template <typename T>
+T ParseWholeToken(const std::string& key, const std::string& value) {
+  T parsed{};
+  const char* end = value.data() + value.size();
+  const auto [stop, error] = std::from_chars(value.data(), end, parsed);
+  if (error != std::errc() || stop != end) {
+    std::cerr << "bad value for --" << key << ": '" << value << "'\n";
+    std::exit(2);
+  }
+  return parsed;
+}
+
+}  // namespace
+
 CommandLine::CommandLine(int argc, const char* const* argv,
                          std::vector<std::string> accepted)
     : accepted_(std::move(accepted)) {
   for (int i = 1; i < argc; ++i) {
     const std::string token = argv[i];
-    if (token.rfind("--", 0) != 0) continue;
+    if (token.rfind("--", 0) != 0) {
+      std::cerr << "unexpected argument '" << token << "'\n";
+      std::exit(2);
+    }
     const std::string body = token.substr(2);
     const size_t eq = body.find('=');
     if (eq != std::string::npos) {
@@ -54,22 +77,12 @@ std::string CommandLine::GetString(const std::string& key,
 
 double CommandLine::GetDouble(const std::string& key, double fallback) const {
   const std::string* value = Find(key);
-  if (value == nullptr) return fallback;
-  try {
-    return std::stod(*value);
-  } catch (...) {
-    return fallback;
-  }
+  return value == nullptr ? fallback : ParseWholeToken<double>(key, *value);
 }
 
 int64_t CommandLine::GetInt(const std::string& key, int64_t fallback) const {
   const std::string* value = Find(key);
-  if (value == nullptr) return fallback;
-  try {
-    return std::stoll(*value);
-  } catch (...) {
-    return fallback;
-  }
+  return value == nullptr ? fallback : ParseWholeToken<int64_t>(key, *value);
 }
 
 double EnvDouble(const char* name, double fallback) {

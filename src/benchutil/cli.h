@@ -16,11 +16,14 @@ namespace asti {
 struct SolveRequest;  // api/request.h; full include only in cli.cc
 
 /// Parsed --key=value / --key value / --flag command-line options.
-/// `accepted` names every flag the binary reads (without the dashes). A
-/// flag outside it prints its name and the accepted list to stderr and
-/// exits with status 2, so a misspelt or unsupported option never runs a
-/// default configuration; reading a key outside it is a programming error
-/// (ASM_CHECK).
+/// `accepted` names every flag the binary reads (without the dashes). Each
+/// of these prints what was wrong to stderr and exits with status 2, so a
+/// typo never runs a default or another configuration: a flag outside
+/// `accepted` (named with the accepted list), a token that is neither a
+/// flag nor a flag's value ("unexpected argument"), and a GetInt/GetDouble
+/// value that is not wholly a number of that type ("bad value for"; "4x"
+/// and, for GetInt, "1e1" are refused rather than read as 4 and 1).
+/// Reading a key outside `accepted` is a programming error (ASM_CHECK).
 class CommandLine {
  public:
   CommandLine(int argc, const char* const* argv, std::vector<std::string> accepted);

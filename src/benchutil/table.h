@@ -1,6 +1,6 @@
 // Plain-text aligned tables for benchmark output. Every figure/table
-// harness prints through this so EXPERIMENTS.md rows can be diffed
-// directly against bench output.
+// harness prints through this, so runs can be diffed against each other
+// line by line.
 
 #pragma once
 

@@ -139,8 +139,8 @@ SelectionResult Trim::SelectBatch(const ResidualView& view, Rng& rng) {
   // round whose distribution is request-independent, hence cacheable, and
   // whose pick is memoized on the cache entry. The cached path consumes
   // ZERO draws from `rng`, so all later rounds see identical request
-  // streams whether this round hit the memo, extended, or (with a
-  // request-private cache, --no-cache) freshly sampled.
+  // streams whether this round hit the memo, extended, or sampled a cold
+  // entry.
   if (options_.sampler_cache != nullptr && ni == graph_->NumNodes()) {
     return CertifyOnCache(*options_.sampler_cache,
                           SamplerCacheKey::Mrr(model_, eta_i, options_.rounding), schedule,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <limits>
 #include <sstream>
 
@@ -158,6 +159,19 @@ StatusOr<EdgeDelta> ParseDeltaText(const std::string& text) {
   }
   ASM_RETURN_NOT_OK(ValidateDelta(delta));
   return delta;
+}
+
+StatusOr<EdgeDelta> LoadDeltaFile(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) return Status::IOError("cannot open '" + path + "'");
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  StatusOr<EdgeDelta> parsed = ParseDeltaText(buffer.str());
+  if (!parsed.ok()) {
+    return Status(parsed.status().code(), "delta '" + path + "': " +
+                                              parsed.status().message());
+  }
+  return parsed;
 }
 
 std::string FormatDeltaText(const EdgeDelta& delta) {

@@ -10,10 +10,10 @@
 // may also carry the expected post-apply digest, which ApplyDelta
 // re-checks.
 //
-// Two interchangeable serializations (both readable by asm_tool
-// --apply-delta): a line-oriented text form for hand-written batches and
-// traces (this header) and a CRC-guarded binary form for pipelines
-// (delta_io.h).
+// One serialization, the line-oriented text form below (asm_tool
+// --apply-delta reads it through LoadDeltaFile). It round-trips every
+// batch bit-exactly, and a stamped result_digest makes ApplyDelta refuse a
+// file whose ops were altered yet still parse.
 
 #pragma once
 
@@ -87,6 +87,11 @@ Status ValidateDelta(const EdgeDelta& delta);
 /// malformed line; the parsed batch is additionally run through
 /// ValidateDelta.
 StatusOr<EdgeDelta> ParseDeltaText(const std::string& text);
+
+/// Reads a text-form file through ParseDeltaText: IOError when the file
+/// cannot be opened, the parser's InvalidArgument (prefixed with the path)
+/// otherwise. The asm_tool --apply-delta entry point.
+StatusOr<EdgeDelta> LoadDeltaFile(const std::string& path);
 
 /// Serializes to the text form (symbols, one op per line; digests emitted
 /// only when non-zero). ParseDeltaText(FormatDeltaText(d)) == d.

@@ -109,7 +109,7 @@ StatusOr<DirectedGraph> MakeSurrogateDataset(DatasetId id, double scale, uint64_
       // laptop scale instead swallow every fractional threshold. A
       // power-law-in / uniform-out structure keeps heavy-tailed in-degrees
       // without explosive out-hubs, restoring the many-seeds regime all
-      // LiveJournal experiments of the paper operate in (DESIGN.md §2).
+      // LiveJournal experiments of the paper operate in.
       skeleton = MakeTwoSidedChungLu(n, m, /*out_exponent=*/0.0,
                                      /*in_exponent=*/2.3, rng);
       break;

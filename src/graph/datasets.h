@@ -1,10 +1,11 @@
 // Synthetic surrogates for the paper's four SNAP datasets (Table 2).
 //
-// The real SNAP files are not available offline; DESIGN.md documents the
-// substitution. Each surrogate matches the original's directedness and
-// power-law degree shape and is scaled so the full benchmark sweep runs on
-// one laptop core. A `scale` multiplier lets callers grow or shrink any
-// surrogate; scale == 1.0 gives the defaults recorded in EXPERIMENTS.md.
+// The real SNAP files cannot be fetched offline, so each dataset is
+// replaced by a synthetic surrogate. Each surrogate matches the original's
+// directedness and power-law degree shape and is scaled so the full
+// benchmark sweep runs on one laptop core. A `scale` multiplier lets
+// callers grow or shrink any surrogate; scale == 1.0 gives the sizes in
+// AllDatasets() (`asm_tool --list-graphs` prints them).
 
 #pragma once
 

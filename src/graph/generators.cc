@@ -6,7 +6,6 @@
 
 #include "graph/graph_builder.h"
 #include "graph/weight_models.h"
-#include "util/bit_vector.h"
 
 namespace asti {
 
@@ -44,18 +43,6 @@ EdgeSkeleton MakeComplete(NodeId n) {
   for (NodeId u = 0; u < n; ++u) {
     for (NodeId v = 0; v < n; ++v) {
       if (u != v) skeleton.edges.push_back(Edge{u, v, 1.0});
-    }
-  }
-  return skeleton;
-}
-
-EdgeSkeleton MakeLayeredDag(NodeId layers, NodeId width) {
-  EdgeSkeleton skeleton{layers * width, {}};
-  for (NodeId layer = 0; layer + 1 < layers; ++layer) {
-    for (NodeId i = 0; i < width; ++i) {
-      for (NodeId j = 0; j < width; ++j) {
-        skeleton.edges.push_back(Edge{layer * width + i, (layer + 1) * width + j, 1.0});
-      }
     }
   }
   return skeleton;
@@ -182,117 +169,6 @@ EdgeSkeleton MakeTwoSidedChungLu(NodeId n, size_t target_edges, double out_expon
     ++attempts;
     const NodeId u = SampleFromCumulative(out_cumulative, rng);
     const NodeId v = SampleFromCumulative(in_cumulative, rng);
-    if (u == v) continue;
-    if (!seen.insert(EdgeKey(u, v)).second) continue;
-    skeleton.edges.push_back(Edge{u, v, 1.0});
-  }
-  return skeleton;
-}
-
-EdgeSkeleton MakeWattsStrogatz(NodeId n, uint32_t k_neighbors, double beta, Rng& rng) {
-  ASM_CHECK(n >= 4);
-  ASM_CHECK(k_neighbors >= 2 && k_neighbors % 2 == 0) << "ring degree must be even";
-  ASM_CHECK(k_neighbors < n);
-  ASM_CHECK(beta >= 0.0 && beta <= 1.0);
-  // Undirected edge set, built as (u, ring successor) pairs then rewired.
-  std::unordered_set<uint64_t> seen;
-  std::vector<std::pair<NodeId, NodeId>> undirected;
-  for (NodeId u = 0; u < n; ++u) {
-    for (uint32_t hop = 1; hop <= k_neighbors / 2; ++hop) {
-      NodeId v = static_cast<NodeId>((u + hop) % n);
-      if (rng.NextBernoulli(beta)) {
-        // Rewire the far endpoint; retry on self-loops and duplicates.
-        for (int attempt = 0; attempt < 32; ++attempt) {
-          const NodeId candidate = static_cast<NodeId>(rng.NextBounded(n));
-          if (candidate == u) continue;
-          const uint64_t key = EdgeKey(std::min(u, candidate), std::max(u, candidate));
-          if (seen.count(key)) continue;
-          v = candidate;
-          break;
-        }
-      }
-      const uint64_t key = EdgeKey(std::min(u, v), std::max(u, v));
-      if (u == v || !seen.insert(key).second) continue;
-      undirected.emplace_back(u, v);
-    }
-  }
-  EdgeSkeleton skeleton{n, {}};
-  skeleton.edges.reserve(2 * undirected.size());
-  for (const auto& [u, v] : undirected) {
-    skeleton.edges.push_back(Edge{u, v, 1.0});
-    skeleton.edges.push_back(Edge{v, u, 1.0});
-  }
-  return skeleton;
-}
-
-EdgeSkeleton MakeForestFire(NodeId n, double forward_probability, Rng& rng) {
-  ASM_CHECK(n >= 2);
-  ASM_CHECK(forward_probability >= 0.0 && forward_probability < 1.0);
-  EdgeSkeleton skeleton{n, {}};
-  // Forward adjacency of the growing graph, needed for burning.
-  std::vector<std::vector<NodeId>> out_adjacency(n);
-  std::unordered_set<uint64_t> seen;
-  EpochVisitedSet burned(n);
-  auto add_edge = [&](NodeId u, NodeId v) {
-    if (u == v) return;
-    if (!seen.insert(EdgeKey(u, v)).second) return;
-    skeleton.edges.push_back(Edge{u, v, 1.0});
-    out_adjacency[u].push_back(v);
-  };
-  for (NodeId newcomer = 1; newcomer < n; ++newcomer) {
-    const NodeId ambassador = static_cast<NodeId>(rng.NextBounded(newcomer));
-    burned.Reset();
-    burned.MarkVisited(newcomer);
-    std::vector<NodeId> frontier = {ambassador};
-    burned.MarkVisited(ambassador);
-    add_edge(newcomer, ambassador);
-    // Geometric burning: from each burned node, keep following out-links
-    // while coins succeed (cap the fire to keep generation near-linear).
-    size_t burn_budget = 64;
-    for (size_t head = 0; head < frontier.size() && burn_budget > 0; ++head) {
-      for (NodeId next : out_adjacency[frontier[head]]) {
-        if (burn_budget == 0) break;
-        if (!rng.NextBernoulli(forward_probability)) continue;
-        if (!burned.MarkVisited(next)) continue;
-        add_edge(newcomer, next);
-        frontier.push_back(next);
-        --burn_budget;
-      }
-    }
-  }
-  return skeleton;
-}
-
-EdgeSkeleton MakeRMat(uint32_t scale, size_t num_edges, double a, double b, double c,
-                      double d, Rng& rng) {
-  ASM_CHECK(scale >= 1 && scale < 31);
-  const double sum = a + b + c + d;
-  ASM_CHECK(std::abs(sum - 1.0) < 1e-6) << "quadrant probabilities must sum to 1";
-  const NodeId n = static_cast<NodeId>(1u << scale);
-  EdgeSkeleton skeleton{n, {}};
-  std::unordered_set<uint64_t> seen;
-  seen.reserve(num_edges * 2);
-  const size_t max_attempts = num_edges * 50 + 1000;
-  size_t attempts = 0;
-  while (skeleton.edges.size() < num_edges && attempts < max_attempts) {
-    ++attempts;
-    NodeId u = 0;
-    NodeId v = 0;
-    for (uint32_t bit = 0; bit < scale; ++bit) {
-      const double x = rng.NextDouble();
-      u <<= 1;
-      v <<= 1;
-      if (x < a) {
-        // top-left: no bits set
-      } else if (x < a + b) {
-        v |= 1;
-      } else if (x < a + b + c) {
-        u |= 1;
-      } else {
-        u |= 1;
-        v |= 1;
-      }
-    }
     if (u == v) continue;
     if (!seen.insert(EdgeKey(u, v)).second) continue;
     skeleton.edges.push_back(Edge{u, v, 1.0});

@@ -1,9 +1,11 @@
 // Synthetic graph generators.
 //
-// Random families (Erdős–Rényi, Barabási–Albert, Chung–Lu, R-MAT) provide
-// the power-law surrogates for the paper's SNAP datasets (see DESIGN.md
-// substitutions); deterministic fixtures (path, star, ...) back unit tests,
-// including the exact example graphs from Figures 1 and 2 of the paper.
+// Random families: the Chung–Lu generators build the power-law surrogates
+// that stand in for the paper's SNAP datasets, which cannot be fetched
+// offline (graph/datasets.cc); Erdős–Rényi and Barabási–Albert back the
+// tests and examples. Deterministic fixtures (path, star, ...) back unit
+// tests, including the exact example graphs from Figures 1 and 2 of the
+// paper.
 //
 // Generators emit an EdgeSkeleton (structure only, probability 1.0); a
 // weight model pass then assigns propagation probabilities.
@@ -41,10 +43,6 @@ EdgeSkeleton MakeStar(NodeId n);
 /// All ordered pairs (u, v), u != v.
 EdgeSkeleton MakeComplete(NodeId n);
 
-/// `layers` layers of `width` nodes; every node of layer i points to every
-/// node of layer i+1. Node id = layer * width + offset.
-EdgeSkeleton MakeLayeredDag(NodeId layers, NodeId width);
-
 /// The 6-node social graph of Figure 1 in the paper, with the printed
 /// probabilities: v1->v4 (.9), v1->v6 (.3), v4->v3 (.1), v6->v5 (.5),
 /// v3->v5 (.4), v5->v2 (.6), v2->v1 (.7). Nodes are 0-indexed (v1 == 0).
@@ -75,26 +73,11 @@ EdgeSkeleton MakeChungLu(NodeId n, size_t target_edges, double exponent, Rng& rn
 /// targets one with `in_exponent`; an exponent <= 0 selects that side
 /// uniformly. A power-law in / uniform-out graph has heavy-tailed
 /// in-degrees without explosive out-hubs — the cascade-tempered regime of
-/// dense assortative social networks (DESIGN.md §2, LiveJournal surrogate).
+/// dense assortative social networks, which the LiveJournal surrogate
+/// needs: a Chung–Lu graph with power-law out-degrees at its density would
+/// put nearly every node in one giant cascade.
 EdgeSkeleton MakeTwoSidedChungLu(NodeId n, size_t target_edges, double out_exponent,
                                  double in_exponent, Rng& rng);
-
-/// Watts–Strogatz small world: ring lattice of even degree `k_neighbors`
-/// with each edge rewired to a uniform target with probability `beta`.
-/// Undirected structure expanded into both directions.
-EdgeSkeleton MakeWattsStrogatz(NodeId n, uint32_t k_neighbors, double beta, Rng& rng);
-
-/// Forest-fire model (Leskovec et al.): each new node links to a uniformly
-/// chosen ambassador and recursively "burns" through its out-neighborhood
-/// with the given forward-burning probability. Produces a densifying
-/// power-law digraph with strong community structure.
-EdgeSkeleton MakeForestFire(NodeId n, double forward_probability, Rng& rng);
-
-/// R-MAT with 2^scale nodes and the given quadrant probabilities
-/// (a + b + c + d must be ~1). Duplicates and self-loops are discarded and
-/// re-drawn, so exactly `num_edges` distinct edges are emitted.
-EdgeSkeleton MakeRMat(uint32_t scale, size_t num_edges, double a, double b, double c,
-                      double d, Rng& rng);
 
 // ---------------------------------------------------------------------------
 // Weight-model application.

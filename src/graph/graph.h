@@ -199,8 +199,8 @@ class DirectedGraph {
 
 /// Order-sensitive digest of a forward CSR (node count, edge count,
 /// offsets, targets, probability bit patterns). Binds a delta to the exact
-/// graph it was staged against: ASMD headers and staged delta snapshots
-/// persist it, so its value must never change. Distinct from the snapshot
+/// graph it was staged against: delta files persist it (base_digest,
+/// result_digest), so its value must never change. Distinct from the snapshot
 /// store's section-CRC graph digest — this one is computable for any
 /// DirectedGraph without a file.
 uint64_t ForwardCsrDigest(const DirectedGraph& graph);

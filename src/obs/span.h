@@ -12,9 +12,9 @@
 // fans out to the pool, but the sampler/coverage calls themselves
 // block on the driving thread), so the slots are plain doubles — no
 // atomics on the accumulation path, and a null profile makes every span
-// a no-op (the metrics-off mode). Spans never touch RNG streams, work
-// partitioning, or merge order, so completed results are bit-identical
-// with profiling on or off (the determinism contract of
+// a no-op (a selector built without a profile). Spans never touch RNG
+// streams, work partitioning, or merge order, so completed results are
+// bit-identical with profiling on or off (the determinism contract of
 // src/parallel/README.md extends to observability).
 
 #pragma once

@@ -57,7 +57,9 @@ void RrSampler::TraverseFrom(const BitVector* active, Sink& out, Rng& rng) {
   } else {
     // LT live-edge: each popped node keeps at most one in-edge, edge i with
     // probability probs[i]; one draw x picks it. Mass on active sources
-    // folds into the "no live in-edge" outcome (DESIGN.md §4).
+    // folds into the "no live in-edge" outcome: the residual graph drops
+    // active nodes with their edges, so a pick that lands on one leaves v
+    // with no live in-edge there, like the leftover 1 - sum(p) mass.
     while (head < out.PoolSize()) {
       const NodeId v = out.PoolNode(head++);
       auto sources = graph.InNeighbors(v);

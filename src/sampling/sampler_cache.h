@@ -22,9 +22,9 @@
 // base.Split(global_index), where `base` is a pure function of the CACHE
 // KEY — never of a request seed. Set i's content is therefore identical no
 // matter which request generated it, at what batch size, on how many
-// threads, or whether it came from the shared cache or a request-private
-// one (`--no-cache`). Cached paths consume ZERO draws from the request RNG,
-// so everything downstream of them is also stream-identical cached vs not.
+// threads, or whether it came from a warm entry or a cold one. Cached
+// paths consume ZERO draws from the request RNG, so everything downstream
+// of them is also stream-identical warm vs cold.
 //
 // An entry holds two things: the sealed sets above, and the certified
 // round-1 picks made on them. The certify loop reads the first `want` sets
@@ -33,8 +33,7 @@
 // of the entry and the loop's (b, δ, ε̂, gain scale). The first completed
 // pick for each such memo key is stored on the entry and served to every
 // later round-1 selection with that key (core/trim.h CertifyOnCache). The
-// memo lives and dies with its entry: LRU eviction, an epoch swap, or the
-// end of a request-private cache.
+// memo lives and dies with its entry: LRU eviction or an epoch swap.
 
 #pragma once
 

@@ -1,6 +1,8 @@
 // Arrow-style Status / StatusOr error handling for fallible boundaries
 // (file I/O, configuration parsing). Internal algorithmic code uses
-// ASM_CHECK instead; see DESIGN.md §4.
+// ASM_CHECK instead: a broken invariant there is a bug the caller cannot
+// act on, so it aborts naming the failed condition rather than threading
+// a Status through every hot loop.
 
 #pragma once
 

@@ -62,8 +62,22 @@ TEST(CommandLineDeathTest, UnknownFlagExitsTwoNamingIt) {
               "unknown flag --thread;");
   const char* bare[] = {"prog", "--quiet"};
   EXPECT_EXIT(CommandLine(2, bare, {}), ::testing::ExitedWithCode(2), "unknown flag --quiet");
-  const char* known[] = {"prog", "--seed=3", "positional"};
-  EXPECT_EQ(CommandLine(3, known, {"seed"}).GetInt("seed", 0), 3);
+  const char* known[] = {"prog", "--seed=3"};
+  EXPECT_EQ(CommandLine(2, known, {"seed"}).GetInt("seed", 0), 3);
+}
+
+// A token that is neither a flag nor a flag's value is refused by name:
+// `asm_tool epinions` must not serve the default graph.
+TEST(CommandLineDeathTest, PositionalTokenExitsTwoNamingIt) {
+  const char* leading[] = {"asm_tool", "epinions", "--scale", "0.05"};
+  EXPECT_EXIT(CommandLine(4, leading, {"scale"}), ::testing::ExitedWithCode(2),
+              "unexpected argument 'epinions'");
+  const char* after_equals[] = {"prog", "--seed=3", "positional"};
+  EXPECT_EXIT(CommandLine(3, after_equals, {"seed"}), ::testing::ExitedWithCode(2),
+              "unexpected argument 'positional'");
+  const char* second_value[] = {"prog", "--seed", "3", "4"};
+  EXPECT_EXIT(CommandLine(4, second_value, {"seed"}), ::testing::ExitedWithCode(2),
+              "unexpected argument '4'");
 }
 
 TEST(CommandLineDeathTest, ReadingAnUndeclaredFlagAborts) {
@@ -72,11 +86,32 @@ TEST(CommandLineDeathTest, ReadingAnUndeclaredFlagAborts) {
   EXPECT_DEATH(cli.Has("threads"), "--threads is read but not in the binary's accepted list");
 }
 
-TEST(CommandLineTest, InvalidNumbersFallBack) {
-  const char* argv[] = {"prog", "--x=abc"};
-  CommandLine cli(2, argv, {"x"});
-  EXPECT_DOUBLE_EQ(cli.GetDouble("x", 1.5), 1.5);
-  EXPECT_EQ(cli.GetInt("x", 3), 3);
+// A numeric read takes the whole token or exits 2 naming the flag and the
+// token; a malformed value never falls back to the default.
+TEST(CommandLineDeathTest, MalformedNumberExitsTwoNamingIt) {
+  const char* argv[] = {"prog",           "--eta=abc", "--threads", "four",
+                        "--partial=4x",   "--exp=1e1", "--empty=",  "--neg=-3",
+                        "--frac=0.25"};
+  const CommandLine cli(9, argv,
+                        {"eta", "threads", "partial", "exp", "empty", "neg", "frac"});
+  EXPECT_EXIT(cli.GetDouble("eta", 1.5), ::testing::ExitedWithCode(2),
+              "bad value for --eta: 'abc'");
+  EXPECT_EXIT(cli.GetInt("eta", 3), ::testing::ExitedWithCode(2),
+              "bad value for --eta: 'abc'");
+  EXPECT_EXIT(cli.GetInt("threads", 1), ::testing::ExitedWithCode(2),
+              "bad value for --threads: 'four'");
+  EXPECT_EXIT(cli.GetInt("partial", 1), ::testing::ExitedWithCode(2),
+              "bad value for --partial: '4x'");
+  EXPECT_EXIT(cli.GetDouble("partial", 1.0), ::testing::ExitedWithCode(2),
+              "bad value for --partial: '4x'");
+  EXPECT_EXIT(cli.GetInt("exp", 1), ::testing::ExitedWithCode(2),
+              "bad value for --exp: '1e1'");
+  EXPECT_EXIT(cli.GetInt("empty", 1), ::testing::ExitedWithCode(2),
+              "bad value for --empty: ''");
+  // Whole tokens still parse.
+  EXPECT_DOUBLE_EQ(cli.GetDouble("exp", 0.0), 10.0);
+  EXPECT_EQ(cli.GetInt("neg", 0), -3);
+  EXPECT_DOUBLE_EQ(cli.GetDouble("frac", 0.0), 0.25);
 }
 
 TEST(EnvTest, ReadsAndFallsBack) {

@@ -1,12 +1,11 @@
 // Tests for the dynamic-graph delta subsystem (src/delta/): batch
-// validation and both serializations, the ApplyDelta digest-identity
+// validation and the text serialization, the ApplyDelta digest-identity
 // contract against the from-scratch GraphBuilder rebuild, and epoch
 // minting through the catalog (SwapWithDelta) under live traffic.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <future>
@@ -19,11 +18,9 @@
 #include "delta/apply.h"
 #include "delta/catalog_delta.h"
 #include "delta/churn.h"
-#include "delta/delta_io.h"
 #include "delta/edge_delta.h"
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
-#include "util/crc32.h"
 #include "util/rng.h"
 
 namespace asti {
@@ -89,13 +86,6 @@ std::string TempPath(const std::string& leaf) {
   return (std::filesystem::temp_directory_path() / leaf).string();
 }
 
-std::string ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
 // Solve fingerprint for bit-identity assertions across engines.
 std::string ResultFingerprint(const SolveResult& result) {
   std::ostringstream out;
@@ -120,6 +110,17 @@ TEST(EdgeDeltaTest, TextFormatRoundTripsExactly) {
   const auto parsed = ParseDeltaText(text);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(*parsed, delta);
+
+  // The same text read back from a file (asm_tool --apply-delta's path).
+  const std::string path = TempPath("edge_delta_roundtrip.txt");
+  {
+    std::ofstream out(path);
+    out << text;
+  }
+  const auto loaded = LoadDeltaFile(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(*loaded, delta);
 
   // Word aliases parse to the same batch as the symbols.
   const auto aliased = ParseDeltaText(
@@ -152,6 +153,19 @@ TEST(EdgeDeltaTest, MalformedTextIsInvalidArgument) {
     ASSERT_FALSE(parsed.ok()) << "accepted: " << text;
     EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << text;
   }
+
+  // From a file, the rejection names the file; a missing file is IOError.
+  const std::string path = TempPath("edge_delta_malformed.txt");
+  {
+    std::ofstream out(path);
+    out << bad_inputs[3];
+  }
+  const auto from_file = LoadDeltaFile(path);
+  std::remove(path.c_str());
+  EXPECT_EQ(from_file.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(from_file.status().message().find(path), std::string::npos)
+      << from_file.status().ToString();
+  EXPECT_EQ(LoadDeltaFile(path).status().code(), StatusCode::kIOError);
 }
 
 TEST(EdgeDeltaTest, ValidateRejectsConflictsAndBadOps) {
@@ -173,103 +187,6 @@ TEST(EdgeDeltaTest, ValidateRejectsConflictsAndBadOps) {
   conflict.ops.push_back({DeltaOpKind::kReweight, 2, 5, 0.5});
   conflict.ops.push_back({DeltaOpKind::kDelete, 2, 5, 0.0});
   EXPECT_EQ(ValidateDelta(conflict).code(), StatusCode::kInvalidArgument);
-}
-
-// --- Binary format ----------------------------------------------------------
-
-TEST(DeltaIoTest, BinaryRoundTripsAndSniffs) {
-  EdgeDelta delta;
-  delta.base_digest = 17;
-  delta.result_digest = 34;
-  delta.ops.push_back({DeltaOpKind::kInsert, 5, 6, 0.75});
-  delta.ops.push_back({DeltaOpKind::kDelete, 6, 5, 0.0});
-
-  const std::string path = TempPath("delta_io_roundtrip.asmd");
-  ASSERT_TRUE(WriteDeltaBinary(delta, path).ok());
-  const auto read = ReadDeltaBinary(path);
-  ASSERT_TRUE(read.ok()) << read.status().ToString();
-  EXPECT_EQ(*read, delta);
-
-  // The header's store-digest field is written as 0 and ignored on read:
-  // the same file carrying 99 there, header CRC resealed, reads back the
-  // same delta.
-  std::string bytes = ReadFileBytes(path);
-  DeltaFileHeader header;
-  std::memcpy(&header, bytes.data(), sizeof(header));
-  EXPECT_EQ(header.base_store_digest, 0u);
-  header.base_store_digest = 99;
-  header.header_crc = 0;
-  header.header_crc = Crc32(&header, sizeof(header));
-  std::memcpy(bytes.data(), &header, sizeof(header));
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-  const auto stamped = ReadDeltaBinary(path);
-  ASSERT_TRUE(stamped.ok()) << stamped.status().ToString();
-  EXPECT_EQ(*stamped, delta);
-
-  // LoadDeltaFile dispatches on the magic: binary here, text below.
-  const auto sniffed = LoadDeltaFile(path);
-  ASSERT_TRUE(sniffed.ok()) << sniffed.status().ToString();
-  EXPECT_EQ(*sniffed, delta);
-
-  const std::string text_path = TempPath("delta_io_roundtrip.txt");
-  {
-    std::ofstream out(text_path);
-    out << FormatDeltaText(delta);
-  }
-  const auto from_text = LoadDeltaFile(text_path);
-  ASSERT_TRUE(from_text.ok()) << from_text.status().ToString();
-  EXPECT_EQ(*from_text, delta);
-
-  std::remove(path.c_str());
-  std::remove(text_path.c_str());
-}
-
-TEST(DeltaIoTest, CorruptBinaryIsRejected) {
-  EdgeDelta delta;
-  delta.ops.push_back({DeltaOpKind::kInsert, 1, 2, 0.5});
-  const std::string path = TempPath("delta_io_corrupt.asmd");
-  ASSERT_TRUE(WriteDeltaBinary(delta, path).ok());
-
-  const std::string bytes = ReadFileBytes(path);
-  auto write_variant = [&](const std::string& mutated) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(mutated.data(), static_cast<std::streamsize>(mutated.size()));
-  };
-
-  // Truncated payload.
-  write_variant(bytes.substr(0, bytes.size() - 8));
-  EXPECT_FALSE(ReadDeltaBinary(path).ok());
-
-  // Wrong magic.
-  std::string bad_magic = bytes;
-  bad_magic[0] = 'X';
-  write_variant(bad_magic);
-  EXPECT_FALSE(ReadDeltaBinary(path).ok());
-
-  // Flipped payload byte: ops CRC catches it.
-  std::string bad_payload = bytes;
-  bad_payload[bytes.size() - 1] ^= 0x40;
-  write_variant(bad_payload);
-  EXPECT_FALSE(ReadDeltaBinary(path).ok());
-
-  // op_count = 2^61 + 1: op_count * 24 wraps to 24, so the header's size
-  // and the one real record agree, and both CRCs are recomputed. The
-  // reader must bound the count before allocating for it.
-  DeltaFileHeader wrapped_header;
-  std::memcpy(&wrapped_header, bytes.data(), sizeof(wrapped_header));
-  wrapped_header.op_count = (uint64_t{1} << 61) + 1;
-  wrapped_header.header_crc = 0;
-  wrapped_header.header_crc = Crc32(&wrapped_header, sizeof(wrapped_header));
-  std::string wrapped = bytes;
-  std::memcpy(wrapped.data(), &wrapped_header, sizeof(wrapped_header));
-  write_variant(wrapped);
-  EXPECT_EQ(ReadDeltaBinary(path).status().code(), StatusCode::kInvalidArgument);
-
-  std::remove(path.c_str());
-  EXPECT_FALSE(ReadDeltaBinary(path).ok());  // missing file
 }
 
 // --- ApplyDelta digest identity ---------------------------------------------
@@ -413,6 +330,14 @@ TEST_F(ApplyDeltaTest, InapplicableBatchesAreInvalidArgument) {
   ASSERT_TRUE(StampDigests(base_, wrong_result).ok());
   wrong_result.result_digest ^= 1;
   expect_invalid(wrong_result);
+
+  // An op edited after stamping (a corrupted file that still parses) mints
+  // another graph than the stamped result_digest: refused.
+  EdgeDelta edited_op;
+  edited_op.ops.push_back(FindAbsentPair(base_, 0.5));
+  ASSERT_TRUE(StampDigests(base_, edited_op).ok());
+  edited_op.ops[0].probability = 0.25;
+  expect_invalid(edited_op);
 }
 
 TEST(ChurnTest, RandomDeltasAreDeterministicInTheSeed) {

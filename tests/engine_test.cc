@@ -191,17 +191,6 @@ TEST_F(EngineTest, RejectsBatchSizeOffPlainAsti) {
   }
 }
 
-TEST_F(EngineTest, RejectsZeroOracleTrials) {
-  SeedMinEngine engine(catalog_);
-  SolveRequest request = AlphaRequest();
-  request.eta = 10;
-  request.algorithm = AlgorithmId::kOracle;
-  request.oracle_trials = 0;
-  const auto result = engine.Solve(request);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-}
-
 // The legacy single-graph binding is gone: requests that don't name a
 // catalog graph are invalid, and unknown names answer NotFound, on both
 // the sync and async paths (without consuming admission capacity).
@@ -277,28 +266,6 @@ TEST_F(EngineTest, CacheByteBudgetEvictsWithoutChangingResults) {
     }
   }
   EXPECT_GT(evictions, 0u);
-}
-
-// NewRequest stamps the serving-level per-request defaults so callers
-// only fill what their query actually overrides.
-TEST_F(EngineTest, NewRequestAppliesConfiguredDefaults) {
-  SeedMinEngine::ServingOptions options;
-  options.request_defaults.algorithm = AlgorithmId::kAsti4;
-  options.request_defaults.eta = 33;
-  options.request_defaults.epsilon = 0.2;
-  options.request_defaults.realizations = 5;
-  options.request_defaults.seed = 99;
-  SeedMinEngine engine(catalog_, options);
-  const SolveRequest request = engine.NewRequest("alpha");
-  EXPECT_EQ(request.graph, "alpha");
-  EXPECT_EQ(request.algorithm, AlgorithmId::kAsti4);
-  EXPECT_EQ(request.eta, 33u);
-  EXPECT_DOUBLE_EQ(request.epsilon, 0.2);
-  EXPECT_EQ(request.realizations, 5u);
-  EXPECT_EQ(request.seed, 99u);
-  const auto solved = engine.Solve(request);
-  ASSERT_TRUE(solved.ok()) << solved.status().ToString();
-  EXPECT_EQ(solved->graph_name, "alpha");
 }
 
 TEST_F(EngineTest, AsyncInvalidRequestResolvesToStatusNotCrash) {
@@ -611,9 +578,9 @@ TEST_F(EngineTest, PerGraphCountersSurviveHotSwap) {
 // fixed driver pool — strictly serialized (one driver) or racing (three
 // drivers) over a deliberately tiny queue, so blocking admission really
 // engages — stay bit-identical to solo Solve runs at every pool size. The
-// same burst through rejecting admission (SubmitAsync, block_when_full =
-// false) may be partly refused; every request it admits still equals its
-// solo run, and the queue counts exactly the refusals clients saw.
+// same burst through SubmitAsync, which rejects when the queue is full, may
+// be partly refused; every request it admits still equals its solo run,
+// and the queue counts exactly the refusals clients saw.
 TEST_F(EngineTest, QueuedAndRacingDriversMatchSoloAtEveryPoolSize) {
   const std::vector<SolveRequest> requests = MixedRequests("alpha");
   for (size_t threads : {1u, 2u, 4u, 8u}) {
@@ -672,29 +639,8 @@ TEST_F(EngineTest, QueuedAndRacingDriversMatchSoloAtEveryPoolSize) {
 
 // --- Observability ----------------------------------------------------------
 
-// The profiling determinism contract: phase spans and metrics recording
-// are passive, so every result is bit-identical with metrics on or off.
-TEST_F(EngineTest, MetricsOnAndOffProduceBitIdenticalResults) {
-  const std::vector<SolveRequest> requests = MixedRequests("alpha");
-  SeedMinEngine::ServingOptions with_metrics;
-  with_metrics.num_threads = 2;
-  with_metrics.enable_metrics = true;
-  SeedMinEngine on(catalog_, with_metrics);
-  SeedMinEngine::ServingOptions without_metrics = with_metrics;
-  without_metrics.enable_metrics = false;
-  SeedMinEngine off(catalog_, without_metrics);
-  for (const SolveRequest& request : requests) {
-    const auto from_on = on.Solve(request);
-    const auto from_off = off.Solve(request);
-    ASSERT_TRUE(from_on.ok()) << from_on.status().ToString();
-    ASSERT_TRUE(from_off.ok()) << from_off.status().ToString();
-    EXPECT_EQ(Fingerprint(*from_on), Fingerprint(*from_off))
-        << AlgorithmName(request.algorithm);
-  }
-}
-
 TEST_F(EngineTest, SolveResultCarriesAPopulatedProfile) {
-  SeedMinEngine engine(catalog_, {2});  // enable_metrics defaults to true
+  SeedMinEngine engine(catalog_, {2});
   const auto result = engine.Solve(AlphaRequest());  // ASTI: sampling-based
   ASSERT_TRUE(result.ok());
   const RequestProfile& profile = result->profile;
@@ -715,21 +661,6 @@ TEST_F(EngineTest, SolveResultCarriesAPopulatedProfile) {
   ASSERT_TRUE(heuristic.ok());
   EXPECT_EQ(heuristic->profile.sets_generated, 0u);
   EXPECT_GT(heuristic->profile.total_seconds, 0.0);
-}
-
-TEST_F(EngineTest, MetricsOffStillFillsTotalButSkipsPhases) {
-  SeedMinEngine::ServingOptions options;
-  options.num_threads = 2;
-  options.enable_metrics = false;
-  SeedMinEngine engine(catalog_, options);
-  const auto result = engine.Solve(AlphaRequest());
-  ASSERT_TRUE(result.ok());
-  EXPECT_GT(result->profile.total_seconds, 0.0);
-  EXPECT_EQ(result->profile.sampling_seconds, 0.0);
-  EXPECT_EQ(result->profile.sets_generated, 0u);
-  // No per-request series were recorded.
-  const MetricsSnapshot snapshot = engine.metrics_snapshot();
-  EXPECT_EQ(snapshot.MergedHistogram("asti_request_latency_seconds").Count(), 0u);
 }
 
 TEST_F(EngineTest, MetricsSnapshotAggregatesServedRequests) {
@@ -815,13 +746,12 @@ TEST_F(EngineTest, AsyncRequestsRecordQueueWait) {
 
 // --- Sampler cache ----------------------------------------------------------
 
-// The tentpole determinism contract: a request is bit-identical whether
-// its full-residual collections are freshly sampled (cold cache), served
-// entirely from another request's sealed prefixes (warm cache), or
-// sampled into a request-private cache (use_shared_cache = false) — at
-// every pool size, because cache streams derive from the cache key, not
-// the request seed.
-TEST_F(EngineTest, ColdWarmAndPrivateCacheAgreeAtEveryPoolSize) {
+// The cache's determinism contract: a request is bit-identical whether its
+// full-residual collections are freshly sampled (cold cache: a fresh
+// engine per request) or served entirely from another request's sealed
+// prefixes (warm cache) — at every pool size, because cache streams derive
+// from the cache key, not the request seed.
+TEST_F(EngineTest, ColdAndWarmCacheAgreeAtEveryPoolSize) {
   const std::vector<SolveRequest> requests = MixedRequests("alpha");
   for (size_t threads : {1u, 2u, 4u, 8u}) {
     // Solo / cold: a fresh engine per request, nothing shared.
@@ -843,16 +773,6 @@ TEST_F(EngineTest, ColdWarmAndPrivateCacheAgreeAtEveryPoolSize) {
       ASSERT_TRUE(result.ok()) << result.status().ToString();
       EXPECT_EQ(Fingerprint(*result), solo[i])
           << "threads=" << threads << " warm request=" << i;
-    }
-    // Private: the --no-cache path samples the same collections fresh.
-    SeedMinEngine isolated(catalog_, {threads});
-    for (size_t i = 0; i < requests.size(); ++i) {
-      SolveRequest request = requests[i];
-      request.use_shared_cache = false;
-      const auto result = isolated.Solve(request);
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
-      EXPECT_EQ(Fingerprint(*result), solo[i])
-          << "threads=" << threads << " no-cache request=" << i;
     }
   }
 }

@@ -45,15 +45,6 @@ TEST(FixturesTest, CompleteHasAllPairs) {
   EXPECT_EQ(seen.size(), 12u);
 }
 
-TEST(FixturesTest, LayeredDagShape) {
-  const EdgeSkeleton dag = MakeLayeredDag(3, 2);
-  EXPECT_EQ(dag.num_nodes, 6u);
-  EXPECT_EQ(dag.edges.size(), 8u);  // 2 layer gaps * 2 * 2
-  for (const Edge& e : dag.edges) {
-    EXPECT_EQ(e.target / 2, e.source / 2 + 1);  // always next layer
-  }
-}
-
 TEST(FixturesTest, PaperFigure1GraphMatchesPaper) {
   auto graph = MakePaperFigure1Graph();
   ASSERT_TRUE(graph.ok());
@@ -158,18 +149,6 @@ TEST(ChungLuTest, LowIdsAreHubs) {
   for (NodeId v = 0; v < n / 10; ++v) first_decile += degree[v];
   for (NodeId v = n - n / 10; v < n; ++v) last_decile += degree[v];
   EXPECT_GT(first_decile, 4 * last_decile);
-}
-
-TEST(RMatTest, ExactEdgeCountInRange) {
-  Rng rng(7);
-  const EdgeSkeleton skeleton = MakeRMat(8, 1000, 0.57, 0.19, 0.19, 0.05, rng);
-  EXPECT_EQ(skeleton.num_nodes, 256u);
-  EXPECT_EQ(skeleton.edges.size(), 1000u);
-  for (const Edge& e : skeleton.edges) {
-    EXPECT_LT(e.source, 256u);
-    EXPECT_LT(e.target, 256u);
-    EXPECT_NE(e.source, e.target);
-  }
 }
 
 TEST(WeightModelsTest, WeightedCascadeIsInverseIndegree) {

@@ -226,7 +226,7 @@ TEST(GraphTest, UniformInProbabilityIsDerivedPerNode) {
   EXPECT_GT(mixed, 0u);
 }
 
-// ASMD headers persist this digest and ApplyDelta refuses a batch whose
+// Delta files persist this digest and ApplyDelta refuses a batch whose
 // base_digest differs, so its value is a persisted format: these literals
 // must never change.
 TEST(GraphTest, ForwardCsrDigestIsPinned) {

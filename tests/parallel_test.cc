@@ -398,30 +398,41 @@ TEST(ParallelTrimTest, ThreadedTrimIsThreadCountInvariant) {
   // The full OPIM-C doubling loop run at 2 and at 4 workers must produce
   // identical seed choices, sample counts, and iteration counts: the engine
   // guarantees the collection (and thus every certify decision) does not
-  // depend on the pool size.
+  // depend on the pool size. The third run attaches a phase profile, which
+  // only reads clocks and counts sets, so it must not move the trace either.
   auto graph = MakeTestGraph(90, 550, 63);
   ASSERT_TRUE(graph.ok());
 
+  struct Run {
+    size_t threads;
+    bool profiled;
+  };
+  RequestProfile profile;
   std::vector<AdaptiveRunTrace> traces;
-  for (size_t threads : {2, 4}) {
-    ThreadPool pool(threads);
+  for (const Run run : {Run{2, false}, Run{4, false}, Run{4, true}}) {
+    ThreadPool pool(run.threads);
     TrimOptions options;
     options.epsilon = 0.5;
     options.pool = &pool;
+    if (run.profiled) options.profile = &profile;
     Trim trim(*graph, DiffusionModel::kIndependentCascade, options);
     Rng world_rng(64);
     AdaptiveWorld world(*graph, DiffusionModel::kIndependentCascade, 12, world_rng);
     Rng rng(65);
     traces.push_back(RunAdaptivePolicy(world, trim, rng));
   }
-  ASSERT_EQ(traces.size(), 2u);
-  EXPECT_EQ(traces[0].seeds, traces[1].seeds);
-  EXPECT_EQ(traces[0].total_samples, traces[1].total_samples);
-  EXPECT_EQ(traces[0].total_activated, traces[1].total_activated);
-  ASSERT_EQ(traces[0].rounds.size(), traces[1].rounds.size());
-  for (size_t r = 0; r < traces[0].rounds.size(); ++r) {
-    EXPECT_EQ(traces[0].rounds[r].seeds, traces[1].rounds[r].seeds);
-    EXPECT_EQ(traces[0].rounds[r].num_samples, traces[1].rounds[r].num_samples);
+  EXPECT_GT(profile.sets_generated, 0u);
+  ASSERT_EQ(traces.size(), 3u);
+  for (size_t i = 1; i < traces.size(); ++i) {
+    EXPECT_EQ(traces[0].seeds, traces[i].seeds) << "run " << i;
+    EXPECT_EQ(traces[0].total_samples, traces[i].total_samples) << "run " << i;
+    EXPECT_EQ(traces[0].total_activated, traces[i].total_activated) << "run " << i;
+    ASSERT_EQ(traces[0].rounds.size(), traces[i].rounds.size()) << "run " << i;
+    for (size_t r = 0; r < traces[0].rounds.size(); ++r) {
+      EXPECT_EQ(traces[0].rounds[r].seeds, traces[i].rounds[r].seeds) << "run " << i;
+      EXPECT_EQ(traces[0].rounds[r].num_samples, traces[i].rounds[r].num_samples)
+          << "run " << i;
+    }
   }
 }
 
