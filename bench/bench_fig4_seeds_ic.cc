@@ -5,6 +5,10 @@
 // AdaptIM ≈ ASTI, and batched variants cost a few extra seeds. "(miss)"
 // marks cells where the algorithm failed to reach η on some realization —
 // only ATEUC ever earns it.
+//
+// TRIM departs from Algorithms 2-3 in one way: a round whose one-hop
+// certificate holds (core/trim.h) is certified without samples, so seed
+// counts can differ from a sampling-only TRIM's while the guarantee holds.
 
 #include <iostream>
 

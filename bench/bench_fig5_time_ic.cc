@@ -4,6 +4,10 @@
 // than ASTI (it needs Θ(n_i/OPT') RR-sets per round vs Θ(η_i/OPT) mRR-sets);
 // batched ASTI-2/4/8 cut ASTI's time to a fraction; ATEUC pays its one-shot
 // selection once and is competitive at large η.
+//
+// TRIM departs from Algorithms 2-3 in one way: a round whose one-hop
+// certificate holds (core/trim.h) is certified without samples, so its
+// small-shortfall rounds cost far less time (and sets) than the paper's.
 
 #include <iostream>
 

@@ -3,6 +3,10 @@
 // Same grid as Figure 4 with the linear threshold model; the paper reports
 // the same ordering (ASTI ≈ AdaptIM < ASTI-b < ATEUC) with generally fewer
 // seeds than under IC.
+//
+// TRIM departs from Algorithms 2-3 in one way: a round whose one-hop
+// certificate holds (core/trim.h) is certified without samples, so seed
+// counts can differ from a sampling-only TRIM's while the guarantee holds.
 
 #include <iostream>
 

@@ -2,6 +2,10 @@
 //
 // Shapes: everything of Figure 5 plus "LT is faster than IC at the same
 // setting" (LT mRR-sets follow at most one in-edge per node).
+//
+// TRIM departs from Algorithms 2-3 in one way: a round whose one-hop
+// certificate holds (core/trim.h) is certified without samples, so its
+// small-shortfall rounds cost far less time (and sets) than the paper's.
 
 #include <iostream>
 

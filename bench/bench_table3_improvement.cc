@@ -3,6 +3,11 @@
 // For every dataset × threshold, prints how many more seeds ATEUC selects
 // relative to ASTI, or N/A when ATEUC's non-adaptive set misses η on at
 // least one hidden realization — exactly the paper's table semantics.
+//
+// TRIM departs from Algorithms 2-3 in one way: a round whose one-hop
+// certificate holds (core/trim.h) is certified without samples, so ASTI's
+// seed counts can differ from a sampling-only TRIM's while the guarantee
+// holds.
 
 #include <iostream>
 

@@ -304,7 +304,8 @@ int Run(int argc, char** argv) {
   for (size_t run = 0; run < result.traces.size(); ++run) {
     const AdaptiveRunTrace& trace = result.traces[run];
     if (!quiet && !trace.rounds.empty()) {
-      TextTable table({"round", "seeds", "activated", "shortfall", "samples"});
+      TextTable table(
+          {"round", "seeds", "activated", "shortfall", "samples", "rungs", "answer"});
       for (const RoundRecord& round : trace.rounds) {
         std::string seeds;
         for (NodeId s : round.seeds) {
@@ -316,7 +317,8 @@ int Run(int argc, char** argv) {
         table.AddRow({std::to_string(round.round), seeds,
                       std::to_string(round.newly_activated),
                       std::to_string(round.shortfall_before),
-                      std::to_string(round.num_samples)});
+                      std::to_string(round.num_samples), std::to_string(round.iterations),
+                      RoundAnswerName(round.answer)});
       }
       std::cout << "\nrun " << run + 1 << ":\n";
       table.Print(std::cout);

@@ -15,16 +15,16 @@ namespace asti {
 
 namespace {
 
-// The whole of `value` as a T, or exit 2 naming the flag and the token: a
-// typo must not run the default, and a numeric prefix ("4x", "1e1" for an
-// integer) must not run another value.
+// The whole of `value` as a T, or exit 2 naming the flag or variable and the
+// token: a typo must not run the default, and a numeric prefix ("4x", "1e1"
+// for an integer, "-3" for a size) must not run another value.
 template <typename T>
-T ParseWholeToken(const std::string& key, const std::string& value) {
+T ParseWholeToken(const std::string& name, const std::string& value) {
   T parsed{};
   const char* end = value.data() + value.size();
   const auto [stop, error] = std::from_chars(value.data(), end, parsed);
   if (error != std::errc() || stop != end) {
-    std::cerr << "bad value for --" << key << ": '" << value << "'\n";
+    std::cerr << "bad value for " << name << ": '" << value << "'\n";
     std::exit(2);
   }
   return parsed;
@@ -77,22 +77,17 @@ std::string CommandLine::GetString(const std::string& key,
 
 double CommandLine::GetDouble(const std::string& key, double fallback) const {
   const std::string* value = Find(key);
-  return value == nullptr ? fallback : ParseWholeToken<double>(key, *value);
+  return value == nullptr ? fallback : ParseWholeToken<double>("--" + key, *value);
 }
 
 int64_t CommandLine::GetInt(const std::string& key, int64_t fallback) const {
   const std::string* value = Find(key);
-  return value == nullptr ? fallback : ParseWholeToken<int64_t>(key, *value);
+  return value == nullptr ? fallback : ParseWholeToken<int64_t>("--" + key, *value);
 }
 
 double EnvDouble(const char* name, double fallback) {
   const char* raw = std::getenv(name);
-  if (raw == nullptr) return fallback;
-  try {
-    return std::stod(raw);
-  } catch (...) {
-    return fallback;
-  }
+  return raw == nullptr ? fallback : ParseWholeToken<double>(name, raw);
 }
 
 size_t NumThreadsOverride(const CommandLine& cli, size_t fallback) {
@@ -133,13 +128,7 @@ void ApplyRequestOverrides(const CommandLine& cli, SolveRequest& request) {
 
 size_t EnvSize(const char* name, size_t fallback) {
   const char* raw = std::getenv(name);
-  if (raw == nullptr) return fallback;
-  try {
-    const long long value = std::stoll(raw);
-    return value < 0 ? fallback : static_cast<size_t>(value);
-  } catch (...) {
-    return fallback;
-  }
+  return raw == nullptr ? fallback : ParseWholeToken<size_t>(name, raw);
 }
 
 }  // namespace asti

@@ -41,10 +41,13 @@ class CommandLine {
   std::map<std::string, std::string> values_;
 };
 
-/// Environment variable as double, or fallback when unset/invalid.
+/// Environment variable as double, or fallback when unset. A set value must
+/// be wholly a number, or this prints `bad value for NAME: 'value'` and
+/// exits 2, as CommandLine does for a flag.
 double EnvDouble(const char* name, double fallback);
 
-/// Environment variable as non-negative integer, or fallback.
+/// Environment variable as non-negative integer, or fallback when unset;
+/// a value that is not wholly one ("-3", "1x", "abc") exits 2 likewise.
 size_t EnvSize(const char* name, size_t fallback);
 
 /// Sampling worker count for a bench binary: ASM_BENCH_THREADS env wins,

@@ -53,6 +53,8 @@ AdaptiveRunTrace RunAdaptivePolicy(AdaptiveWorld& world, RoundSelector& selector
         std::min<NodeId>(record.newly_activated, record.shortfall_before);
     record.estimated_gain = selection.estimated_marginal_gain;
     record.num_samples = selection.num_samples;
+    record.iterations = selection.iterations;
+    record.answer = selection.answer;
     record.seconds = SecondsSince(round_start);
 
     trace.total_samples += record.num_samples;

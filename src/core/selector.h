@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "graph/types.h"
@@ -27,6 +28,27 @@ struct ResidualView {
   NodeId NumInactive() const { return static_cast<NodeId>(inactive_nodes->size()); }
 };
 
+/// How a round's batch was answered.
+enum class RoundAnswer : uint8_t {
+  kUncertified,  // the selector reports no certificate (heuristics, baselines)
+  kOneHop,       // TRIM's one-hop certificate, with no samples (core/trim.h)
+  kCertified,    // certified at rung `iterations` of the doubling ladder
+  kFellBack,     // rung T = `iterations` reached without certifying
+  kMemoHit,      // round-1 pick served from the sampler cache's memo
+};
+
+/// Short name for tables: "-", "one-hop", "certified", "fell-back", "memo".
+inline const char* RoundAnswerName(RoundAnswer answer) {
+  switch (answer) {
+    case RoundAnswer::kOneHop: return "one-hop";
+    case RoundAnswer::kCertified: return "certified";
+    case RoundAnswer::kFellBack: return "fell-back";
+    case RoundAnswer::kMemoHit: return "memo";
+    case RoundAnswer::kUncertified: break;
+  }
+  return "-";
+}
+
 /// What a selector reports back for one round.
 struct SelectionResult {
   /// Chosen batch (size 1 for TRIM, b for TRIM-B).
@@ -36,8 +58,10 @@ struct SelectionResult {
   double estimated_marginal_gain = 0.0;
   /// Reverse-reachable sets (or MC trials) generated this round.
   size_t num_samples = 0;
-  /// Doubling iterations consumed (sampling-based selectors).
+  /// Doubling iterations consumed (sampling-based selectors): the rung
+  /// count, also on a memo hit; 0 for a one-hop certificate.
   size_t iterations = 0;
+  RoundAnswer answer = RoundAnswer::kUncertified;
 };
 
 /// Per-round seed selection strategy.

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "core/selector.h"
 #include "graph/types.h"
 
 namespace asti {
@@ -21,6 +22,8 @@ struct RoundRecord {
   NodeId truncated_gain = 0;         // min{newly_activated, shortfall_before}
   double estimated_gain = 0.0;       // selector's Δ estimate
   size_t num_samples = 0;            // RR/mRR sets generated
+  size_t iterations = 0;             // doubling rungs used (SelectionResult)
+  RoundAnswer answer = RoundAnswer::kUncertified;  // how the batch was answered
   double seconds = 0.0;              // selection + observation time
 };
 

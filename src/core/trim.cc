@@ -14,7 +14,89 @@ namespace asti {
 
 namespace {
 constexpr double kOneMinusInvE = 1.0 - 1.0 / 2.718281828459045;
+// Nodes whose DP a round may run before it hands over to the ladders.
+constexpr size_t kOneHopProbes = 8;
 }  // namespace
+
+double OneHopTruncatedSpread(std::span<const double> probs, NodeId eta_i, double target) {
+  ASM_CHECK(eta_i >= 1);
+  if (eta_i == 1) return 1.0;
+  // dist[k] = Pr[X = k] over the edges read so far for k < cap, and
+  // dist[cap] = Pr[X ≥ cap]: past cap = η_i − 1, min(η_i, 1 + X) stays η_i.
+  const size_t cap = eta_i - 1;
+  std::vector<double> dist(std::min(cap, probs.size()) + 1, 0.0);
+  dist[0] = 1.0;
+  size_t top = 0;  // highest count the edges read so far can reach, at most cap
+  double expected = 1.0;
+  for (double p : probs) {
+    if (expected >= target) break;
+    // One more live edge adds one unless X has already reached cap.
+    expected += p * (1.0 - (top == cap ? dist[cap] : 0.0));
+    if (top < cap) dist[++top] = 0.0;
+    for (size_t k = top; k > 0; --k) {
+      dist[k] = (k == cap ? dist[k] : dist[k] * (1.0 - p)) + dist[k - 1] * p;
+    }
+    dist[0] *= 1.0 - p;
+  }
+  return expected;
+}
+
+std::optional<SelectionResult> CertifyOneHop(const DirectedGraph& graph,
+                                             const ResidualView& view, NodeId batch,
+                                             double epsilon) {
+  const NodeId eta_i = view.shortfall;
+  const double target = GreedyCoverageRatio(batch) * kOneMinusInvE * (1.0 - epsilon) *
+                        static_cast<double>(eta_i);
+  // `batch` inactive seeds activate themselves: min(b, η_i) holds for any batch.
+  const double floor = static_cast<double>(std::min(batch, eta_i));
+  if (floor < target && 1.0 + graph.MaxOutMass() < target) return std::nullopt;
+
+  const auto inactive = [&view](NodeId v) {
+    return view.active == nullptr || !view.active->Get(v);
+  };
+  const std::span<const NodeId> order = graph.NodesByOutMass();
+  size_t first = 0;  // position in `order` of the certified node
+  double bound = floor;
+  if (floor >= target) {
+    while (!inactive(order[first])) ++first;
+  } else {
+    std::vector<double> live;  // p of the node's out-edges into inactive nodes
+    size_t probes = 0;
+    for (first = 0; first < order.size() && probes < kOneHopProbes; ++first) {
+      const NodeId v = order[first];
+      if (!inactive(v)) continue;
+      const std::span<const NodeId> targets = graph.OutNeighbors(v);
+      const std::span<const double> probs = graph.OutProbabilities(v);
+      double mass = 0.0;
+      double residual = 0.0;
+      live.clear();
+      for (size_t j = 0; j < targets.size(); ++j) {
+        mass += probs[j];
+        if (inactive(targets[j])) {
+          residual += probs[j];
+          live.push_back(probs[j]);
+        }
+      }
+      // Jensen: E[min(η_i, 1 + X_v)] ≤ 1 + μ, and μ only falls along `order`.
+      if (1.0 + mass < target) break;
+      if (1.0 + residual < target) continue;
+      ++probes;
+      bound = OneHopTruncatedSpread(live, eta_i, target);
+      if (bound >= target) break;
+    }
+    if (bound < target) return std::nullopt;
+  }
+  // The certified node, then the next inactive nodes of `order` (from its
+  // head once its tail runs out): any batch holding the node keeps the bound.
+  SelectionResult result;
+  for (size_t k = 0; k < order.size() && result.seeds.size() < batch; ++k) {
+    const NodeId v = order[(first + k) % order.size()];
+    if (inactive(v)) result.seeds.push_back(v);
+  }
+  result.estimated_marginal_gain = std::max(bound, floor);
+  result.answer = RoundAnswer::kOneHop;
+  return result;
+}
 
 TrimSchedule ComputeCertifySchedule(NodeId num_inactive, NodeId batch, double delta,
                                     double eps_hat) {
@@ -82,8 +164,9 @@ SelectionResult CertifyOnLadder(const LadderSource& ladder, const TrimSchedule& 
       upper = CoverageUpperBound(coverage / schedule.rho_b, schedule.a2);
     }
     result.iterations = t;
-    if (lower / upper >= schedule.rho_b * (1.0 - schedule.eps_hat) ||
-        t == schedule.max_iterations) {
+    const bool certified = lower / upper >= schedule.rho_b * (1.0 - schedule.eps_hat);
+    if (certified || t == schedule.max_iterations) {
+      result.answer = certified ? RoundAnswer::kCertified : RoundAnswer::kFellBack;
       result.seeds = std::move(pick.selected);
       result.estimated_marginal_gain = gain_scale * coverage / static_cast<double>(want);
       result.num_samples = want;
@@ -103,7 +186,7 @@ SelectionResult CertifyOnCache(SamplerCache& cache, const SamplerCacheKey& key,
   const SelectionMemoKey memo{schedule.batch, schedule.delta, schedule.eps_hat, gain_scale};
   if (std::optional<MemoizedSelection> hit = cache.FindSelection(key, memo, profile)) {
     return SelectionResult{std::move(hit->seeds), hit->estimated_marginal_gain,
-                           hit->num_samples, hit->iterations};
+                           hit->num_samples, hit->iterations, RoundAnswer::kMemoHit};
   }
   SelectionResult result =
       CertifyOnLadder(CachedLadder(cache, key, pool, cancel, profile), schedule, candidates,
@@ -132,6 +215,13 @@ SelectionResult Trim::SelectBatch(const ResidualView& view, Rng& rng) {
   ASM_CHECK(eta_i >= 1 && eta_i <= ni);
   const NodeId batch = std::min<NodeId>(options_.batch_size, ni);
 
+  {
+    PhaseSpan certify(options_.profile, RequestPhase::kCertify);
+    if (std::optional<SelectionResult> certified =
+            CertifyOneHop(*graph_, view, batch, options_.epsilon)) {
+      return std::move(*certified);
+    }
+  }
   const TrimSchedule schedule = ComputeTrimSchedule(ni, eta_i, batch, options_.epsilon);
   const double gain_scale = static_cast<double>(eta_i);
 

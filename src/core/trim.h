@@ -8,10 +8,25 @@
 // max-coverage batch, certify it with the Lemma A.2 bounds, and double
 // until Λˡ(S*)/Λᵘ(S°) ≥ ρ_b(1 − ε̂) or the iteration budget T is spent.
 // All constants match the paper's pseudocode.
+//
+// One departure from Algorithms 2-3: before either ladder, SelectBatch
+// tries a one-hop certificate (CertifyOneHop) and, when it holds, returns
+// its batch without sampling. The proofs of Theorems 3.7 and 4.2 use only
+// the per-round bound E[Δ(S | history)] ≥ ρ_b(1 − 1/e)(1 − ε)·OPT_i, which
+// TRIM meets with probability 1 − δ. Since OPT_i ≤ η_i, a batch whose
+// expected truncated marginal spread provably reaches ρ_b(1 − 1/e)(1 − ε)·η_i
+// meets it with probability 1, so both theorems still hold. For an inactive
+// v, let X_v count v's live out-edges into inactive nodes. Under IC those
+// edges are unobserved, so X_v is a Poisson binomial over their p. Under LT
+// the history only raises each target's chance of picking v and keeps
+// targets independent, so X_v dominates that Poisson binomial. Any batch
+// holding v therefore reaches max(E[min(η_i, 1 + X_v)], min(b, η_i)).
 
 #pragma once
 
+#include <limits>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -64,7 +79,8 @@ class Trim : public RoundSelector {
   /// The graph must outlive the selector.
   Trim(const DirectedGraph& graph, DiffusionModel model, TrimOptions options = {});
 
-  /// Algorithm 3 with batch min(b, n_i) on the residual graph `view`.
+  /// Algorithm 3 with batch min(b, n_i) on the residual graph `view`,
+  /// unless CertifyOneHop answers the round first.
   SelectionResult SelectBatch(const ResidualView& view, Rng& rng) override;
 
   /// "ASTI" at b = 1, "ASTI-b" otherwise.
@@ -103,6 +119,29 @@ TrimSchedule ComputeCertifySchedule(NodeId num_inactive, NodeId batch, double de
 /// TRIM's schedule for shortfall η_i: δ and ε̂ from ε and η_i (line 1).
 TrimSchedule ComputeTrimSchedule(NodeId num_inactive, NodeId shortfall, NodeId batch,
                                  double epsilon);
+
+/// E[min(η_i, 1 + X)] for X the number of successes among independent
+/// trials with probabilities `probs`, by an O(|probs|·min(|probs|, η_i)) DP.
+/// Reads `probs` only until its prefix's value reaches `target` and returns
+/// that value (a prefix never exceeds the whole): the result reaches
+/// `target` exactly when the whole's does, and with an infinite target it
+/// is the whole's.
+double OneHopTruncatedSpread(std::span<const double> probs, NodeId eta_i,
+                             double target = std::numeric_limits<double>::infinity());
+
+/// The one-hop certificate for a round of `batch` = min(b, n_i) seeds at
+/// ε: certifies a batch when min(batch, η_i) or, for some inactive v,
+/// E[min(η_i, 1 + X_v)] reaches ρ_b(1 − 1/e)(1 − ε)·η_i, and returns v with
+/// the next batch − 1 inactive nodes of `graph.NodesByOutMass()` (answer
+/// kOneHop, no samples, gain = the certified bound). It rejects in O(1)
+/// when 1 + graph.MaxOutMass() and min(batch, η_i) both fall short;
+/// otherwise it walks the order past active nodes, drops a node whose
+/// 1 + μ over edges into inactive nodes falls short (Jensen), and runs the
+/// DP on at most eight nodes. X_v counts distinct live targets because a
+/// graph has neither self-loops nor parallel edges (GraphBuilder).
+std::optional<SelectionResult> CertifyOneHop(const DirectedGraph& graph,
+                                             const ResidualView& view, NodeId batch,
+                                             double epsilon);
 
 /// Alg. 2/3 lines 6-13 on `ladder`: picks b nodes per rung (argmax at
 /// b = 1, CELF over `candidates` at b ≥ 2) and returns the first certified

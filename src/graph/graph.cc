@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 namespace asti {
 
@@ -46,6 +47,35 @@ void DirectedGraph::DeriveUniformIn() {
     }
   }
   uniform_in_ = std::move(uniform);
+}
+
+double DirectedGraph::OutMass(NodeId v) const {
+  // Same guard as DeriveUniformIn: a malformed run simply has no mass.
+  const EdgeId begin = out_offsets_[v];
+  const EdgeId end = out_offsets_[v + 1];
+  if (begin >= end || end > out_probs_.size()) return 0.0;
+  double sum = 0.0;
+  for (EdgeId e = begin; e < end; ++e) sum += out_probs_[e];
+  return sum > 0.0 ? sum : 0.0;  // and NaN cannot break the sort's ordering
+}
+
+void DirectedGraph::DeriveMaxOutMass() {
+  double max_mass = 0.0;
+  for (NodeId v = 0; v < num_nodes_; ++v) max_mass = std::max(max_mass, OutMass(v));
+  max_out_mass_ = max_mass;
+  out_mass_order_ = std::make_shared<OutMassOrder>();
+}
+
+void DirectedGraph::SortByOutMass() const {
+  // (mass, id) pairs sort without an indirect read per comparison.
+  std::vector<std::pair<double, NodeId>> keyed(num_nodes_);
+  for (NodeId v = 0; v < num_nodes_; ++v) keyed[v] = {OutMass(v), v};
+  std::sort(keyed.begin(), keyed.end(), [](const auto& a, const auto& b) {
+    return a.first != b.first ? a.first > b.first : a.second < b.second;
+  });
+  std::vector<NodeId>& nodes = out_mass_order_->nodes;
+  nodes.resize(num_nodes_);
+  for (NodeId k = 0; k < num_nodes_; ++k) nodes[k] = keyed[k].second;
 }
 
 double DirectedGraph::InProbabilitySum(NodeId v) const {

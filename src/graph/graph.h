@@ -13,16 +13,21 @@
 // directly. Every traversal goes through the same spans, so the two paths
 // are bit-identical by construction.
 //
-// One value is derived rather than stored: whether all of a node's in-edges
-// carry one probability. Both constructors compute it with one O(m) pass
-// over the reverse probabilities, so every way a graph is made (builder,
-// delta mint, snapshot mmap) agrees on it without a file format carrying
-// it. Reverse samplers use it to skip dead in-edges without a
-// draw each and to pick an LT live edge in O(1) (sampling/rr_set.h).
+// Two values are derived rather than stored. One is whether all of a
+// node's in-edges carry one probability: reverse samplers use it to skip
+// dead in-edges without a draw each and to pick an LT live edge in O(1)
+// (sampling/rr_set.h). The other is the order of nodes by out-probability
+// mass, which TRIM's one-hop certificate walks (core/trim.h). Both
+// constructors compute the bit and the largest mass in O(m); the order
+// itself (O(m + n log n)) is sorted on its first read, once per graph and
+// its copies, so a graph whose rounds never walk it never sorts. Every way a
+// graph is made (builder, delta mint, snapshot mmap) agrees on them without
+// a file format carrying them.
 
 #pragma once
 
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <utility>
@@ -69,6 +74,7 @@ class DirectedGraph {
     ASM_CHECK(out_offsets_.size() == size_t{num_nodes_} + 1);
     ASM_CHECK(in_offsets_.size() == size_t{num_nodes_} + 1);
     DeriveUniformIn();
+    DeriveMaxOutMass();
   }
 
   /// View-backed graph: spans caller-described memory. `keepalive` must own
@@ -91,6 +97,7 @@ class DirectedGraph {
     ASM_CHECK(out_offsets_.size() == size_t{num_nodes_} + 1);
     ASM_CHECK(in_offsets_.size() == size_t{num_nodes_} + 1);
     DeriveUniformIn();
+    DeriveMaxOutMass();
   }
 
   /// Number of nodes.
@@ -149,6 +156,18 @@ class DirectedGraph {
     return in_probs_[in_offsets_[v]];
   }
 
+  /// Every node by descending out-probability mass μ_v = Σ p over v's
+  /// out-edges, ties by ascending id. Sorted on the first call, once for
+  /// the graph and all its copies (thread-safe).
+  std::span<const NodeId> NodesByOutMass() const {
+    if (!out_mass_order_) return {};
+    std::call_once(out_mass_order_->once, [this] { SortByOutMass(); });
+    return out_mass_order_->nodes;
+  }
+  /// μ of NodesByOutMass()'s first node: the largest out-probability mass.
+  /// Derived at construction; reading it never sorts.
+  double MaxOutMass() const { return max_out_mass_; }
+
   /// Target node of a forward edge.
   NodeId EdgeTarget(EdgeId e) const {
     ASM_DCHECK(e < NumEdges());
@@ -179,6 +198,17 @@ class DirectedGraph {
  private:
   // Fills uniform_in_ from the reverse CSR; one O(m) pass.
   void DeriveUniformIn();
+  // Fills max_out_mass_ and an empty out_mass_order_; one O(m) pass.
+  void DeriveMaxOutMass();
+  // Fills out_mass_order_->nodes; O(m + n log n), run once by NodesByOutMass.
+  void SortByOutMass() const;
+  // μ_v summed in edge order; 0 for a malformed run, a negative sum or NaN.
+  double OutMass(NodeId v) const;
+
+  struct OutMassOrder {
+    std::once_flag once;
+    std::vector<NodeId> nodes;
+  };
 
   NodeId num_nodes_ = 0;
   // Forward CSR.
@@ -192,6 +222,9 @@ class DirectedGraph {
   std::span<const EdgeId> in_edge_ids_;
   /// Bit v set iff UniformInProbability(v) has a value.
   std::shared_ptr<const BitVector> uniform_in_;
+  /// NodesByOutMass(), filled on its first read and shared by copies.
+  std::shared_ptr<OutMassOrder> out_mass_order_;
+  double max_out_mass_ = 0.0;
   /// Owns the spanned bytes: a GraphStorage for heap graphs, a mapped
   /// snapshot payload for mmap graphs.
   std::shared_ptr<const void> storage_;

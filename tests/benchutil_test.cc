@@ -6,6 +6,7 @@
 
 #include <cstdlib>
 #include <sstream>
+#include <utility>
 
 #include "benchutil/cli.h"
 #include "benchutil/experiment.h"
@@ -112,6 +113,31 @@ TEST(CommandLineDeathTest, MalformedNumberExitsTwoNamingIt) {
   EXPECT_DOUBLE_EQ(cli.GetDouble("exp", 0.0), 10.0);
   EXPECT_EQ(cli.GetInt("neg", 0), -3);
   EXPECT_DOUBLE_EQ(cli.GetDouble("frac", 0.0), 0.25);
+}
+
+// A set ASM_BENCH_* value is read whole or refused with exit 2, like a
+// flag's: `ASM_BENCH_SCALE=abc` must not run the default scale, and a
+// negative or partial size must not run another one.
+TEST(EnvDeathTest, MalformedValueExitsTwoNamingIt) {
+  const std::pair<const char*, const char*> doubles[] = {
+      {"abc", "bad value for ASM_TEST_ENV_D: 'abc'"},
+      {"0.5x", "bad value for ASM_TEST_ENV_D: '0.5x'"},
+      {"", "bad value for ASM_TEST_ENV_D: ''"}};
+  for (const auto& [value, message] : doubles) {
+    ::setenv("ASM_TEST_ENV_D", value, 1);
+    EXPECT_EXIT(EnvDouble("ASM_TEST_ENV_D", 0.5), ::testing::ExitedWithCode(2), message);
+  }
+  const std::pair<const char*, const char*> sizes[] = {
+      {"four", "bad value for ASM_TEST_ENV_S: 'four'"},
+      {"1x", "bad value for ASM_TEST_ENV_S: '1x'"},
+      {"-3", "bad value for ASM_TEST_ENV_S: '-3'"},
+      {"2.5", "bad value for ASM_TEST_ENV_S: '2.5'"}};
+  for (const auto& [value, message] : sizes) {
+    ::setenv("ASM_TEST_ENV_S", value, 1);
+    EXPECT_EXIT(EnvSize("ASM_TEST_ENV_S", 1), ::testing::ExitedWithCode(2), message);
+  }
+  ::unsetenv("ASM_TEST_ENV_D");
+  ::unsetenv("ASM_TEST_ENV_S");
 }
 
 TEST(EnvTest, ReadsAndFallsBack) {

@@ -29,9 +29,11 @@ namespace asti {
 namespace {
 
 // Order-sensitive serialization of every deterministic field a client can
-// observe, down to the per-round records; wall-clock timings (the one
-// legitimately run-dependent part of a SolveResult) are excluded, and the
-// graph identity fields are asserted separately where they matter.
+// observe, down to the per-round records; the legitimately run-dependent
+// parts of a SolveResult are excluded (wall-clock timings, and a round's
+// answer kind, which reads memo when the cache already held the round-1
+// pick), and the graph identity fields are asserted separately where they
+// matter.
 std::string Fingerprint(const SolveResult& result) {
   std::ostringstream out;
   out << result.algorithm_name << '|';
@@ -47,7 +49,7 @@ std::string Fingerprint(const SolveResult& result) {
       for (NodeId seed : round.seeds) out << seed << ' ';
       out << round.shortfall_before << '/' << round.newly_activated << '/'
           << round.truncated_gain << '/' << round.estimated_gain << '/'
-          << round.num_samples << ']';
+          << round.num_samples << '/' << round.iterations << ']';
     }
     out << ';';
   }
@@ -76,13 +78,15 @@ class EngineTest : public ::testing::Test {
 
   // A mixed-algorithm request batch covering adaptive, batched, heuristic
   // and both non-adaptive paths, each with its own seed, all on `graph`.
+  // At η = 90 the TRIM-family round 1 samples the shared mRR entry (see
+  // LadderRequest) and later rounds take the one-hop certificate or a ladder.
   std::vector<SolveRequest> MixedRequests(const std::string& graph) const {
     std::vector<SolveRequest> requests;
     auto add = [&requests, &graph](AlgorithmId algorithm, uint64_t seed) {
       SolveRequest request;
       request.graph = graph;
       request.algorithm = algorithm;
-      request.eta = 25;
+      request.eta = 90;
       request.realizations = 2;
       request.seed = seed;
       request.keep_traces = true;
@@ -105,6 +109,15 @@ class EngineTest : public ::testing::Test {
     request.realizations = 2;
     request.seed = 5;
     request.keep_traces = true;
+    return request;
+  }
+
+  // AlphaRequest at an η whose round 1 runs TRIM's ladder on the shared
+  // cache: alpha's largest out-probability mass is 13.8, so 1 + μ falls
+  // short of the one-hop target ρ_b(1 − 1/e)(1 − ε)·η ≥ 18.7 at every b ≤ 8.
+  SolveRequest LadderRequest() const {
+    SolveRequest request = AlphaRequest();
+    request.eta = 90;
     return request;
   }
 
@@ -232,8 +245,8 @@ TEST_F(EngineTest, UnknownGraphNameIsNotFound) {
 // load-bearing part — never changes results: a re-created entry
 // regenerates bit-identical sets because streams derive from the key.
 TEST_F(EngineTest, CacheByteBudgetEvictsWithoutChangingResults) {
-  SolveRequest ic = AlphaRequest();
-  SolveRequest lt = AlphaRequest();
+  SolveRequest ic = LadderRequest();
+  SolveRequest lt = LadderRequest();
   lt.model = DiffusionModel::kLinearThreshold;
 
   SeedMinEngine::ServingOptions unlimited;
@@ -641,7 +654,7 @@ TEST_F(EngineTest, QueuedAndRacingDriversMatchSoloAtEveryPoolSize) {
 
 TEST_F(EngineTest, SolveResultCarriesAPopulatedProfile) {
   SeedMinEngine engine(catalog_, {2});
-  const auto result = engine.Solve(AlphaRequest());  // ASTI: sampling-based
+  const auto result = engine.Solve(LadderRequest());  // ASTI: sampling-based
   ASSERT_TRUE(result.ok());
   const RequestProfile& profile = result->profile;
   EXPECT_GT(profile.total_seconds, 0.0);
@@ -819,7 +832,7 @@ TEST_F(EngineTest, RacingCacheExtendersMatchSoloAtEveryPoolSize) {
 // it.
 TEST_F(EngineTest, ProfileSplitsSharedAndOwnedCollectionBytes) {
   SeedMinEngine engine(catalog_, {2});
-  const auto cold = engine.Solve(AlphaRequest());
+  const auto cold = engine.Solve(LadderRequest());
   ASSERT_TRUE(cold.ok());
   // ASTI round 1 reads the shared cache; the cold run had to extend it.
   EXPECT_GT(cold->profile.shared_collection_bytes, 0u);
@@ -829,7 +842,7 @@ TEST_F(EngineTest, ProfileSplitsSharedAndOwnedCollectionBytes) {
   // collections, so both byte families are populated and distinct.
   EXPECT_GT(cold->profile.collection_bytes, 0u);
 
-  const auto warm = engine.Solve(AlphaRequest());
+  const auto warm = engine.Solve(LadderRequest());
   ASSERT_TRUE(warm.ok());
   EXPECT_TRUE(warm->profile.cache_hit);
   EXPECT_GT(warm->profile.sets_reused, 0u);
@@ -851,8 +864,8 @@ TEST_F(EngineTest, ProfileSplitsSharedAndOwnedCollectionBytes) {
 // per-request reuse counter accumulates across served requests.
 TEST_F(EngineTest, SamplerCacheMetricsFamiliesAppear) {
   SeedMinEngine engine(catalog_, {2});
-  ASSERT_TRUE(engine.Solve(AlphaRequest()).ok());  // cold: misses/extensions
-  ASSERT_TRUE(engine.Solve(AlphaRequest()).ok());  // warm: hits/reuse
+  ASSERT_TRUE(engine.Solve(LadderRequest()).ok());  // cold: misses/extensions
+  ASSERT_TRUE(engine.Solve(LadderRequest()).ok());  // warm: hits/reuse
 
   const MetricsSnapshot snapshot = engine.metrics_snapshot();
   const CounterSample* hits =
@@ -891,6 +904,42 @@ TEST_F(EngineTest, SamplerCacheMetricsFamiliesAppear) {
   EXPECT_GT(total_reused, 0u);
 }
 
+// Each round says how it was answered. On a fresh engine the first
+// realization's round 1 certifies on the ladder (or falls back at rung T)
+// and the second's reads the memo with the same rung count; a one-hop round
+// draws no samples and uses no rungs; the degree heuristic certifies nothing.
+TEST_F(EngineTest, RoundRecordsSayHowEachRoundWasAnswered) {
+  SeedMinEngine engine(catalog_, {1});
+  const auto result = engine.Solve(LadderRequest());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->traces.size(), 2u);
+  const RoundRecord& cold = result->traces[0].rounds.front();
+  const RoundRecord& memo = result->traces[1].rounds.front();
+  EXPECT_TRUE(cold.answer == RoundAnswer::kCertified ||
+              cold.answer == RoundAnswer::kFellBack);
+  EXPECT_GE(cold.iterations, 1u);
+  EXPECT_EQ(memo.answer, RoundAnswer::kMemoHit);
+  EXPECT_EQ(memo.iterations, cold.iterations);
+  size_t one_hop = 0;
+  for (const AdaptiveRunTrace& trace : result->traces) {
+    for (const RoundRecord& round : trace.rounds) {
+      if (round.answer != RoundAnswer::kOneHop) continue;
+      ++one_hop;
+      EXPECT_EQ(round.num_samples, 0u);
+      EXPECT_EQ(round.iterations, 0u);
+    }
+  }
+  EXPECT_GT(one_hop, 0u);  // alpha's last small-shortfall rounds
+
+  SolveRequest degree = LadderRequest();
+  degree.algorithm = AlgorithmId::kDegree;
+  const auto heuristic = engine.Solve(degree);
+  ASSERT_TRUE(heuristic.ok());
+  for (const RoundRecord& round : heuristic->traces[0].rounds) {
+    EXPECT_EQ(round.answer, RoundAnswer::kUncertified);
+  }
+}
+
 // Every sampling path derives set i's stream from its index, with or
 // without a pool, so every served algorithm answers identically at every
 // pool size — including 1, which runs without a pool. The multi-round
@@ -923,9 +972,12 @@ TEST_F(EngineTest, EveryPoolSizeIncludingOneAgrees) {
 // one build, so none would notice both runs moving together. A refactor
 // must keep these fingerprints; a change that alters sampler streams on
 // purpose re-derives them and says so. At η = 90 every algorithm needs a
-// residual round under both models. The IC pins were re-derived once, when
-// IC traversal began skipping dead in-edges at uniform nodes (sampler
-// contract version 2); the LT pins did not move.
+// residual round under both models. The IC pins were re-derived when IC
+// traversal began skipping dead in-edges at uniform nodes (sampler
+// contract version 2). The TRIM pins were re-derived when the one-hop
+// certificate began answering small-shortfall rounds with zero samples
+// (the rounds reading 0 sets and 0 rungs); every pin then gained each
+// round's rung count, and the AdaptIM pins changed in nothing else.
 TEST_F(EngineTest, AnswersMatchPinnedFingerprints) {
   struct Pin {
     AlgorithmId algorithm;
@@ -934,42 +986,41 @@ TEST_F(EngineTest, AnswersMatchPinnedFingerprints) {
   };
   const Pin pins[] = {
       {AlgorithmId::kAsti, DiffusionModel::kIndependentCascade,
-       "ASTI|90,94,|8,6,|0 2 1 3 4 7 15 6 /90/7832[1:0 90/33/33/31.262/832]"
-       "[2:2 57/11/11/20.4488/800][3:1 46/13/13/13.0548/1568][4:3 33/10/10/8.90132/1520]"
-       "[5:4 23/10/10/7.21875/1472][6:7 13/3/3/5.77155/696][7:15 10/9/9/4.80882/680]"
-       "[8:6 1/1/1/1/264];0 2 4 27 9 38 /94/4012[1:0 90/18/18/31.262/832]"
-       "[2:2 72/57/57/23.7353/816][3:4 15/1/1/5.9446/704][4:27 14/7/7/5.58807/704]"
-       "[5:9 7/4/4/4.14024/656][6:38 3/7/3/2.6/300];|7|92|1"},
+       "ASTI|95,92,|9,7,|0 2 1 3 4 7 27 91 15 /95/6192[1:0 90/33/33/31.262/832/4]"
+       "[2:2 57/11/11/20.4488/800/4][3:1 46/13/13/13.0548/1568/5][4:3 33/10/10/8.90132/1520/5]"
+       "[5:4 23/10/10/7.21875/1472/5][6:7 13/3/3/4.27143/0/0][7:27 10/3/3/3.39286/0/0]"
+       "[8:91 7/3/3/2.5/0/0][9:15 4/9/4/1.54924/0/0];0 2 4 27 7 91 15 /92/2352"
+       "[1:0 90/18/18/31.262/832/4][2:2 72/57/57/23.7353/816/4][3:4 15/1/1/5.9446/704/4]"
+       "[4:27 14/7/7/4.57143/0/0][5:7 7/2/2/2.36667/0/0][6:91 5/4/4/2/0/0]"
+       "[7:15 1/3/1/1/0/0];|8|93.5|1"},
       {AlgorithmId::kAsti4, DiffusionModel::kIndependentCascade,
-       "ASTI-4|97,97,|12,8,|0 2 3 4 1 21 7 9 27 63 6 8 /97/1722"
-       "[1:0 2 3 4 90/68/68/54.5921/760][2:1 21 7 9 22/19/19/16.9256/672]"
-       "[3:27 63 6 8 3/10/3/3/290];"
-       "0 2 3 4 9 27 15 38 /97/1086[1:0 2 3 4 90/76/76/54.5921/760]"
-       "[2:9 27 15 38 14/21/14/12.3252/326];|10|97|1"},
+       "ASTI-4|111,92,|12,8,|0 2 3 4 1 7 27 91 15 38 33 22 /111/760"
+       "[1:0 2 3 4 90/68/68/54.5921/760/3][2:1 7 27 91 22/18/18/5.229/0/0]"
+       "[3:15 38 33 22 4/25/4/4/0/0];0 2 3 4 7 27 91 15 /92/760"
+       "[1:0 2 3 4 90/76/76/54.5921/760/3][2:7 27 91 15 14/16/14/4/0/0];|10|101.5|1"},
       {AlgorithmId::kAdaptIm, DiffusionModel::kIndependentCascade,
-       "AdaptIM|92,90,|8,6,|0 2 1 3 4 15 27 7 /92/31904[1:0 90/33/33/38.0769/1248]"
-       "[2:2 57/11/11/23.7595/2432][3:1 46/13/13/13.7133/4800][4:3 33/10/10/10.6629/4800]"
-       "[5:4 23/10/10/8.75486/4736][6:15 13/9/9/7.86622/4672][7:27 4/3/3/6.65929/4608]"
-       "[8:7 1/3/1/6.3112/4608];0 2 4 9 7 38 /90/22400[1:0 90/18/18/38.0769/1248]"
-       "[2:2 72/57/57/26.9716/2464][3:4 15/1/1/7.29345/4672][4:9 14/4/4/7.21233/4672]"
-       "[5:7 10/3/3/6.71233/4672][6:38 7/7/7/6.53917/4672];|7|91|1"},
+       "AdaptIM|92,90,|8,6,|0 2 1 3 4 15 27 7 /92/31904[1:0 90/33/33/38.0769/1248/5]"
+       "[2:2 57/11/11/23.7595/2432/6][3:1 46/13/13/13.7133/4800/7]"
+       "[4:3 33/10/10/10.6629/4800/7][5:4 23/10/10/8.75486/4736/7][6:15 13/9/9/7.86622/4672/7]"
+       "[7:27 4/3/3/6.65929/4608/7][8:7 1/3/1/6.3112/4608/7];0 2 4 9 7 38 /90/22400"
+       "[1:0 90/18/18/38.0769/1248/5][2:2 72/57/57/26.9716/2464/6][3:4 15/1/1/7.29345/4672/7]"
+       "[4:9 14/4/4/7.21233/4672/7][5:7 10/3/3/6.71233/4672/7]"
+       "[6:38 7/7/7/6.53917/4672/7];|7|91|1"},
       {AlgorithmId::kAsti, DiffusionModel::kLinearThreshold,
-       "ASTI|108,90,|4,4,|0 2 1 22 /108/3936[1:0 90/23/23/32.7764/832]"
-       "[2:2 67/24/24/21.9228/816][3:1 43/25/25/12.6148/1568]"
-       "[4:22 18/36/18/7.425/720];0 2 1 3 /90/3088[1:0 90/23/23/32.7764/832]"
-       "[2:2 67/45/45/21.7586/816][3:1 22/8/8/10.2826/736][4:3 14/14/14/6.7017/704];"
-       "|4|99|1"},
+       "ASTI|108,90,|4,4,|0 2 1 22 /108/3936[1:0 90/23/23/32.7764/832/4]"
+       "[2:2 67/24/24/21.9228/816/4][3:1 43/25/25/12.6148/1568/5]"
+       "[4:22 18/36/18/7.425/720/4];0 2 1 3 /90/1648[1:0 90/23/23/32.7764/832/4]"
+       "[2:2 67/45/45/21.7586/816/4][3:1 22/8/8/7.03783/0/0][4:3 14/14/14/4.88575/0/0];|4|99|1"},
       {AlgorithmId::kAsti4, DiffusionModel::kLinearThreshold,
-       "ASTI-4|108,124,|4,8,|0 2 1 4 /108/760[1:0 2 1 4 90/108/90/63.1184/760];"
-       "0 2 1 4 3 23 7 9 /124/1050[1:0 2 1 4 90/87/87/63.1184/760]"
-       "[2:3 23 7 9 3/37/3/3/290];|6|116|1"},
+       "ASTI-4|108,133,|4,8,|0 2 1 4 /108/760"
+       "[1:0 2 1 4 90/108/90/63.1184/760/3];0 2 1 4 3 7 27 15 /133/760"
+       "[1:0 2 1 4 90/87/87/63.1184/760/3][2:3 7 27 15 3/46/3/3/0/0];|6|120.5|1"},
       {AlgorithmId::kAdaptIm, DiffusionModel::kLinearThreshold,
-       "AdaptIM|122,99,|5,5,|0 2 1 3 22 /122/15392[1:0 90/23/23/38.2532/1248]"
-       "[2:2 67/24/24/27.2634/2464][3:1 43/25/25/15.4979/2400]"
-       "[4:3 18/14/14/9.63014/4672][5:22 4/36/4/9.16016/4608];0 2 1 7 4 /99/17728"
-       "[1:0 90/23/23/38.2532/1248][2:2 67/45/45/29.1822/2464]"
-       "[3:1 22/8/8/12.8378/4736][4:7 14/12/12/9.12329/4672][5:4 2/11/2/9.05208/4608];"
-       "|5|110.5|1"},
+       "AdaptIM|122,99,|5,5,|0 2 1 3 22 /122/15392[1:0 90/23/23/38.2532/1248/5]"
+       "[2:2 67/24/24/27.2634/2464/6][3:1 43/25/25/15.4979/2400/6]"
+       "[4:3 18/14/14/9.63014/4672/7][5:22 4/36/4/9.16016/4608/7];0 2 1 7 4 /99/17728"
+       "[1:0 90/23/23/38.2532/1248/5][2:2 67/45/45/29.1822/2464/6][3:1 22/8/8/12.8378/4736/7]"
+       "[4:7 14/12/12/9.12329/4672/7][5:4 2/11/2/9.05208/4608/7];|5|110.5|1"},
   };
   for (size_t threads : {1u, 2u}) {
     SeedMinEngine engine(catalog_, {threads});

@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <map>
+#include <thread>
+#include <vector>
 
 #include "graph/generators.h"
 #include "graph/graph.h"
@@ -140,6 +142,47 @@ TEST(GraphTest, EmptyGraph) {
     EXPECT_EQ(graph->OutDegree(v), 0u);
     EXPECT_EQ(graph->InDegree(v), 0u);
   }
+}
+
+// Nodes by descending out-probability mass, ties by id; an edgeless node
+// has mass 0, and so does an edgeless graph's largest. The order is sorted
+// once and shared by copies, including copies made before its first read.
+TEST(GraphTest, NodesByOutMassIsSortedOnceAndShared) {
+  GraphBuilder builder(5);
+  ASSERT_TRUE(builder.AddEdge(3, 0, 0.5).ok());
+  ASSERT_TRUE(builder.AddEdge(3, 1, 0.25).ok());
+  ASSERT_TRUE(builder.AddEdge(1, 2, 0.75).ok());
+  ASSERT_TRUE(builder.AddEdge(0, 2, 0.75).ok());
+  const DirectedGraph graph = std::move(builder.Build()).value();
+  EXPECT_DOUBLE_EQ(graph.MaxOutMass(), 0.75);
+  const DirectedGraph early_copy = graph;
+  const std::vector<NodeId> order(graph.NodesByOutMass().begin(),
+                                  graph.NodesByOutMass().end());
+  EXPECT_EQ(order, (std::vector<NodeId>{0, 1, 3, 2, 4}));
+  const DirectedGraph late_copy = graph;
+  EXPECT_EQ(early_copy.NodesByOutMass().data(), graph.NodesByOutMass().data());
+  EXPECT_EQ(late_copy.NodesByOutMass().data(), graph.NodesByOutMass().data());
+
+  const DirectedGraph edgeless = std::move(GraphBuilder(3).Build()).value();
+  EXPECT_EQ(edgeless.NodesByOutMass().size(), 3u);
+  EXPECT_EQ(edgeless.MaxOutMass(), 0.0);
+}
+
+// Copies first read the order on several threads at once: one sort serves
+// them all (the TSan job runs this).
+TEST(GraphTest, NodesByOutMassIsSortedOnceAcrossThreads) {
+  const DirectedGraph graph = SmallDiamond();
+  std::vector<const NodeId*> seen(4, nullptr);
+  std::vector<std::thread> readers;
+  for (size_t t = 0; t < seen.size(); ++t) {
+    readers.emplace_back([&graph, &seen, t] {
+      const DirectedGraph copy = graph;
+      seen[t] = copy.NodesByOutMass().data();
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+  for (const NodeId* data : seen) EXPECT_EQ(data, graph.NodesByOutMass().data());
+  EXPECT_EQ(graph.NodesByOutMass().size(), graph.NumNodes());
 }
 
 TEST(GraphTest, InProbabilitySum) {

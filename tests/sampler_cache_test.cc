@@ -402,9 +402,12 @@ TEST(SamplerCacheTest, BudgetRespectsWorkingSetAndLiveViewsSurviveEviction) {
 
 // --- Round-1 selection memo -------------------------------------------------
 
-// One round-1 selector call on `cache`: Trim at batch `batch` (η = kMemoEta),
-// or AdaptIM when `batch` is 0. Each call builds its own selector, as the
-// engine does per request.
+// One round-1 selection on `cache`: Trim's memoized path at batch `batch`
+// (η = kMemoEta), or AdaptIM when `batch` is 0. Each AdaptIM call builds its
+// own selector, as the engine does per request. Trim's round is served by
+// CertifyOnCache directly, as Trim::SelectBatch does once the one-hop
+// certificate declines: at η = 30 that certificate answers b = 8 from
+// min(b, η) alone, so a Trim selector would never reach the memo.
 constexpr NodeId kMemoEta = 30;
 
 SelectionResult SelectRoundOne(const DirectedGraph& graph, SamplerCache& cache,
@@ -424,10 +427,11 @@ SelectionResult SelectRoundOne(const DirectedGraph& graph, SamplerCache& cache,
                     AdaptImOptions{epsilon, pool, cancel, profile, &cache});
     return adaptim.SelectBatch(view, rng);
   }
-  Trim trim(graph, DiffusionModel::kLinearThreshold,
-            TrimOptions{epsilon, batch, RootRounding::kRandomized, pool, cancel, profile,
-                        &cache});
-  return trim.SelectBatch(view, rng);
+  return CertifyOnCache(
+      cache, SamplerCacheKey::Mrr(DiffusionModel::kLinearThreshold, kMemoEta,
+                                  RootRounding::kRandomized),
+      ComputeTrimSchedule(graph.NumNodes(), kMemoEta, batch, epsilon), inactive,
+      static_cast<double>(kMemoEta), pool, cancel, profile);
 }
 
 void ExpectSameSelection(const SelectionResult& got, const SelectionResult& want) {
@@ -447,6 +451,8 @@ TEST(SelectionMemoTest, HitEqualsFreshResultAtEveryPoolSize) {
     SamplerCache reference_cache(graph);
     const SelectionResult fresh = SelectRoundOne(graph, reference_cache, batch);
     ASSERT_FALSE(fresh.seeds.empty());
+    EXPECT_TRUE(fresh.answer == RoundAnswer::kCertified ||
+                fresh.answer == RoundAnswer::kFellBack);
     for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &four}) {
       SCOPED_TRACE(testing::Message() << "batch=" << batch << " pool=" << (pool != nullptr));
       SamplerCache cache(graph);
@@ -458,6 +464,7 @@ TEST(SelectionMemoTest, HitEqualsFreshResultAtEveryPoolSize) {
       const SelectionResult hit =
           SelectRoundOne(graph, cache, batch, 0.5, pool, nullptr, &profile);
       ExpectSameSelection(hit, fresh);
+      EXPECT_EQ(hit.answer, RoundAnswer::kMemoHit);
       const SamplerCacheStats stats = cache.Stats();
       EXPECT_EQ(stats.selection_hits, 1u);
       EXPECT_EQ(stats.hits, hits_before + 1);

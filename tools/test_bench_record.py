@@ -1,0 +1,91 @@
+"""Checks bench_record's arithmetic on synthetic runs.
+
+    python3 tools/test_bench_record.py
+"""
+
+import json
+import sys
+import unittest
+from pathlib import Path
+
+sys.dont_write_bytecode = True
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import bench_record as br  # noqa: E402
+
+END_TO_END = [{"name": "qps", "unit": "1/s", "better": "higher"},
+              {"name": "cpu_ms_per_query", "unit": "ms", "better": "lower"}]
+
+
+def run(workload, seed, side, qps, cpu, steal=0.5):
+    return {"workload": workload, "seed": seed, "side": side, "steal_s": steal,
+            "metrics": {"qps": qps, "cpu_ms_per_query": cpu}}
+
+
+class PairTest(unittest.TestCase):
+    def test_first_side_alternates(self):
+        self.assertEqual(br.pair_order(0), ("parent", "change"))
+        self.assertEqual(br.pair_order(1), ("change", "parent"))
+        self.assertEqual(br.pair_order(4), ("parent", "change"))
+
+    def test_seed_lists(self):
+        self.assertEqual(br.parse_seeds("301-305"), [301, 302, 303, 304, 305])
+        self.assertEqual(br.parse_seeds("1,3,7-8"), [1, 3, 7, 8])
+        with self.assertRaises(ValueError):
+            br.parse_seeds("x")
+
+    def test_wins_follow_each_metric_direction_and_ties_count_for_neither(self):
+        runs = [run("ic-cold", 1, "parent", 10.0, 100.0), run("ic-cold", 1, "change", 12.0, 60.0),
+                run("ic-cold", 2, "parent", 10.0, 100.0), run("ic-cold", 2, "change", 9.0, 100.0),
+                run("ic-cold", 3, "change", 11.0, 50.0)]  # unpaired: counts for neither
+        self.assertEqual(br.pairs_better(runs, "qps", "higher"), 1)
+        self.assertEqual(br.pairs_better(runs, "cpu_ms_per_query", "lower"), 1)
+
+
+class SummaryTest(unittest.TestCase):
+    def test_per_workload_and_side(self):
+        runs = []
+        for seed, (parent_cpu, change_cpu) in enumerate([(100, 60), (90, 50), (110, 70)]):
+            runs.append(run("ic-cold", seed, "parent", 20.0, parent_cpu, steal=1.0))
+            runs.append(run("ic-cold", seed, "change", 30.0, change_cpu, steal=3.0))
+        for seed in range(2):
+            runs.append(run("lt-churn", seed, "parent", 70.0, 2.0))
+            runs.append(run("lt-churn", seed, "change", 70.0, 2.0))
+        out = br.summary(runs, END_TO_END)
+        self.assertEqual(sorted(out), ["ic-cold", "lt-churn"])
+        ic = out["ic-cold"]
+        self.assertEqual(ic["pairs"], 3)
+        # statistics.quantiles' default (exclusive) method: with three runs
+        # the quartiles are the outer runs themselves.
+        self.assertEqual(ic["parent"]["cpu_ms_per_query"],
+                         {"median": 100, "q1": 90.0, "q3": 110.0, "n": 3})
+        self.assertEqual(ic["change"]["cpu_ms_per_query"]["median"], 60)
+        self.assertEqual(ic["change"]["steal_s"]["median"], 3.0)
+        self.assertEqual(ic["pairs_change_better"], {"qps": 3, "cpu_ms_per_query": 3})
+        self.assertEqual(out["lt-churn"]["pairs_change_better"],
+                         {"qps": 0, "cpu_ms_per_query": 0})
+
+
+class ParseTest(unittest.TestCase):
+    def test_reads_result_steal_and_digest(self):
+        result = {"correct": True, "attempted": 495, "failed": 0,
+                  "metrics": {"qps": {"value": 11.0, "unit": "1/s"}}}
+        stdout = "\n".join([
+            "# workload=ic-cold seed=301 n=56000 m=298342 graph_digest=ab "
+            "requests_digest=cd result_digest=ef01",
+            "# noise: steal_s=2.50 cpu_s=50.1 window_s=45.0 hardware_threads=4",
+            "# qps = 11 1/s",
+            json.dumps(result)])
+        parsed = br.parse_run(stdout)
+        self.assertEqual(parsed["steal_s"], 2.5)
+        self.assertEqual(parsed["result_digest"], "ef01")
+        self.assertEqual(parsed["metrics"], {"qps": 11.0})
+        self.assertTrue(parsed["correct"])
+        self.assertEqual((parsed["attempted"], parsed["failed"]), (495, 0))
+
+    def test_refuses_output_without_a_result(self):
+        with self.assertRaises(ValueError):
+            br.parse_run("# servebench: build failed\n")
+
+
+if __name__ == "__main__":
+    unittest.main()
