@@ -1,6 +1,7 @@
 #include "graph/graph.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <utility>
 
@@ -63,7 +64,7 @@ void DirectedGraph::DeriveMaxOutMass() {
   double max_mass = 0.0;
   for (NodeId v = 0; v < num_nodes_; ++v) max_mass = std::max(max_mass, OutMass(v));
   max_out_mass_ = max_mass;
-  out_mass_order_ = std::make_shared<OutMassOrder>();
+  derived_ = std::make_shared<DerivedOnRead>();
 }
 
 void DirectedGraph::SortByOutMass() const {
@@ -73,9 +74,23 @@ void DirectedGraph::SortByOutMass() const {
   std::sort(keyed.begin(), keyed.end(), [](const auto& a, const auto& b) {
     return a.first != b.first ? a.first > b.first : a.second < b.second;
   });
-  std::vector<NodeId>& nodes = out_mass_order_->nodes;
+  std::vector<NodeId>& nodes = derived_->out_mass_order;
   nodes.resize(num_nodes_);
   for (NodeId k = 0; k < num_nodes_; ++k) nodes[k] = keyed[k].second;
+}
+
+void DirectedGraph::DeriveNoLiveIn() const {
+  std::vector<double>& no_live = derived_->no_live_in;
+  no_live.assign(num_nodes_, 0.0);
+  for (NodeId v = 0; v < num_nodes_; ++v) {
+    // The uniform bit already vetted v's run; p = 1 keeps 0.
+    if (!uniform_in_->Get(v)) continue;
+    const double p = in_probs_[in_offsets_[v]];
+    if (p >= 1.0) continue;
+    const double d = static_cast<double>(in_offsets_[v + 1] - in_offsets_[v]);
+    const double q0 = std::exp(d * std::log1p(-p));
+    if (q0 >= kMinNoLiveInProbability) no_live[v] = q0;
+  }
 }
 
 double DirectedGraph::InProbabilitySum(NodeId v) const {

@@ -13,16 +13,21 @@
 // directly. Every traversal goes through the same spans, so the two paths
 // are bit-identical by construction.
 //
-// Two values are derived rather than stored. One is whether all of a
-// node's in-edges carry one probability: reverse samplers use it to skip
-// dead in-edges without a draw each and to pick an LT live edge in O(1)
-// (sampling/rr_set.h). The other is the order of nodes by out-probability
-// mass, which TRIM's one-hop certificate walks (core/trim.h). Both
-// constructors compute the bit and the largest mass in O(m); the order
-// itself (O(m + n log n)) is sorted on its first read, once per graph and
-// its copies, so a graph whose rounds never walk it never sorts. Every way a
-// graph is made (builder, delta mint, snapshot mmap) agrees on them without
-// a file format carrying them.
+// Three values are derived rather than stored. One is whether all of a
+// node's in-edges carry one probability: reverse samplers use it to pick an
+// LT live edge in O(1), to skip the coins at p = 1 and to draw an IC node
+// above the count cap block by block (sampling/rr_set.h). The second is
+// the order of nodes by out-probability mass, which TRIM's one-hop
+// certificate walks (core/trim.h). The third is each uniform node's
+// chance (1 − p)^d that none of its d in-edges is live, from which IC
+// reverse traversal draws its live in-edges at once. Both constructors
+// compute the bit and the largest mass in O(m); the order (O(m + n log n))
+// and the no-live table (O(n), n doubles) are filled on their first read,
+// once per graph and its copies, so a graph whose rounds never walk the
+// order never sorts and one that is never sampled under IC (LT serving,
+// delta mints, snapshot opens) never fills the table. Every way a graph is
+// made (builder, delta mint, snapshot mmap) agrees on them without a file
+// format carrying them.
 
 #pragma once
 
@@ -38,6 +43,26 @@
 #include "util/check.h"
 
 namespace asti {
+
+/// Count cap of the IC count draw: a uniform node draws its live in-edges at
+/// once only while (1 − p)^d, its chance of no live in-edge, is at least
+/// this; above the cap it draws them in blocks that each stay at the cap.
+/// Since (1 − p)^d ≤ e^(−d·p), the cap keeps the expected count per draw
+/// under 30·ln 2 ≈ 20.8, so the inversion walk and Floyd's search stay
+/// short. Measured per node (one thread, g++ 12 -O2), the draw cost about
+/// 15 ns plus 10 ns per expected live edge, up to 200 ns at the cap, and a
+/// coin 2–3 ns per in-edge: under the cap a node of 256 in-edges draws
+/// 2.5–33× faster than it flips, and every weighted-cascade node
+/// (d·p = 1, (1 − 1/d)^d ≥ 1/4) is far inside it. Above it (the uniform
+/// surrogates, p = 0.1, have hubs of 198–1,212 in-edges there), an RR set
+/// rooted at a hub of d = 200–10,000 in-edges cost about what the former
+/// geometric skip did, 0.6–34 against 0.6–26 µs at p = 0.1 and 0.5–2.8
+/// against 0.5–3.4 µs at p = 0.01 (d ≥ 2,100), where a coin per in-edge
+/// cost 1.0–53 and 5.4–29 µs. There is no degree floor: coins cost less
+/// per node in isolation at a few in-edges (d = 4: 11–12 ns against
+/// 21–74 ns), yet sending weighted-cascade nodes under 8 or 16 in-edges to
+/// coins made IC set generation slower (3–58 %).
+inline constexpr double kMinNoLiveInProbability = 0x1p-30;
 
 /// Owned backing arrays for a heap-resident graph. GraphBuilder and
 /// ApplyDelta fill one of these and hand it to DirectedGraph; mmap-backed
@@ -160,13 +185,24 @@ class DirectedGraph {
   /// out-edges, ties by ascending id. Sorted on the first call, once for
   /// the graph and all its copies (thread-safe).
   std::span<const NodeId> NodesByOutMass() const {
-    if (!out_mass_order_) return {};
-    std::call_once(out_mass_order_->once, [this] { SortByOutMass(); });
-    return out_mass_order_->nodes;
+    if (!derived_) return {};
+    std::call_once(derived_->out_mass_once, [this] { SortByOutMass(); });
+    return derived_->out_mass_order;
   }
   /// μ of NodesByOutMass()'s first node: the largest out-probability mass.
   /// Derived at construction; reading it never sorts.
   double MaxOutMass() const { return max_out_mass_; }
+
+  /// Per node v, (1 − p)^d = exp(d·log1p(−p)) when v's d in-edges all carry
+  /// one p < 1 and that value is at least kMinNoLiveInProbability; 0 at
+  /// every other node (mixed, p = 1, above the count cap, no in-edges).
+  /// Filled on the first call, once for the graph and all its copies
+  /// (thread-safe); never persisted.
+  std::span<const double> NoLiveInProbabilities() const {
+    if (!derived_) return {};
+    std::call_once(derived_->no_live_once, [this] { DeriveNoLiveIn(); });
+    return derived_->no_live_in;
+  }
 
   /// Target node of a forward edge.
   NodeId EdgeTarget(EdgeId e) const {
@@ -198,16 +234,22 @@ class DirectedGraph {
  private:
   // Fills uniform_in_ from the reverse CSR; one O(m) pass.
   void DeriveUniformIn();
-  // Fills max_out_mass_ and an empty out_mass_order_; one O(m) pass.
+  // Fills max_out_mass_ and an empty derived_; one O(m) pass.
   void DeriveMaxOutMass();
-  // Fills out_mass_order_->nodes; O(m + n log n), run once by NodesByOutMass.
+  // Fills derived_->out_mass_order; O(m + n log n), run once by
+  // NodesByOutMass.
   void SortByOutMass() const;
+  // Fills derived_->no_live_in; O(n), run once by NoLiveInProbabilities.
+  void DeriveNoLiveIn() const;
   // μ_v summed in edge order; 0 for a malformed run, a negative sum or NaN.
   double OutMass(NodeId v) const;
 
-  struct OutMassOrder {
-    std::once_flag once;
-    std::vector<NodeId> nodes;
+  // The values derived on their first read, shared by every copy.
+  struct DerivedOnRead {
+    std::once_flag out_mass_once;
+    std::vector<NodeId> out_mass_order;
+    std::once_flag no_live_once;
+    std::vector<double> no_live_in;
   };
 
   NodeId num_nodes_ = 0;
@@ -222,8 +264,9 @@ class DirectedGraph {
   std::span<const EdgeId> in_edge_ids_;
   /// Bit v set iff UniformInProbability(v) has a value.
   std::shared_ptr<const BitVector> uniform_in_;
-  /// NodesByOutMass(), filled on its first read and shared by copies.
-  std::shared_ptr<OutMassOrder> out_mass_order_;
+  /// NodesByOutMass() and NoLiveInProbabilities(), each filled on its
+  /// first read and shared by copies.
+  std::shared_ptr<DerivedOnRead> derived_;
   double max_out_mass_ = 0.0;
   /// Owns the spanned bytes: a GraphStorage for heap graphs, a mapped
   /// snapshot payload for mmap graphs.

@@ -1,89 +1,145 @@
 #include "sampling/rr_set.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <optional>
+#include <span>
 
 #include "sampling/rr_buffer.h"
 
 namespace asti {
 
+namespace {
+
+// DrawLiveSlots for d coins numbered from `first`, appended to `slots`;
+// Floyd's search reads only the slots this call appends.
+void AppendLiveSlots(uint32_t d, double p, double q0, uint32_t first, Rng& rng,
+                     std::vector<uint32_t>& slots) {
+  ASM_DCHECK(q0 > 0.0);
+  // Sequential inversion: step past P(0), P(1), ... until the draw falls
+  // inside one. Rounding can leave the draw past all d + 1 computed terms;
+  // it is then drawn again, which keeps the law that of the computed terms
+  // (normalised) instead of piling the lost mass on d. The odds are needed
+  // only past P(0).
+  uint32_t live = 0;
+  for (double u = rng.NextDouble(); u >= q0; u = rng.NextDouble()) {
+    const double odds = p / (1.0 - p);
+    double mass = q0;
+    do {
+      u -= mass;
+      mass *= static_cast<double>(d - live) * odds / static_cast<double>(live + 1);
+      ++live;
+    } while (u >= mass && live < d);
+    if (u < mass) break;
+    live = 0;
+  }
+  // Floyd: for j = d − live .. d − 1 draw t in [0, j]; keep t, or j if t is
+  // already kept (j never is). Every live-subset comes out equally likely.
+  const auto begin = static_cast<std::ptrdiff_t>(slots.size());
+  for (uint32_t j = d - live; j < d; ++j) {
+    const uint32_t t = first + static_cast<uint32_t>(rng.NextBounded(j + 1));
+    const bool kept = std::find(slots.begin() + begin, slots.end(), t) != slots.end();
+    slots.push_back(kept ? first + j : t);
+  }
+}
+
+}  // namespace
+
+void DrawLiveSlots(uint32_t d, double p, double q0, Rng& rng, std::vector<uint32_t>& slots) {
+  slots.clear();
+  AppendLiveSlots(d, p, q0, 0, rng, slots);
+}
+
+void DrawLiveSlotsInBlocks(uint32_t d, double p, Rng& rng, std::vector<uint32_t>& slots) {
+  ASM_DCHECK(p > 0.0 && p < 1.0);
+  slots.clear();
+  // The longest block whose chance of no live edge stays at the cap; at
+  // least one edge, at most d.
+  const double log_dead = std::log1p(-p);
+  const double longest = std::floor(std::log(kMinNoLiveInProbability) / log_dead);
+  const uint32_t block =
+      longest >= d ? d : std::max<uint32_t>(1, static_cast<uint32_t>(longest));
+  const double q_block = std::exp(block * log_dead);
+  for (uint32_t first = 0; first < d; first += block) {
+    const uint32_t len = std::min(block, d - first);
+    AppendLiveSlots(len, p, len == block ? q_block : std::exp(len * log_dead), first, rng,
+                    slots);
+  }
+}
+
 template <class Sink>
 void RrSampler::TraverseFrom(const BitVector* active, Sink& out, Rng& rng) {
-  const DirectedGraph& graph = *graph_;
-  // A live in-edge from u adds u unless u is already in the set or active
-  // (in-edges from active sources are absent from the residual graph).
-  const auto joins = [&](NodeId u) {
-    return !visited_.Visited(u) && (active == nullptr || !active->Get(u));
-  };
-  const auto add = [&](NodeId u) {
-    visited_.MarkVisited(u);
-    out.PushNode(u);
-  };
-  size_t head = out.InProgressBegin();
   if (model_ == DiffusionModel::kIndependentCascade) {
-    // Reverse BFS; each in-edge of a popped node is live independently.
-    while (head < out.PoolSize()) {
-      const NodeId v = out.PoolNode(head++);
-      auto sources = graph.InNeighbors(v);
-      auto probs = graph.InProbabilities(v);
-      ++cost_.nodes_visited;
-      cost_.edges_examined += sources.size();
-      const std::optional<double> uniform = graph.UniformInProbability(v);
-      if (uniform && *uniform >= 1.0) {
-        // Every in-edge is live; no coin is drawn.
-        for (const NodeId u : sources) {
-          if (joins(u)) add(u);
-        }
-      } else if (!uniform || sources.size() < kMinSkipInDegree) {
-        // A coin per in-edge; sources are looked up only at live edges.
-        for (size_t i = 0; i < sources.size(); ++i) {
-          if (rng.NextBernoulli(probs[i]) && joins(sources[i])) add(sources[i]);
-        }
-      } else {
-        // The dead edges before the next live one are Geometric(p):
-        // ⌊ln(1−U)/ln(1−p)⌋ (1 − U is exact for a 53-bit U). Compare
-        // before casting — with a tiny p the skip exceeds every integer.
-        const double log_dead = std::log1p(-*uniform);
-        size_t i = 0;
-        while (true) {
-          const double skip = std::floor(std::log(1.0 - rng.NextDouble()) / log_dead);
-          if (skip >= static_cast<double>(sources.size() - i)) break;
-          i += static_cast<size_t>(skip);
-          if (joins(sources[i])) add(sources[i]);
-          ++i;
-        }
-      }
-    }
+    TraverseIc(active, out, rng);
   } else {
-    // LT live-edge: each popped node keeps at most one in-edge, edge i with
-    // probability probs[i]; one draw x picks it. Mass on active sources
-    // folds into the "no live in-edge" outcome: the residual graph drops
-    // active nodes with their edges, so a pick that lands on one leaves v
-    // with no live in-edge there, like the leftover 1 - sum(p) mass.
-    while (head < out.PoolSize()) {
-      const NodeId v = out.PoolNode(head++);
-      auto sources = graph.InNeighbors(v);
-      auto probs = graph.InProbabilities(v);
-      ++cost_.nodes_visited;
-      cost_.edges_examined += sources.size();
-      double x = rng.NextDouble();
-      if (const std::optional<double> uniform = graph.UniformInProbability(v)) {
-        // Equal slots of width p: the live edge is slot ⌊x/p⌋, if any.
-        const double slot = x / *uniform;
-        if (slot < static_cast<double>(sources.size())) {
-          const NodeId u = sources[static_cast<size_t>(slot)];
-          if (joins(u)) add(u);
-        }
+    TraverseLt(active, out, rng);
+  }
+}
+
+template <class Sink>
+void RrSampler::TraverseIc(const BitVector* active, Sink& out, Rng& rng) {
+  // Reverse BFS; each in-edge of a popped node is live independently.
+  const DirectedGraph& graph = *graph_;
+  const std::span<const double> no_live = graph.NoLiveInProbabilities();
+  size_t head = out.InProgressBegin();
+  while (head < out.PoolSize()) {
+    const NodeId v = out.PoolNode(head++);
+    auto sources = graph.InNeighbors(v);
+    auto probs = graph.InProbabilities(v);
+    ++cost_.nodes_visited;
+    cost_.edges_examined += sources.size();
+    if (const double q0 = no_live[v]; q0 > 0.0) {
+      // One probability p < 1 under the count cap: draw the live slots.
+      DrawLiveSlots(static_cast<uint32_t>(sources.size()), probs[0], q0, rng, live_slots_);
+      for (const uint32_t slot : live_slots_) Join(sources[slot], active, out);
+    } else if (const std::optional<double> p = graph.UniformInProbability(v); !p) {
+      // A coin per in-edge; sources are looked up only at live edges.
+      for (size_t i = 0; i < sources.size(); ++i) {
+        if (rng.NextBernoulli(probs[i])) Join(sources[i], active, out);
+      }
+    } else if (*p == 1.0) {
+      // Every in-edge is live; no coin is drawn.
+      for (const NodeId u : sources) Join(u, active, out);
+    } else {
+      // One probability p < 1 above the count cap: draw block by block.
+      DrawLiveSlotsInBlocks(static_cast<uint32_t>(sources.size()), *p, rng, live_slots_);
+      for (const uint32_t slot : live_slots_) Join(sources[slot], active, out);
+    }
+  }
+}
+
+template <class Sink>
+void RrSampler::TraverseLt(const BitVector* active, Sink& out, Rng& rng) {
+  // LT live-edge: each popped node keeps at most one in-edge, edge i with
+  // probability probs[i]; one draw x picks it. Mass on active sources
+  // folds into the "no live in-edge" outcome: the residual graph drops
+  // active nodes with their edges, so a pick that lands on one leaves v
+  // with no live in-edge there, like the leftover 1 - sum(p) mass.
+  const DirectedGraph& graph = *graph_;
+  size_t head = out.InProgressBegin();
+  while (head < out.PoolSize()) {
+    const NodeId v = out.PoolNode(head++);
+    auto sources = graph.InNeighbors(v);
+    auto probs = graph.InProbabilities(v);
+    ++cost_.nodes_visited;
+    cost_.edges_examined += sources.size();
+    double x = rng.NextDouble();
+    if (const std::optional<double> uniform = graph.UniformInProbability(v)) {
+      // Equal slots of width p: the live edge is slot ⌊x/p⌋, if any.
+      const double slot = x / *uniform;
+      if (slot < static_cast<double>(sources.size())) {
+        Join(sources[static_cast<size_t>(slot)], active, out);
+      }
+      continue;
+    }
+    for (size_t i = 0; i < sources.size(); ++i) {
+      if (x >= probs[i]) {
+        x -= probs[i];
         continue;
       }
-      for (size_t i = 0; i < sources.size(); ++i) {
-        if (x >= probs[i]) {
-          x -= probs[i];
-          continue;
-        }
-        if (joins(sources[i])) add(sources[i]);
-        break;  // at most one live in-edge per node
-      }
+      Join(sources[i], active, out);
+      break;  // at most one live in-edge per node
     }
   }
 }

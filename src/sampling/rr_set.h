@@ -8,13 +8,16 @@
 // spreads on G_i.
 //
 // IC traversal: reverse BFS in which each in-edge is live independently.
-// A node flips one coin per in-edge and reads the visited/active scratch
-// only at live edges. At a node whose in-edges all carry one probability p
-// (DirectedGraph::UniformInProbability — every node under weighted
-// cascade) and that has kMinSkipInDegree or more of them, the traversal
-// instead jumps over ⌊ln(1−U)/ln(1−p)⌋ dead edges per draw, so a hub costs
-// O(1 + live edges) instead of O(indeg). At p = 1 every edge is live and
-// no coin is drawn.
+// At a node whose d in-edges all carry one probability p < 1 and whose
+// chance (1 − p)^d of no live in-edge is at or above the count cap
+// (DirectedGraph::NoLiveInProbabilities — every node under weighted
+// cascade), the traversal draws the live in-edges at once (DrawLiveSlots):
+// one uniform for their number, one bounded draw per live edge, so the
+// node costs O(1 + live edges) instead of O(d). A uniform node above the
+// cap draws the same way block by block (DrawLiveSlotsInBlocks), each
+// block as long as the cap allows. At p = 1 every edge is live and nothing
+// is drawn. Mixed nodes flip one coin per in-edge. Sources are read only
+// at live edges.
 // LT traversal: each visited node retains at most one in-edge (live-edge
 // equivalence), chosen by one draw x: at a uniform node the live edge is
 // slot ⌊x/p⌋ if that slot is below indeg (O(1)); otherwise a scan
@@ -37,18 +40,31 @@ namespace asti {
 struct SamplerCost {
   uint64_t nodes_visited = 0;
   /// In-degree summed over visited nodes — the edges a per-edge traversal
-  /// examines. It is not the number of coins flipped or sources read:
-  /// uniform nodes read sources only at live edges, and hubs skip dead
-  /// edges without a draw each.
+  /// examines. It is not the number of draws made or sources read: every
+  /// traversal reads sources only at live edges, and a count-drawn node
+  /// makes one draw plus one per live edge.
   uint64_t edges_examined = 0;
 };
 
-/// In-degree from which IC traversal skips dead in-edges at a uniform node
-/// instead of flipping a coin per edge. Skipping costs a logarithm per node
-/// and a logarithm and a division per draw; on the weighted-cascade
-/// surrogates (one thread, CPU time per RR and mRR set) thresholds 12–32
-/// measured alike, and 0 (always skip) and 48 slower.
-inline constexpr size_t kMinSkipInDegree = 16;
+/// The live in-edges of a node whose d in-edges are each live independently
+/// with one probability p < 1, given q0 = (1 − p)^d, the chance that none
+/// is (q0 > 0). One NextDouble inverts the Binomial(d, p) CDF sequentially
+/// from q0 (P(k + 1) = P(k)·(d − k)/(k + 1)·p/(1 − p)) for the live count
+/// k; a draw that rounding leaves past all d + 1 terms is drawn again, so
+/// the count follows the computed terms, normalised, whatever their sum.
+/// Floyd's algorithm then picks k distinct slots of [0, d) with
+/// one NextBounded each. Given their number, every subset of d equal coins
+/// is equally likely, so this is their law. Writes the slots to `slots`
+/// (cleared first) in draw order.
+void DrawLiveSlots(uint32_t d, double p, double q0, Rng& rng, std::vector<uint32_t>& slots);
+
+/// DrawLiveSlots for a node above the count cap, where (1 − p)^d is below
+/// kMinNoLiveInProbability (graph/graph.h): its d slots are cut into blocks
+/// of the largest length B with (1 − p)^B at or above the cap (at least
+/// one slot, the last block shorter), and each block is drawn on its own.
+/// Independent blocks of equal coins are the node's coins, so the law is
+/// the same. Costs a log1p and one or two exp per call; 0 < p < 1.
+void DrawLiveSlotsInBlocks(uint32_t d, double p, Rng& rng, std::vector<uint32_t>& slots);
 
 /// Sampler of single-root RR-sets; reusable scratch per graph.
 class RrSampler {
@@ -76,10 +92,24 @@ class RrSampler {
   // in-progress set of `out` (the pool doubles as the BFS queue).
   template <class Sink>
   void TraverseFrom(const BitVector* active, Sink& out, Rng& rng);
+  template <class Sink>
+  void TraverseIc(const BitVector* active, Sink& out, Rng& rng);
+  template <class Sink>
+  void TraverseLt(const BitVector* active, Sink& out, Rng& rng);
+
+  // A live in-edge from u adds u unless u is already in the set or active
+  // (in-edges from active sources are absent from the residual graph).
+  template <class Sink>
+  void Join(NodeId u, const BitVector* active, Sink& out) {
+    if (visited_.Visited(u) || (active != nullptr && active->Get(u))) return;
+    visited_.MarkVisited(u);
+    out.PushNode(u);
+  }
 
   const DirectedGraph* graph_;
   DiffusionModel model_;
   EpochVisitedSet visited_;
+  std::vector<uint32_t> live_slots_;  // DrawLiveSlots scratch
   SamplerCost cost_;
 };
 

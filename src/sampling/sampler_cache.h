@@ -76,7 +76,10 @@ inline constexpr uint64_t kCacheStreamSeed = 0xa57150cc5eed0007ULL;
 /// Version 2: IC traversal draws each in-edge's coin before it reads the
 /// visited/active scratch and skips dead in-edges at uniform hubs
 /// (sampling/rr_set.h), which changed IC sets; LT sets did not change.
-inline constexpr uint32_t kSamplerContractVersion = 2;
+/// Version 3: a uniform IC node draws its live in-edges at once (block by
+/// block above the count cap), its count by inversion and its slots by
+/// Floyd's algorithm, which changed IC sets again; LT sets did not change.
+inline constexpr uint32_t kSamplerContractVersion = 3;
 
 /// What a full-residual collection's distribution depends on.
 struct SamplerCacheKey {

@@ -977,7 +977,9 @@ TEST_F(EngineTest, EveryPoolSizeIncludingOneAgrees) {
 // contract version 2). The TRIM pins were re-derived when the one-hop
 // certificate began answering small-shortfall rounds with zero samples
 // (the rounds reading 0 sets and 0 rungs); every pin then gained each
-// round's rung count, and the AdaptIM pins changed in nothing else.
+// round's rung count, and the AdaptIM pins changed in nothing else. The
+// IC pins were re-derived again when uniform IC nodes began drawing their
+// live in-edges at once (sampler contract version 3).
 TEST_F(EngineTest, AnswersMatchPinnedFingerprints) {
   struct Pin {
     AlgorithmId algorithm;
@@ -986,26 +988,24 @@ TEST_F(EngineTest, AnswersMatchPinnedFingerprints) {
   };
   const Pin pins[] = {
       {AlgorithmId::kAsti, DiffusionModel::kIndependentCascade,
-       "ASTI|95,92,|9,7,|0 2 1 3 4 7 27 91 15 /95/6192[1:0 90/33/33/31.262/832/4]"
-       "[2:2 57/11/11/20.4488/800/4][3:1 46/13/13/13.0548/1568/5][4:3 33/10/10/8.90132/1520/5]"
-       "[5:4 23/10/10/7.21875/1472/5][6:7 13/3/3/4.27143/0/0][7:27 10/3/3/3.39286/0/0]"
+       "ASTI|95,92,|9,7,|0 2 1 3 4 7 27 91 15 /95/5456[1:0 90/33/33/32.0192/832/4]"
+       "[2:2 57/11/11/18.9525/800/4][3:1 46/13/13/12.2628/1568/5][4:3 33/10/10/9.20526/1520/5]"
+       "[5:4 23/10/10/7.84375/736/4][6:7 13/3/3/4.27143/0/0][7:27 10/3/3/3.39286/0/0]"
        "[8:91 7/3/3/2.5/0/0][9:15 4/9/4/1.54924/0/0];0 2 4 27 7 91 15 /92/2352"
-       "[1:0 90/18/18/31.262/832/4][2:2 72/57/57/23.7353/816/4][3:4 15/1/1/5.9446/704/4]"
+       "[1:0 90/18/18/32.0192/832/4][2:2 72/57/57/23.6471/816/4][3:4 15/1/1/5.51847/704/4]"
        "[4:27 14/7/7/4.57143/0/0][5:7 7/2/2/2.36667/0/0][6:91 5/4/4/2/0/0]"
        "[7:15 1/3/1/1/0/0];|8|93.5|1"},
       {AlgorithmId::kAsti4, DiffusionModel::kIndependentCascade,
-       "ASTI-4|111,92,|12,8,|0 2 3 4 1 7 27 91 15 38 33 22 /111/760"
-       "[1:0 2 3 4 90/68/68/54.5921/760/3][2:1 7 27 91 22/18/18/5.229/0/0]"
-       "[3:15 38 33 22 4/25/4/4/0/0];0 2 3 4 7 27 91 15 /92/760"
-       "[1:0 2 3 4 90/76/76/54.5921/760/3][2:7 27 91 15 14/16/14/4/0/0];|10|101.5|1"},
+       "ASTI-4|95,92,|8,8,|0 2 7 1 4 15 3 33 /95/1448[1:0 2 7 1 90/61/61/57.9079/760/3]"
+       "[2:4 15 3 33 29/34/29/20.4855/688/3];0 2 7 1 4 27 91 15 /92/760"
+       "[1:0 2 7 1 90/78/78/57.9079/760/3][2:4 27 91 15 12/14/12/4/0/0];|8|93.5|1"},
       {AlgorithmId::kAdaptIm, DiffusionModel::kIndependentCascade,
-       "AdaptIM|92,90,|8,6,|0 2 1 3 4 15 27 7 /92/31904[1:0 90/33/33/38.0769/1248/5]"
-       "[2:2 57/11/11/23.7595/2432/6][3:1 46/13/13/13.7133/4800/7]"
-       "[4:3 33/10/10/10.6629/4800/7][5:4 23/10/10/8.75486/4736/7][6:15 13/9/9/7.86622/4672/7]"
-       "[7:27 4/3/3/6.65929/4608/7][8:7 1/3/1/6.3112/4608/7];0 2 4 9 7 38 /90/22400"
-       "[1:0 90/18/18/38.0769/1248/5][2:2 72/57/57/26.9716/2464/6][3:4 15/1/1/7.29345/4672/7]"
-       "[4:9 14/4/4/7.21233/4672/7][5:7 10/3/3/6.71233/4672/7]"
-       "[6:38 7/7/7/6.53917/4672/7];|7|91|1"},
+       "AdaptIM|92,90,|7,6,|0 2 1 4 15 7 27 /92/27168[1:0 90/33/33/37.7244/1248/5]"
+       "[2:2 57/11/11/22.683/2432/6][3:1 46/13/13/13.97/4800/7][4:4 33/20/20/9.20271/4800/7]"
+       "[5:15 13/9/9/7.95805/4672/7][6:7 4/3/3/7.21181/4608/7]"
+       "[7:27 1/3/1/6.02691/4608/7];0 2 4 15 9 38 /90/22400[1:0 90/18/18/37.7244/1248/5]"
+       "[2:2 72/57/57/26.7256/2464/6][3:4 15/1/1/7.47967/4672/7][4:15 14/3/3/6.71918/4672/7]"
+       "[5:9 11/4/4/6.51884/4672/7][6:38 7/7/7/6.53917/4672/7];|6.5|91|1"},
       {AlgorithmId::kAsti, DiffusionModel::kLinearThreshold,
        "ASTI|108,90,|4,4,|0 2 1 22 /108/3936[1:0 90/23/23/32.7764/832/4]"
        "[2:2 67/24/24/21.9228/816/4][3:1 43/25/25/12.6148/1568/5]"

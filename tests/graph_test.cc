@@ -1,17 +1,27 @@
 // Tests for graph/graph.h and graph/graph_builder.h: CSR construction,
 // adjacency consistency, duplicate/self-loop policies, the derived
-// per-node uniform in-probability, and the pinned ForwardCsrDigest value.
+// per-node uniform in-probability, out-mass order and no-live table, and
+// the pinned ForwardCsrDigest value.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <filesystem>
 #include <map>
+#include <optional>
+#include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "delta/apply.h"
+#include "delta/churn.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "graph/graph_builder.h"
+#include "store/snapshot_store.h"
+#include "store/snapshot_writer.h"
 #include "util/rng.h"
 
 namespace asti {
@@ -183,6 +193,84 @@ TEST(GraphTest, NodesByOutMassIsSortedOnceAcrossThreads) {
   for (std::thread& reader : readers) reader.join();
   for (const NodeId* data : seen) EXPECT_EQ(data, graph.NodesByOutMass().data());
   EXPECT_EQ(graph.NodesByOutMass().size(), graph.NumNodes());
+}
+
+// The no-live table: (1 − p)^d = exp(d·log1p(−p)) at uniform nodes under
+// the count cap, 0 at mixed, p = 1, capped and source-free nodes. A uniform
+// p = 0.5 graph puts its in-hubs above the cap; a reweight delta makes
+// mixed nodes. The delta mint, the same graph rebuilt on the heap and that
+// graph's mmap snapshot derive bit-identical tables.
+TEST(GraphTest, NoLiveInProbabilitiesFollowTheCountCap) {
+  Rng rng(151);
+  auto base = BuildWeightedGraph(MakeChungLu(300, 2400, 2.2, rng), WeightScheme::kUniform, 0.5);
+  ASSERT_TRUE(base.ok());
+  ChurnSpec spec;
+  spec.inserts = 20;
+  spec.deletes = 20;
+  spec.reweights = 40;
+  auto delta = MakeRandomDelta(*base, spec, rng);
+  ASSERT_TRUE(delta.ok());
+  auto minted = ApplyDelta(*base, *delta);
+  auto rebuilt = ApplyDeltaByRebuild(*base, *delta);
+  ASSERT_TRUE(minted.ok() && rebuilt.ok());
+  const std::string path = testing::TempDir() + "/no_live.asms";
+  ASSERT_TRUE(
+      store::WriteSnapshot(*rebuilt, "no_live", WeightScheme::kUniform, {}, path).ok());
+  auto mapped = store::OpenSnapshot(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+
+  const DirectedGraph& graph = *rebuilt;
+  const std::span<const double> no_live = graph.NoLiveInProbabilities();
+  ASSERT_EQ(no_live.size(), graph.NumNodes());
+  size_t drawn = 0;
+  size_t capped = 0;
+  size_t mixed = 0;
+  for (NodeId v = 0; v < graph.NumNodes(); ++v) {
+    const std::optional<double> p = graph.UniformInProbability(v);
+    const double q0 = p && *p < 1.0 ? std::exp(graph.InDegree(v) * std::log1p(-*p)) : 0.0;
+    if (q0 >= kMinNoLiveInProbability) {
+      EXPECT_EQ(no_live[v], q0) << "node " << v;
+      ++drawn;
+    } else {
+      EXPECT_EQ(no_live[v], 0.0) << "node " << v;
+      capped += q0 > 0.0;
+      mixed += !p && graph.InDegree(v) > 0;
+    }
+  }
+  EXPECT_GT(drawn, 100u);
+  EXPECT_GT(capped, 0u);
+  EXPECT_GT(mixed, 0u);
+  const auto same = [&](const DirectedGraph& other) {
+    const std::span<const double> theirs = other.NoLiveInProbabilities();
+    return std::equal(no_live.begin(), no_live.end(), theirs.begin(), theirs.end());
+  };
+  EXPECT_TRUE(same(*minted));
+  EXPECT_TRUE(same(mapped->graph));
+  std::filesystem::remove(path);
+}
+
+// Copies first read the table on several threads at once: one derivation
+// serves them all (the TSan job runs this).
+TEST(GraphTest, NoLiveInProbabilitiesAreDerivedOnceAcrossThreads) {
+  const DirectedGraph graph = SmallDiamond();
+  std::vector<const double*> seen(4, nullptr);
+  std::vector<std::thread> readers;
+  for (size_t t = 0; t < seen.size(); ++t) {
+    readers.emplace_back([&graph, &seen, t] {
+      const DirectedGraph copy = graph;
+      seen[t] = copy.NoLiveInProbabilities().data();
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+  for (const double* data : seen) EXPECT_EQ(data, graph.NoLiveInProbabilities().data());
+  // Diamond: node 1 has one in-edge of 0.5, node 2 one of 0.25; 0 has none
+  // and 3 is mixed.
+  const std::span<const double> no_live = graph.NoLiveInProbabilities();
+  ASSERT_EQ(no_live.size(), 4u);
+  EXPECT_EQ(no_live[0], 0.0);
+  EXPECT_DOUBLE_EQ(no_live[1], 0.5);
+  EXPECT_DOUBLE_EQ(no_live[2], 0.75);
+  EXPECT_EQ(no_live[3], 0.0);
 }
 
 TEST(GraphTest, InProbabilitySum) {

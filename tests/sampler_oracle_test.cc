@@ -19,13 +19,18 @@
 //   - set-size distribution: a two-sample Kolmogorov–Smirnov test
 //     (conservative on discrete sizes).
 // So a correct sampler fails a case with probability at most 2e-4, and
-// the seeds are fixed, so the outcome is deterministic. Sensitivity: a
-// sampler that never lets a uniform node's first in-edge be live fails 20
-// of the 40 cases, and one whose IC skip uses 1.1·p instead of p fails 4.
+// the seeds are fixed, so the outcome is deterministic. Sensitivity: of
+// the 45 cases, a sampler that never lets a count-drawn node's first
+// in-edge be live fails 15, one whose count draw starts from
+// (1 − p)^(d − 1) instead of (1 − p)^d fails 15, one that draws live slots
+// with replacement fails 14, and one that numbers every block's slots
+// from 0 above the count cap fails the 5 UniformHalf cases.
 //
 // Graphs: weighted cascade (every node uniform, including indeg-1 nodes
 // at p = 1), trivalency (non-uniform), weighted cascade after a reweight
-// delta (mixed), and uniform p = 1e-300 (no edge is live in practice).
+// delta (mixed), uniform p = 1e-300 (no edge is live in practice), and
+// uniform p = 0.5, whose in-hubs lie above the count cap (IC only: LT
+// needs in-probabilities that sum to at most 1).
 
 #include <gtest/gtest.h>
 
@@ -33,6 +38,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -54,7 +60,7 @@ namespace {
 constexpr size_t kSetsPerSide = 10000;
 constexpr double kAlpha = 1e-4;
 
-enum class OracleGraph { kWeightedCascade, kTrivalency, kMixed, kTiny };
+enum class OracleGraph { kWeightedCascade, kTrivalency, kMixed, kTiny, kHalf };
 enum class SetKind { kRrFull, kRrPartial, kMrrK1Full, kMrrK10Full, kMrrResidual };
 
 const char* GraphName(OracleGraph graph) {
@@ -63,6 +69,7 @@ const char* GraphName(OracleGraph graph) {
     case OracleGraph::kTrivalency: return "Trivalency";
     case OracleGraph::kMixed: return "ReweightedCascade";
     case OracleGraph::kTiny: return "UniformTinyP";
+    case OracleGraph::kHalf: return "UniformHalf";
   }
   return "";
 }
@@ -82,8 +89,8 @@ bool IsPartial(SetKind kind) {
   return kind == SetKind::kRrPartial || kind == SetKind::kMrrResidual;
 }
 
-// One heavy-tailed skeleton for all four weightings. Chung–Lu gives each
-// node one weight for both directions, so in-hubs (where skipping
+// One heavy-tailed skeleton for all five weightings. Chung–Lu gives each
+// node one weight for both directions, so in-hubs (where the count cap
 // matters) are also out-hubs that reverse traversal reaches often; light
 // nodes supply indeg-1 nodes (p = 1 under weighted cascade).
 EdgeSkeleton Skeleton() {
@@ -112,6 +119,8 @@ StatusOr<DirectedGraph> BuildOracleGraph(OracleGraph which) {
     }
     case OracleGraph::kTiny:
       return BuildWeightedGraph(Skeleton(), WeightScheme::kUniform, 1e-300);
+    case OracleGraph::kHalf:
+      return BuildWeightedGraph(Skeleton(), WeightScheme::kUniform, 0.5);
   }
   return Status::Internal("unknown oracle graph");
 }
@@ -327,9 +336,11 @@ std::vector<OracleCase> AllCases() {
   // both the pooled and the pool-less fan-out meet every graph and model.
   std::vector<OracleCase> cases;
   for (const OracleGraph graph : {OracleGraph::kWeightedCascade, OracleGraph::kTrivalency,
-                                  OracleGraph::kMixed, OracleGraph::kTiny}) {
+                                  OracleGraph::kMixed, OracleGraph::kTiny,
+                                  OracleGraph::kHalf}) {
     for (const DiffusionModel model :
          {DiffusionModel::kIndependentCascade, DiffusionModel::kLinearThreshold}) {
+      if (graph == OracleGraph::kHalf && model == DiffusionModel::kLinearThreshold) continue;
       bool pooled = model == DiffusionModel::kLinearThreshold;
       for (const SetKind kind : {SetKind::kRrFull, SetKind::kRrPartial, SetKind::kMrrK1Full,
                                  SetKind::kMrrK10Full, SetKind::kMrrResidual}) {
@@ -344,8 +355,9 @@ std::vector<OracleCase> AllCases() {
 INSTANTIATE_TEST_SUITE_P(AllGraphs, SamplerOracleTest, testing::ValuesIn(AllCases()),
                          CaseName);
 
-// The graphs cover what their names promise: all-uniform with p = 1 nodes,
-// mostly non-uniform, mixed, and uniform at p = 1e-300.
+// The graphs cover what their names promise, and together every IC path of
+// the traversal: the count draw, p = 1 (every edge live), coins at mixed
+// nodes, and the count draw block by block above the count cap.
 TEST(SamplerOracleGraphsTest, CoverEveryTraversalPath) {
   const auto count = [](const DirectedGraph& graph, auto&& predicate) {
     size_t total = 0;
@@ -355,34 +367,41 @@ TEST(SamplerOracleGraphsTest, CoverEveryTraversalPath) {
   const auto uniform = [](const DirectedGraph& g, NodeId v) {
     return g.UniformInProbability(v).has_value();
   };
-  const auto mixed = [](const DirectedGraph& g, NodeId v) {
-    return g.InDegree(v) > 0 && !g.UniformInProbability(v).has_value();
+  const auto count_draw = [](const DirectedGraph& g, NodeId v) {
+    return g.NoLiveInProbabilities()[v] > 0.0;
   };
   const auto certain = [](const DirectedGraph& g, NodeId v) {
     return g.UniformInProbability(v) == 1.0;
   };
-  // Uniform nodes with kMinSkipInDegree or more in-edges take the IC skip
-  // path.
-  const auto hub = [](const DirectedGraph& g, NodeId v) {
-    return g.InDegree(v) >= kMinSkipInDegree && g.UniformInProbability(v).has_value();
+  const auto mixed_coins = [](const DirectedGraph& g, NodeId v) {
+    return g.InDegree(v) > 0 && !g.UniformInProbability(v).has_value();
+  };
+  const auto block_draw = [](const DirectedGraph& g, NodeId v) {
+    const std::optional<double> p = g.UniformInProbability(v);
+    return p.has_value() && *p < 1.0 && g.NoLiveInProbabilities()[v] == 0.0;
   };
 
   const DirectedGraph cascade = MakeOracleGraph(OracleGraph::kWeightedCascade);
-  EXPECT_EQ(count(cascade, mixed), 0u);
+  EXPECT_EQ(count(cascade, mixed_coins), 0u);
+  EXPECT_EQ(count(cascade, block_draw), 0u);
   EXPECT_GE(count(cascade, certain), 20u);
-  EXPECT_GE(count(cascade, hub), 20u);
+  EXPECT_GE(count(cascade, count_draw), 200u);
 
   const DirectedGraph trivalency = MakeOracleGraph(OracleGraph::kTrivalency);
-  EXPECT_GT(count(trivalency, mixed), count(trivalency, uniform));
+  EXPECT_GT(count(trivalency, mixed_coins), count(trivalency, uniform));
 
   const DirectedGraph reweighted = MakeOracleGraph(OracleGraph::kMixed);
-  EXPECT_GE(count(reweighted, mixed), 40u);
-  EXPECT_GE(count(reweighted, hub), 1u);
+  EXPECT_GE(count(reweighted, mixed_coins), 40u);
+  EXPECT_GE(count(reweighted, count_draw), 200u);
 
   const DirectedGraph tiny = MakeOracleGraph(OracleGraph::kTiny);
-  EXPECT_EQ(count(tiny, mixed), 0u);
-  EXPECT_GT(count(tiny, uniform), 0u);
-  EXPECT_GE(count(tiny, hub), 1u);
+  EXPECT_EQ(count(tiny, mixed_coins), 0u);
+  EXPECT_EQ(count(tiny, count_draw), count(tiny, uniform));
+  EXPECT_GT(count(tiny, count_draw), 0u);
+
+  const DirectedGraph half = MakeOracleGraph(OracleGraph::kHalf);
+  EXPECT_GE(count(half, block_draw), 1u);
+  EXPECT_GE(count(half, count_draw), 200u);
 }
 
 }  // namespace

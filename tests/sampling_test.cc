@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <numeric>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "diffusion/monte_carlo.h"
 #include "graph/generators.h"
@@ -118,6 +121,148 @@ TEST(RrCollectionTest, ArgMaxTieBreaksLowestId) {
   collection.PushNode(1);
   collection.SealSet();
   EXPECT_EQ(collection.ArgMaxCoverage(), 1u);
+}
+
+// --- DrawLiveSlots: the IC count draw --------------------------------------
+
+// Smallest z with two-sided normal tail 2·(1 − Φ(z)) ≤ tail.
+double TwoSidedNormalQuantile(double tail) {
+  double lo = 0.0;
+  double hi = 40.0;
+  for (int i = 0; i < 200; ++i) {
+    const double mid = 0.5 * (lo + hi);
+    (std::erfc(mid / std::sqrt(2.0)) > tail ? lo : hi) = mid;
+  }
+  return hi;
+}
+
+// Upper-α quantile of chi-square with `df` degrees of freedom, by the
+// Wilson–Hilferty cube-root approximation (conservative at df ≤ 2).
+double ChiSquareQuantile(double df, double alpha) {
+  const double z = TwoSidedNormalQuantile(2 * alpha);
+  const double c = 2.0 / (9.0 * df);
+  return df * std::pow(1.0 - c + z * std::sqrt(c), 3);
+}
+
+// Chi-square test at level `alpha` of live counts against Binomial(d, p):
+// consecutive counts are pooled into bins of expected size at least 5, and
+// the last bin takes whatever tail remains.
+void ExpectBinomialCounts(const std::vector<uint64_t>& by_count, uint32_t d, double p,
+                          double alpha) {
+  const double n = static_cast<double>(std::accumulate(by_count.begin(), by_count.end(),
+                                                       uint64_t{0}));
+  const auto pmf = [&](uint32_t k) {
+    return std::exp(std::lgamma(d + 1.0) - std::lgamma(k + 1.0) - std::lgamma(d - k + 1.0) +
+                    k * std::log(p) + (d - k) * std::log1p(-p));
+  };
+  double chi2 = 0.0;
+  size_t bins = 0;
+  double closed_expected = 0.0;  // expected and observed draws in closed bins
+  double closed_observed = 0.0;
+  double expected = 0.0;  // the open bin
+  double observed = 0.0;
+  for (uint32_t k = 0; k <= d; ++k) {
+    expected += n * pmf(k);
+    observed += static_cast<double>(by_count[k]);
+    if (expected < 5.0 || n - closed_expected - expected < 5.0) continue;
+    chi2 += (observed - expected) * (observed - expected) / expected;
+    ++bins;
+    closed_expected += expected;
+    closed_observed += observed;
+    expected = observed = 0.0;
+  }
+  const double tail_expected = n - closed_expected;
+  const double tail_observed = n - closed_observed;
+  chi2 += (tail_observed - tail_expected) * (tail_observed - tail_expected) / tail_expected;
+  ++bins;
+  ASSERT_GE(bins, 2u);
+  EXPECT_LT(chi2, ChiSquareQuantile(static_cast<double>(bins - 1), alpha)) << bins << " bins";
+}
+
+// 200,000 draws of d equal coins of probability p by `draw`: the live
+// count must follow Binomial(d, p) by a chi-square test, each slot must be
+// live with frequency p by a z-test (Bonferroni over the d slots), both at
+// α = 1e-4, and no draw may repeat or overrun a slot. Seeds are fixed, so
+// the outcome is deterministic.
+template <class Draw>
+void ExpectEqualCoins(uint32_t d, double p, Draw&& draw) {
+  SCOPED_TRACE(testing::Message() << "d=" << d << " p=" << p);
+  constexpr size_t kDraws = 200000;
+  constexpr double kAlpha = 1e-4;
+  std::vector<uint32_t> slots;
+  std::vector<uint64_t> by_count(d + 1, 0);
+  std::vector<uint64_t> by_slot(d, 0);
+  std::vector<char> seen(d, 0);
+  for (size_t i = 0; i < kDraws; ++i) {
+    draw(slots);
+    ASSERT_LE(slots.size(), d);
+    ++by_count[slots.size()];
+    for (const uint32_t slot : slots) {
+      ASSERT_LT(slot, d);
+      ASSERT_FALSE(seen[slot]) << "slot " << slot << " twice in one draw";
+      seen[slot] = 1;
+      ++by_slot[slot];
+    }
+    for (const uint32_t slot : slots) seen[slot] = 0;
+  }
+  ExpectBinomialCounts(by_count, d, p, kAlpha);
+
+  // Slots: each is live in about n·p draws.
+  const double n = static_cast<double>(kDraws);
+  const double z_limit = TwoSidedNormalQuantile(kAlpha / d);
+  const double se = std::sqrt(n * p * (1 - p));
+  for (uint32_t slot = 0; slot < d; ++slot) {
+    EXPECT_LT(std::abs(static_cast<double>(by_slot[slot]) - n * p) / se, z_limit)
+        << "slot " << slot << " live in " << by_slot[slot] << " draws";
+  }
+}
+
+TEST(DrawLiveSlotsTest, MatchesIndependentEqualCoins) {
+  const std::vector<std::pair<uint32_t, double>> cases = {
+      {2, 0.5}, {5, 0.2}, {16, 1.0 / 16}, {40, 1.0 / 40}, {1000, 1.0 / 1000}, {12, 0.3}};
+  Rng rng(0xc0);
+  for (const auto& [d, p] : cases) {
+    const double q0 = std::exp(d * std::log1p(-p));
+    ExpectEqualCoins(d, p, [&, d = d, p = p](std::vector<uint32_t>& slots) {
+      DrawLiveSlots(d, p, q0, rng, slots);
+    });
+  }
+}
+
+// Above the count cap the slots are drawn block by block, as many per
+// block as the cap allows: 300 = 197 + 103 at p = 0.1, 100 = 3·30 + 10 at
+// 0.5, 20 = 9 + 9 + 2 at 0.9 and 5,000 = 2·2,069 + 862 at 0.01.
+TEST(DrawLiveSlotsTest, BlocksMatchIndependentEqualCoins) {
+  const std::vector<std::pair<uint32_t, double>> cases = {
+      {300, 0.1}, {100, 0.5}, {20, 0.9}, {5000, 0.01}};
+  Rng rng(0xc2);
+  for (const auto& [d, p] : cases) {
+    ASSERT_LT(std::exp(d * std::log1p(-p)), kMinNoLiveInProbability);
+    ExpectEqualCoins(d, p, [&, d = d, p = p](std::vector<uint32_t>& slots) {
+      DrawLiveSlotsInBlocks(d, p, rng, slots);
+    });
+  }
+}
+
+// A draw that rounding leaves past every computed term is drawn again.
+// Halving q0 scales every term by one half, so about half the draws fall
+// past them all: the count must still follow Binomial(d, p), and none may
+// land on d, where P(d) is below 1e-19 in both cases.
+TEST(DrawLiveSlotsTest, DrawPastEveryTermIsDrawnAgain) {
+  constexpr size_t kDraws = 200000;
+  Rng rng(0xc1);
+  std::vector<uint32_t> slots;
+  for (const auto& [d, p] : {std::pair<uint32_t, double>{16, 1.0 / 16}, {40, 1.0 / 40}}) {
+    SCOPED_TRACE(testing::Message() << "d=" << d << " p=" << p);
+    const double q0 = 0.5 * std::exp(d * std::log1p(-p));
+    std::vector<uint64_t> by_count(d + 1, 0);
+    for (size_t draw = 0; draw < kDraws; ++draw) {
+      DrawLiveSlots(d, p, q0, rng, slots);
+      ++by_count[slots.size()];
+    }
+    EXPECT_EQ(by_count[d], 0u);
+    ExpectBinomialCounts(by_count, d, p, 1e-4);
+  }
 }
 
 // --- RR-set unbiasedness ---------------------------------------------------

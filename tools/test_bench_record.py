@@ -64,6 +64,18 @@ class SummaryTest(unittest.TestCase):
         self.assertEqual(out["lt-churn"]["pairs_change_better"],
                          {"qps": 0, "cpu_ms_per_query": 0})
 
+    def test_traced_runs_and_steal_drops_per_workload(self):
+        runs = [run("ic-cold", seed, side, 20.0, 50.0) for seed in range(2)
+                for side in ("parent", "change")]
+        traced = [{"workload": "ic-cold", "seed": 2, "side": side,
+                   "metrics": {"sampling.ms_per_query": ms}}
+                  for side, ms in (("change", 13.3), ("parent", 18.5))]
+        dropped = [{"workload": "ic-cold", "seed": 1, "side": "parent", "steal_s": 9.0}]
+        out = br.summary(runs, END_TO_END, traced, dropped)["ic-cold"]
+        self.assertEqual(out["traced"], {"parent": {"seed": 2, "sampling.ms_per_query": 18.5},
+                                         "change": {"seed": 2, "sampling.ms_per_query": 13.3}})
+        self.assertEqual(out["dropped_for_steal"], 1)
+
 
 class ParseTest(unittest.TestCase):
     def test_reads_result_steal_and_digest(self):
@@ -82,9 +94,59 @@ class ParseTest(unittest.TestCase):
         self.assertTrue(parsed["correct"])
         self.assertEqual((parsed["attempted"], parsed["failed"]), (495, 0))
 
+    def test_reads_a_traced_result_line(self):
+        layers = {"sampling.ms_per_query": {"value": 13.3, "unit": "ms"},
+                  "sampling.sets_per_s": {"value": 104800.0, "unit": "1/s"},
+                  "delta.apply_ms": {"value": 0.0, "unit": "ms"}}
+        result = {"correct": True, "attempted": 495, "failed": 0, "metrics": layers}
+        stdout = "\n".join([
+            "# workload=ic-cold seed=401 n=56000 m=298342 graph_digest=ab "
+            "requests_digest=cd result_digest=ef02",
+            "# noise: steal_s=0.30 cpu_s=40.0 window_s=9.5 hardware_threads=4",
+            "# tracing overhead (traced - untraced): qps -1 1/s",
+            "# not exercised: delta.apply_ms (no delta is applied outside lt-churn)",
+            "# sampling.ms_per_query = 13.3 ms",
+            json.dumps(result)])
+        parsed = br.parse_run(stdout)
+        self.assertEqual(parsed["metrics"], {"sampling.ms_per_query": 13.3,
+                                             "sampling.sets_per_s": 104800.0,
+                                             "delta.apply_ms": 0.0})
+        self.assertEqual((parsed["steal_s"], parsed["window_s"], parsed["hardware_threads"]),
+                         (0.3, 9.5, 4.0))
+        self.assertEqual(parsed["result_digest"], "ef02")
+
     def test_refuses_output_without_a_result(self):
         with self.assertRaises(ValueError):
             br.parse_run("# servebench: build failed\n")
+
+
+def noisy(steal, window=45.0, threads=4.0):
+    return {"steal_s": steal, "window_s": window, "hardware_threads": threads}
+
+
+class StealTest(unittest.TestCase):
+    def test_share_is_of_the_window_cpu(self):
+        self.assertAlmostEqual(br.steal_share(noisy(3.6)), 0.02)
+        # The same steal in ic-cold's short fixed-count window is a larger share.
+        self.assertAlmostEqual(br.steal_share(noisy(0.4, window=10.0)), 0.01)
+        # Output without a noise line counts as calm.
+        self.assertEqual(br.steal_share(noisy(None, None, None)), 0.0)
+
+    def test_stolen_runs_are_rerun_and_returned(self):
+        attempts = iter([noisy(10.5), noisy(4.0), noisy(0.4), noisy(0.1)])
+        kept, dropped = br.run_unstolen(lambda: next(attempts))
+        self.assertEqual(kept["steal_s"], 0.4)
+        self.assertEqual([r["steal_s"] for r in dropped], [10.5, 4.0])
+
+    def test_a_run_at_the_share_is_kept(self):
+        kept, dropped = br.run_unstolen(lambda: noisy(3.6))
+        self.assertEqual((kept["steal_s"], dropped), (3.6, []))
+
+    def test_reruns_are_bounded_and_the_last_attempt_is_kept(self):
+        attempts = iter(noisy(s) for s in (20.0, 21.0, 22.0, 23.0, 24.0))
+        kept, dropped = br.run_unstolen(lambda: next(attempts))
+        self.assertEqual(kept["steal_s"], 23.0)
+        self.assertEqual(len(dropped), br.MAX_RERUNS)
 
 
 if __name__ == "__main__":
