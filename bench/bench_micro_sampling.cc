@@ -2,6 +2,11 @@
 // RR vs mRR generation under IC and LT, coverage argmax, greedy coverage,
 // forward simulation, and realization sampling.
 //
+// Most rows run nethept at scale 0.3, whose graph stays in cache. The
+// *Youtube rows and BM_InvertedIndexBuild run the youtube surrogate at
+// scale 1.0 (n = 56,000, m = 298,342), servebench ic-cold's graph, whose
+// reverse CSR does not: cache misses show there and only there.
+//
 // Not a paper figure — these isolate the primitives whose costs compose
 // into Figures 5/7 (e.g. LT reverse traversals are cheaper than IC ones,
 // mRR-set cost scales with OPT_i/η_i · m_i).
@@ -15,8 +20,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <numeric>
 
+#include "coverage/inverted_index.h"
 #include "coverage/lazy_greedy.h"
 #include "coverage/max_coverage.h"
 #include "diffusion/forward_sim.h"
@@ -24,6 +31,7 @@
 #include "obs/histogram.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
+#include "parallel/thread_pool.h"
 #include "sampling/mrr_set.h"
 #include "sampling/root_size.h"
 #include "sampling/rr_set.h"
@@ -35,6 +43,15 @@ namespace {
 const DirectedGraph& BenchGraph() {
   static const DirectedGraph graph = [] {
     auto result = MakeSurrogateDataset(DatasetId::kNetHept, 0.3, 7);
+    ASM_CHECK(result.ok());
+    return std::move(result).value();
+  }();
+  return graph;
+}
+
+const DirectedGraph& YoutubeGraph() {
+  static const DirectedGraph graph = [] {
+    auto result = MakeSurrogateDataset(DatasetId::kYoutube, 1.0, 7);
     ASM_CHECK(result.ok());
     return std::move(result).value();
   }();
@@ -126,6 +143,39 @@ BENCHMARK(BM_MrrSetGeneration)
     ->Args({static_cast<int>(DiffusionModel::kLinearThreshold), 100})
     ->Args({static_cast<int>(DiffusionModel::kLinearThreshold), 20});
 
+// mRR sets at ic-cold's shape: youtube at scale 1.0, η = 3 % of n (ic-cold
+// draws targets over 1–5 %), about 200 visited nodes per IC set. Items are
+// visited nodes, and `per_node` reads CPU time per visited node. With
+// threads:4 each thread runs its own sampler over the shared graph, as
+// ic-cold's pool of 4 does.
+void BM_MrrSetGenerationYoutube(benchmark::State& state, DiffusionModel model) {
+  const DirectedGraph& graph = YoutubeGraph();
+  const NodeId n = graph.NumNodes();
+  MrrSampler sampler(graph, model);
+  const RootSizeSampler root_size(n, n * 3 / 100);
+  RrCollection collection(n);
+  const auto candidates = AllNodes(n);
+  Rng rng(21 + static_cast<uint64_t>(state.thread_index()));
+  for (auto _ : state) {
+    sampler.Generate(candidates, nullptr, root_size.Sample(rng), collection, rng);
+    if (collection.NumSets() > 2000) {
+      state.PauseTiming();
+      collection.Clear();
+      state.ResumeTiming();
+    }
+  }
+  const auto nodes = static_cast<double>(sampler.cost().nodes_visited);
+  state.SetItemsProcessed(static_cast<int64_t>(nodes));
+  state.counters["per_node"] =
+      benchmark::Counter(nodes, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK_CAPTURE(BM_MrrSetGenerationYoutube, IC, DiffusionModel::kIndependentCascade)
+    ->Threads(1)
+    ->Threads(4);
+BENCHMARK_CAPTURE(BM_MrrSetGenerationYoutube, LT, DiffusionModel::kLinearThreshold)
+    ->Threads(1)
+    ->Threads(4);
+
 void BM_CoverageArgMax(benchmark::State& state) {
   const DirectedGraph& graph = BenchGraph();
   RrSampler sampler(graph, DiffusionModel::kIndependentCascade);
@@ -182,6 +232,52 @@ void BM_RealizationSampling(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RealizationSampling)->Arg(0)->Arg(1);
+
+// One hidden world on youtube at scale 1.0 (arg = model), as ic-cold and
+// lt-churn sample one per request.
+void BM_RealizationSamplingYoutube(benchmark::State& state) {
+  const DirectedGraph& graph = YoutubeGraph();
+  const DiffusionModel model = static_cast<DiffusionModel>(state.range(0));
+  Rng rng(5);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(SampleWorld(graph, model, rng));
+  }
+}
+BENCHMARK(BM_RealizationSamplingYoutube)->Arg(0)->Arg(1);
+
+// The node → set index over range(0) IC mRR sets on youtube at scale 1.0
+// (η = 3 % of n; ic-cold's ASTI-4 rungs hold 1,252, 2,504 and 5,008 sets;
+// 3,756 sits between the last two),
+// without a pool (range(1) = 0) or with a pool of range(1) threads.
+void BM_InvertedIndexBuild(benchmark::State& state) {
+  const DirectedGraph& graph = YoutubeGraph();
+  const NodeId n = graph.NumNodes();
+  MrrSampler sampler(graph, DiffusionModel::kIndependentCascade);
+  const RootSizeSampler root_size(n, n * 3 / 100);
+  RrCollection collection(n);
+  const auto candidates = AllNodes(n);
+  Rng rng(8);
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    sampler.Generate(candidates, nullptr, root_size.Sample(rng), collection, rng);
+  }
+  std::unique_ptr<ThreadPool> pool;
+  if (state.range(1) > 0) pool = std::make_unique<ThreadPool>(state.range(1));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(BuildInvertedIndex(collection, pool.get()));
+  }
+  state.counters["mean_coverage"] =
+      static_cast<double>(collection.TotalEntries()) / static_cast<double>(n);
+}
+BENCHMARK(BM_InvertedIndexBuild)
+    ->Args({1252, 0})
+    ->Args({1252, 4})
+    ->Args({2504, 0})
+    ->Args({2504, 4})
+    ->Args({3756, 0})
+    ->Args({3756, 4})
+    ->Args({5008, 0})
+    ->Args({5008, 4})
+    ->Unit(benchmark::kMicrosecond);
 
 // Forward BFS from five seeds over one fixed world (arg = model); reads
 // only the activated nodes' live out-edges.

@@ -14,8 +14,14 @@ constexpr size_t kMinParallelEntries = 1 << 14;
 
 // The per-chunk histograms and their merge cost O(chunks · n); only fan
 // out when the pool is dense enough (mean coverage per node ≥ this) for
-// the parallel entry scans to dominate that overhead.
-constexpr size_t kMinMeanCoverage = 4;
+// the parallel entry scans to dominate that overhead. Measured on IC mRR
+// sets of the youtube surrogate (n = 56,000, η = 3 % of n; Release, 4
+// vCPUs; bench_micro_sampling's BM_InvertedIndexBuild, medians of 5),
+// sequential against a pool of 4: 0.92 against 1.9 ms at mean coverage
+// 4.1 (1,252 sets), 2.4 against 3.4 ms at 8.2, 4.3 against 4.2 ms at 12.3,
+// and 7.1–7.2 against 5.4–6.1 ms at 16.4 (5,008 sets). The two tie near
+// 12; at a tie the sequential build keeps three cores free for other work.
+constexpr size_t kMinMeanCoverage = 16;
 
 }  // namespace
 

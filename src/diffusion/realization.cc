@@ -19,17 +19,29 @@ Status ValidateLtCompatible(const DirectedGraph& graph) {
 Realization Realization::SampleIc(const DirectedGraph& graph, Rng& rng) {
   Realization realization(graph);
   std::vector<NodeId>& live = realization.live_targets_;
+  const std::span<const EdgeId> offsets = graph.OutOffsets();
+  const std::span<const NodeId> targets = graph.OutTargets();
+  const std::span<const double> probs = graph.OutProbs();
   // Σ p live edges are expected, at most n under weighted cascade, so one
   // allocation usually holds the world.
   live.reserve(graph.NumNodes());
+  // One pass over the forward edges without a branch per coin: each target
+  // is written at the live count, which its coin then advances, so a dead
+  // edge's target is overwritten by the next. The array grows by u's
+  // out-degree before u's coins, and is cut to the live count at the end.
+  size_t count = 0;
   for (NodeId u = 0; u < graph.NumNodes(); ++u) {
-    auto targets = graph.OutNeighbors(u);
-    auto probs = graph.OutProbabilities(u);
-    for (size_t i = 0; i < probs.size(); ++i) {
-      if (rng.NextBernoulli(probs[i])) live.push_back(targets[i]);
+    const EdgeId first = offsets[u];
+    const EdgeId last = offsets[u + 1];
+    if (live.size() < count + (last - first)) live.resize(count + (last - first));
+    NodeId* const slots = live.data();
+    for (EdgeId e = first; e < last; ++e) {
+      slots[count] = targets[e];
+      count += rng.NextBernoulli(probs[e]) ? 1 : 0;
     }
-    realization.live_offsets_[u + 1] = static_cast<EdgeId>(live.size());
+    realization.live_offsets_[u + 1] = static_cast<EdgeId>(count);
   }
+  live.resize(count);
   return realization;
 }
 

@@ -14,9 +14,11 @@
 // target per live edge, each source's live targets in its out-edge order.
 // A forward walk reads only live edges, so observing a batch costs
 // O(activated nodes + their live out-edges), not their out-degree.
-// - IC flips one coin per forward edge, in forward order, and appends the
-//   target of each live edge as its coin lands: Σ p targets in expectation
-//   (at most n under weighted cascade, whose in-probabilities sum to 1).
+// - IC flips one coin per forward edge, in forward order, in one pass with
+//   no branch per coin: each target is written at the live count and its
+//   coin advances the count, so the live targets stay in order. Σ p
+//   targets in expectation (at most n under weighted cascade, whose
+//   in-probabilities sum to 1).
 // - LT draws one x per node with in-edges, in node order. At a node whose
 //   in-edges share one p (DirectedGraph::UniformInProbability) the live
 //   edge is slot ⌊x/p⌋ if that slot is below the in-degree, in O(1), the

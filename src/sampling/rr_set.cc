@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstddef>
 #include <optional>
-#include <span>
 
 #include "sampling/rr_buffer.h"
 
@@ -79,67 +78,110 @@ void RrSampler::TraverseFrom(const BitVector* active, Sink& out, Rng& rng) {
 
 template <class Sink>
 void RrSampler::TraverseIc(const BitVector* active, Sink& out, Rng& rng) {
-  // Reverse BFS; each in-edge of a popped node is live independently.
+  // Reverse BFS, a group at a time (rr_set.h); each in-edge of a visited
+  // node is live independently.
   const DirectedGraph& graph = *graph_;
-  const std::span<const double> no_live = graph.NoLiveInProbabilities();
+  const EdgeId* const offsets = graph.InOffsets().data();
+  const NodeId* const sources = graph.InSources().data();
+  const double* const probs = graph.InProbs().data();
+  const double* const no_live = graph.NoLiveInProbabilities().data();
+  // The group's live in-edges, as reverse-CSR positions in draw order. A
+  // full array is joined before the group's draws end, in the same order.
+  size_t num_staged = 0;
+  const auto join_staged = [&] {
+    for (size_t i = 0; i < num_staged; ++i) {
+      const NodeId u = sources[staged_[i]];
+      if (!Join(u, active, out)) continue;
+      __builtin_prefetch(offsets + u);
+      __builtin_prefetch(no_live + u);
+    }
+    num_staged = 0;
+  };
+  const auto stage = [&](EdgeId e) {
+    if (num_staged == staged_.size()) join_staged();
+    __builtin_prefetch(sources + e);
+    staged_[num_staged++] = e;
+  };
   size_t head = out.InProgressBegin();
   while (head < out.PoolSize()) {
-    const NodeId v = out.PoolNode(head++);
-    auto sources = graph.InNeighbors(v);
-    auto probs = graph.InProbabilities(v);
-    ++cost_.nodes_visited;
-    cost_.edges_examined += sources.size();
-    if (const double q0 = no_live[v]; q0 > 0.0) {
-      // One probability p < 1 under the count cap: draw the live slots.
-      DrawLiveSlots(static_cast<uint32_t>(sources.size()), probs[0], q0, rng, live_slots_);
-      for (const uint32_t slot : live_slots_) Join(sources[slot], active, out);
-    } else if (const std::optional<double> p = graph.UniformInProbability(v); !p) {
-      // A coin per in-edge; sources are looked up only at live edges.
-      for (size_t i = 0; i < sources.size(); ++i) {
-        if (rng.NextBernoulli(probs[i])) Join(sources[i], active, out);
+    const size_t end = std::min(head + kGroup, out.PoolSize());
+    for (size_t i = head; i < end; ++i) __builtin_prefetch(probs + offsets[out.PoolNode(i)]);
+    for (; head < end; ++head) {
+      const NodeId v = out.PoolNode(head);
+      const EdgeId first = offsets[v];
+      const EdgeId last = offsets[v + 1];
+      const auto degree = static_cast<uint32_t>(last - first);
+      ++cost_.nodes_visited;
+      cost_.edges_examined += degree;
+      if (const double q0 = no_live[v]; q0 > 0.0) {
+        // One probability p < 1 under the count cap: draw the live slots.
+        DrawLiveSlots(degree, probs[first], q0, rng, live_slots_);
+        for (const uint32_t slot : live_slots_) stage(first + slot);
+      } else if (const std::optional<double> p = graph.UniformInProbability(v); !p) {
+        // A coin per in-edge.
+        for (EdgeId e = first; e < last; ++e) {
+          if (rng.NextBernoulli(probs[e])) stage(e);
+        }
+      } else if (*p == 1.0) {
+        // Every in-edge is live; no coin is drawn.
+        for (EdgeId e = first; e < last; ++e) stage(e);
+      } else {
+        // One probability p < 1 above the count cap: draw block by block.
+        DrawLiveSlotsInBlocks(degree, *p, rng, live_slots_);
+        for (const uint32_t slot : live_slots_) stage(first + slot);
       }
-    } else if (*p == 1.0) {
-      // Every in-edge is live; no coin is drawn.
-      for (const NodeId u : sources) Join(u, active, out);
-    } else {
-      // One probability p < 1 above the count cap: draw block by block.
-      DrawLiveSlotsInBlocks(static_cast<uint32_t>(sources.size()), *p, rng, live_slots_);
-      for (const uint32_t slot : live_slots_) Join(sources[slot], active, out);
     }
+    join_staged();
   }
 }
 
 template <class Sink>
 void RrSampler::TraverseLt(const BitVector* active, Sink& out, Rng& rng) {
-  // LT live-edge: each popped node keeps at most one in-edge, edge i with
-  // probability probs[i]; one draw x picks it. Mass on active sources
-  // folds into the "no live in-edge" outcome: the residual graph drops
-  // active nodes with their edges, so a pick that lands on one leaves v
-  // with no live in-edge there, like the leftover 1 - sum(p) mass.
+  // LT live-edge, a group at a time (rr_set.h): each visited node keeps at
+  // most one in-edge, edge i with probability probs[i]; one draw x picks
+  // it. Mass on active sources folds into the "no live in-edge" outcome:
+  // the residual graph drops active nodes with their edges, so a pick that
+  // lands on one leaves v with no live in-edge there, like the leftover
+  // 1 - sum(p) mass.
   const DirectedGraph& graph = *graph_;
+  const EdgeId* const offsets = graph.InOffsets().data();
+  const NodeId* const sources = graph.InSources().data();
+  const double* const probs = graph.InProbs().data();
+  static_assert(kGroup <= kStagedEdges, "a group's LT live edges fit in staged_");
   size_t head = out.InProgressBegin();
   while (head < out.PoolSize()) {
-    const NodeId v = out.PoolNode(head++);
-    auto sources = graph.InNeighbors(v);
-    auto probs = graph.InProbabilities(v);
-    ++cost_.nodes_visited;
-    cost_.edges_examined += sources.size();
-    double x = rng.NextDouble();
-    if (const std::optional<double> uniform = graph.UniformInProbability(v)) {
-      // Equal slots of width p: the live edge is slot ⌊x/p⌋, if any.
-      const double slot = x / *uniform;
-      if (slot < static_cast<double>(sources.size())) {
-        Join(sources[static_cast<size_t>(slot)], active, out);
+    const size_t end = std::min(head + kGroup, out.PoolSize());
+    for (size_t i = head; i < end; ++i) __builtin_prefetch(probs + offsets[out.PoolNode(i)]);
+    size_t num_staged = 0;
+    for (; head < end; ++head) {
+      const NodeId v = out.PoolNode(head);
+      const EdgeId first = offsets[v];
+      const EdgeId last = offsets[v + 1];
+      ++cost_.nodes_visited;
+      cost_.edges_examined += last - first;
+      double x = rng.NextDouble();
+      EdgeId live = last;  // none
+      if (const std::optional<double> uniform = graph.UniformInProbability(v)) {
+        // Equal slots of width p: the live edge is slot ⌊x/p⌋, if any.
+        const double slot = x / *uniform;
+        if (slot < static_cast<double>(last - first)) live = first + static_cast<EdgeId>(slot);
+      } else {
+        for (EdgeId e = first; e < last; ++e) {
+          if (x >= probs[e]) {
+            x -= probs[e];
+            continue;
+          }
+          live = e;
+          break;  // at most one live in-edge per node
+        }
       }
-      continue;
+      if (live == last) continue;
+      __builtin_prefetch(sources + live);
+      staged_[num_staged++] = live;
     }
-    for (size_t i = 0; i < sources.size(); ++i) {
-      if (x >= probs[i]) {
-        x -= probs[i];
-        continue;
-      }
-      Join(sources[i], active, out);
-      break;  // at most one live in-edge per node
+    for (size_t i = 0; i < num_staged; ++i) {
+      const NodeId u = sources[staged_[i]];
+      if (Join(u, active, out)) __builtin_prefetch(offsets + u);
     }
   }
 }

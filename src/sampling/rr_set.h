@@ -22,9 +22,30 @@
 // equivalence), chosen by one draw x: at a uniform node the live edge is
 // slot ⌊x/p⌋ if that slot is below indeg (O(1)); otherwise a scan
 // subtracts the in-probabilities from x until one exceeds it.
+//
+// Both traversals take the BFS queue a group at a time: up to 16 nodes
+// that are already queued (RrSampler::kGroup). A group first reads each
+// node's in-edge range and prefetches its first in-probability, then makes
+// every draw of the group, node by node in queue order, prefetching the
+// source of each live edge as its slot is drawn, and then joins those
+// sources in the same order. A joined node is pushed behind the group and
+// its in-offset row (and, under IC, its q₀) is prefetched then, so a later
+// group finds them in cache. A visited node is a chain of dependent loads;
+// grouping lets a core wait on a group's cache misses at once instead of on
+// one at a time (the group prefetching of Chen, Ailamaki, Gibbons and
+// Mowry, ICDE 2004).
+//
+// The grouped order keeps every stream. No draw reads the visited set or
+// the active mask, a group holds only nodes queued before it began, and its
+// joins run in draw order, so the draws, the joins and the queue all come
+// out in the order of the node-at-a-time BFS: every set, the state of its
+// stream and SamplerCost are that BFS's bit for bit
+// (GroupedTraversalTest in sampler_oracle_test checks them against it).
 
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <vector>
 
 #include "diffusion/model.h"
@@ -99,17 +120,28 @@ class RrSampler {
 
   // A live in-edge from u adds u unless u is already in the set or active
   // (in-edges from active sources are absent from the residual graph).
+  // Returns whether u was added.
   template <class Sink>
-  void Join(NodeId u, const BitVector* active, Sink& out) {
-    if (visited_.Visited(u) || (active != nullptr && active->Get(u))) return;
+  bool Join(NodeId u, const BitVector* active, Sink& out) {
+    if (visited_.Visited(u) || (active != nullptr && active->Get(u))) return false;
     visited_.MarkVisited(u);
     out.PushNode(u);
+    return true;
   }
+
+  // Queued nodes per traversal group, chosen from bench_micro_sampling's
+  // youtube rows (8 and 32 measured no faster).
+  static constexpr size_t kGroup = 16;
+  // Live in-edges a group stages before it joins them early. Under weighted
+  // cascade a node has one live in-edge in expectation, so only a group
+  // with a hub at p = 1 or above the count cap fills it.
+  static constexpr size_t kStagedEdges = 256;
 
   const DirectedGraph* graph_;
   DiffusionModel model_;
   EpochVisitedSet visited_;
   std::vector<uint32_t> live_slots_;  // DrawLiveSlots scratch
+  std::array<EdgeId, kStagedEdges> staged_{};  // the group's live in-edges
   SamplerCost cost_;
 };
 

@@ -31,6 +31,10 @@
 // delta (mixed), uniform p = 1e-300 (no edge is live in practice), and
 // uniform p = 0.5, whose in-hubs lie above the count cap (IC only: LT
 // needs in-probabilities that sum to at most 1).
+//
+// GroupedTraversalTest is the bit-identity half: the library's grouped
+// traversal against the node-at-a-time reference of sampler_reference.h,
+// set by set from copies of one stream.
 
 #include <gtest/gtest.h>
 
@@ -45,9 +49,12 @@
 
 #include "delta/apply.h"
 #include "delta/churn.h"
+#include "graph/datasets.h"
 #include "graph/generators.h"
 #include "parallel/parallel_sampler.h"
 #include "parallel/thread_pool.h"
+#include "sampler_reference.h"
+#include "sampling/mrr_set.h"
 #include "sampling/root_size.h"
 #include "sampling/rr_collection.h"
 #include "sampling/rr_set.h"
@@ -403,6 +410,120 @@ TEST(SamplerOracleGraphsTest, CoverEveryTraversalPath) {
   EXPECT_GE(count(half, block_draw), 1u);
   EXPECT_GE(count(half, count_draw), 200u);
 }
+
+// --- Bit identity of the grouped traversal --------------------------------
+
+constexpr size_t kGroupedSets = 2000;
+
+// The distribution cases' residual: a fixed 10 % of the nodes active, in
+// both forms.
+void MarkResidual(std::vector<char>& active, BitVector& active_bits) {
+  const auto n = static_cast<NodeId>(active.size());
+  Rng rng(8104);
+  for (NodeId marked = 0; marked < n / 10;) {
+    const NodeId v = static_cast<NodeId>(rng.NextBounded(n));
+    if (active[v]) continue;
+    active[v] = 1;
+    active_bits.Set(v);
+    ++marked;
+  }
+}
+
+std::vector<NodeId> Inactive(const std::vector<char>& active) {
+  std::vector<NodeId> candidates;
+  for (NodeId v = 0; v < active.size(); ++v) {
+    if (!active[v]) candidates.push_back(v);
+  }
+  return candidates;
+}
+
+struct GroupedCase {
+  std::optional<OracleGraph> graph;  // nullopt: the youtube surrogate
+  DiffusionModel model;
+  bool mrr;
+  bool residual;
+};
+
+std::string DescribeGrouped(const GroupedCase& c) {
+  return std::string(c.graph ? GraphName(*c.graph) : "Youtube") + "_" +
+         (c.model == DiffusionModel::kIndependentCascade ? "IC" : "LT") + "_" +
+         (c.mrr ? "Mrr" : "Rr") + (c.residual ? "Residual" : "Full");
+}
+
+void PrintTo(const GroupedCase& c, std::ostream* os) { *os << DescribeGrouped(c); }
+
+class GroupedTraversalTest : public testing::TestWithParam<GroupedCase> {};
+
+// 2,000 sets from copies of one stream: each equals the reference's in
+// content and order, and so do the cumulative SamplerCost and the stream's
+// next draw. The oracle graphs reach every draw path (count draw, coins at
+// mixed nodes, p = 1, block draws; CoverEveryTraversalPath); the youtube
+// surrogate at scale 0.25 gives sets of many groups. η is 3 % of the
+// candidates, so every mRR set starts from 33 or 34 roots: three groups
+// before its first join.
+TEST_P(GroupedTraversalTest, SetsEqualNodeAtATimeReference) {
+  const GroupedCase& param = GetParam();
+  const DirectedGraph graph = param.graph
+                                  ? MakeOracleGraph(*param.graph)
+                                  : MakeSurrogateDataset(DatasetId::kYoutube, 0.25, 7).value();
+  const NodeId n = graph.NumNodes();
+  std::vector<char> active(n, 0);
+  BitVector active_bits(n);
+  if (param.residual) MarkResidual(active, active_bits);
+  const std::vector<NodeId> candidates = Inactive(active);
+  const BitVector* active_ptr = param.residual ? &active_bits : nullptr;
+  const auto n_i = static_cast<NodeId>(candidates.size());
+  const RootSizeSampler root_size(n_i, std::max<NodeId>(1, n_i * 3 / 100));
+
+  RrSampler rr(graph, param.model);
+  MrrSampler mrr(graph, param.model);
+  oracle::ReferenceSampler reference(graph, param.model);
+  RrCollection sets(n);
+  const uint64_t seed = 0x6a0d0000 + (param.graph ? static_cast<uint64_t>(*param.graph) : 9) *
+                                         100 + static_cast<uint64_t>(param.model) * 10 +
+                        param.mrr * 2 + param.residual;
+  Rng library_rng(seed);
+  Rng reference_rng(seed);
+  for (size_t s = 0; s < kGroupedSets; ++s) {
+    std::vector<NodeId> expected;
+    if (param.mrr) {
+      expected = reference.Mrr(candidates, active_ptr, root_size.Sample(reference_rng),
+                               reference_rng);
+      mrr.Generate(candidates, active_ptr, root_size.Sample(library_rng), sets, library_rng);
+    } else {
+      expected = reference.Rr(candidates, active_ptr, reference_rng);
+      rr.Generate(candidates, active_ptr, sets, library_rng);
+    }
+    const std::span<const NodeId> got = sets.Set(s);
+    ASSERT_EQ(std::vector<NodeId>(got.begin(), got.end()), expected) << "set " << s;
+  }
+  const SamplerCost& cost = param.mrr ? mrr.cost() : rr.cost();
+  EXPECT_EQ(cost.nodes_visited, reference.cost().nodes_visited);
+  EXPECT_EQ(cost.edges_examined, reference.cost().edges_examined);
+  EXPECT_EQ(library_rng(), reference_rng());
+}
+
+std::vector<GroupedCase> GroupedCases() {
+  std::vector<GroupedCase> cases;
+  for (const std::optional<OracleGraph> graph :
+       {std::optional(OracleGraph::kWeightedCascade), std::optional(OracleGraph::kTrivalency),
+        std::optional(OracleGraph::kMixed), std::optional(OracleGraph::kTiny),
+        std::optional(OracleGraph::kHalf), std::optional<OracleGraph>()}) {
+    for (const DiffusionModel model :
+         {DiffusionModel::kIndependentCascade, DiffusionModel::kLinearThreshold}) {
+      if (graph == OracleGraph::kHalf && model == DiffusionModel::kLinearThreshold) continue;
+      for (const bool mrr : {false, true}) {
+        for (const bool residual : {false, true}) cases.push_back({graph, model, mrr, residual});
+      }
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllGraphs, GroupedTraversalTest, testing::ValuesIn(GroupedCases()),
+                         [](const testing::TestParamInfo<GroupedCase>& info) {
+                           return DescribeGrouped(info.param);
+                         });
 
 }  // namespace
 }  // namespace asti

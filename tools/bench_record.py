@@ -7,10 +7,13 @@
 For every workload in the change's BENCHMARK.json and every seed, runs
 `python3 servebench/run.py --workload W --seed S --seconds T --trace 0` once
 in each checkout, as a pair whose first side alternates from seed to seed
-(parent first on the first seed). Each workload ends with one traced run
-per side (`--trace 1`) at the seed one past the largest pair seed, whose
-result line carries the per-layer metrics. servebench builds each checkout
-into its own .bench_build/.
+(parent first on the first seed). Each workload ends with TRACED_PAIRS
+traced pairs (`--trace 1`), at the seeds following the largest pair seed,
+their first side alternating on from the pairs; a traced run's result line
+carries the per-layer metrics. Three runs per side, not one, because one
+cannot tell a layer move from noise: in BENCH_22.json's single traced pair,
+`graph.build_s`, a span around code that change did not touch, read 0.14 ->
+0.21 s. servebench builds each checkout into its own .bench_build/.
 
 A run whose window lost more than MAX_STEAL_SHARE of its CPU to the host
 (steal_s / (window_s x hardware_threads), from servebench's `# noise:`
@@ -29,8 +32,9 @@ The file holds, per run, the side, the checkout's git SHA, servebench's
 gates, the metrics and the steal of its window; per workload and side, the
 median and quartiles of every end-to-end metric
 (`statistics.quantiles(values, n=4)`, as servebench/README.md defines
-spread), in how many pairs the change read better, and the traced runs'
-per-layer metrics. Standard library only.
+spread), in how many pairs the change read better, and the median and
+quartiles of every per-layer metric over the traced runs. Standard library
+only.
 """
 
 import argparse
@@ -48,10 +52,14 @@ NOISE = "# noise:"
 DIGESTS = re.compile(r"result_digest=(\S+)")
 MAX_STEAL_SHARE = 0.02
 MAX_RERUNS = 3
+TRACED_PAIRS = 3
 
 
 def summarize(values):
-    """Median and quartiles, the quartiles as servebench/README.md reads spread."""
+    """Median and quartiles, the quartiles as servebench/README.md reads spread.
+    A single value is its own quartiles."""
+    if len(values) == 1:
+        return {"median": values[0], "q1": values[0], "q3": values[0], "n": 1}
     q1, _, q3 = statistics.quantiles(values, n=4)
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "n": len(values)}
 
@@ -73,6 +81,12 @@ def parse_seeds(spec):
 def pair_order(index):
     """Sides of pair `index` in running order: the first side alternates."""
     return ("parent", "change") if index % 2 == 0 else ("change", "parent")
+
+
+def traced_seeds(seeds):
+    """(seed, pair index) of each traced pair: the seeds after the largest pair
+    seed, indexed on from the pairs so that the first side keeps alternating."""
+    return [(max(seeds) + 1 + i, len(seeds) + i) for i in range(TRACED_PAIRS)]
 
 
 def parse_noise(lines):
@@ -136,9 +150,24 @@ def pairs_better(runs, metric, better):
     return wins
 
 
+def traced_summary(traced):
+    """Per side: the traced runs' seeds and each per-layer metric's median and
+    quartiles over them."""
+    out = {}
+    for side in ("parent", "change"):
+        mine = [r for r in traced if r["side"] == side]
+        if not mine:
+            continue
+        names = sorted({name for r in mine for name in r["metrics"]})
+        out[side] = {"seeds": [r["seed"] for r in mine],
+                     **{name: summarize([r["metrics"][name] for r in mine
+                                         if name in r["metrics"]]) for name in names}}
+    return out
+
+
 def summary(runs, end_to_end, traced=(), dropped=()):
     """Per workload: each side's quartiles of every metric, the pair wins,
-    the runs dropped for steal and the traced runs' per-layer metrics."""
+    the runs dropped for steal and the traced runs' per-layer quartiles."""
     out = {}
     for workload in sorted({r["workload"] for r in runs}):
         mine = [r for r in runs if r["workload"] == workload]
@@ -152,8 +181,7 @@ def summary(runs, end_to_end, traced=(), dropped=()):
                                                 if r["side"] == side])
         entry["pairs_change_better"] = {m["name"]: pairs_better(mine, m["name"], m["better"])
                                         for m in end_to_end}
-        entry["traced"] = {r["side"]: {"seed": r["seed"], **r["metrics"]}
-                           for r in traced if r["workload"] == workload}
+        entry["traced"] = traced_summary([r for r in traced if r["workload"] == workload])
         out[workload] = entry
     return out
 
@@ -215,7 +243,6 @@ def main():
         parser.error("quartiles need at least two seeds")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     sides = {side: identity(path) for side, path in checkouts.items()}
-    traced_seed = max(seeds) + 1
     runs, traced, dropped = [], [], []
 
     def measure(workload, seed, index, side, position, trace):
@@ -236,8 +263,9 @@ def main():
         for index, seed in enumerate(seeds):
             for position, side in enumerate(pair_order(index)):
                 runs.append(measure(workload, seed, index, side, position, 0))
-        for position, side in enumerate(pair_order(len(seeds))):
-            traced.append(measure(workload, traced_seed, len(seeds), side, position, 1))
+        for seed, index in traced_seeds(seeds):
+            for position, side in enumerate(pair_order(index)):
+                traced.append(measure(workload, seed, index, side, position, 1))
     record = {
         "pr": args.pr,
         "command": benchmark["command"] + ["--workload", "W", "--seed", "S", "--seconds",
@@ -247,6 +275,7 @@ def main():
                  "python": platform.python_version()},
         "sides": sides,
         "max_steal_share": MAX_STEAL_SHARE,
+        "traced_pairs": TRACED_PAIRS,
         "units": {m["name"]: m["unit"] for m in benchmark["end_to_end"] + benchmark["per_layer"]},
         "summary": summary(runs, benchmark["end_to_end"], traced, dropped),
         "runs": runs,

@@ -27,6 +27,15 @@ class PairTest(unittest.TestCase):
         self.assertEqual(br.pair_order(1), ("change", "parent"))
         self.assertEqual(br.pair_order(4), ("parent", "change"))
 
+    def test_traced_pairs_follow_the_pairs_and_keep_alternating(self):
+        plan = br.traced_seeds([301, 302, 303, 304, 305, 306, 307, 308, 309, 310])
+        self.assertEqual(plan, [(311, 10), (312, 11), (313, 12)])
+        self.assertEqual([br.pair_order(index)[0] for _, index in plan],
+                         ["parent", "change", "parent"])
+        # Seeds out of order: the traced seeds still start past the largest.
+        self.assertEqual(br.traced_seeds([7, 3])[0], (8, 2))
+        self.assertEqual(len(br.traced_seeds([1, 2])), br.TRACED_PAIRS)
+
     def test_seed_lists(self):
         self.assertEqual(br.parse_seeds("301-305"), [301, 302, 303, 304, 305])
         self.assertEqual(br.parse_seeds("1,3,7-8"), [1, 3, 7, 8])
@@ -72,9 +81,32 @@ class SummaryTest(unittest.TestCase):
                   for side, ms in (("change", 13.3), ("parent", 18.5))]
         dropped = [{"workload": "ic-cold", "seed": 1, "side": "parent", "steal_s": 9.0}]
         out = br.summary(runs, END_TO_END, traced, dropped)["ic-cold"]
-        self.assertEqual(out["traced"], {"parent": {"seed": 2, "sampling.ms_per_query": 18.5},
-                                         "change": {"seed": 2, "sampling.ms_per_query": 13.3}})
+        one = {"n": 1}
+        self.assertEqual(out["traced"]["parent"]["seeds"], [2])
+        self.assertEqual(out["traced"]["parent"]["sampling.ms_per_query"],
+                         {"median": 18.5, "q1": 18.5, "q3": 18.5, **one})
+        self.assertEqual(out["traced"]["change"]["sampling.ms_per_query"]["median"], 13.3)
         self.assertEqual(out["dropped_for_steal"], 1)
+
+    def test_traced_quartiles_per_side_and_metric(self):
+        # Three traced runs per side; a metric a run did not print is left out
+        # of that run's sample rather than read as zero.
+        traced = []
+        for seed, (parent_ms, change_ms) in zip((11, 12, 13), ((18.5, 13.3), (20.0, 12.0),
+                                                             (19.0, 14.0))):
+            traced.append({"workload": "ic-cold", "seed": seed, "side": "parent",
+                           "metrics": {"sampling.ms_per_query": parent_ms,
+                                       "graph.build_s": 0.14 + seed / 100}})
+            traced.append({"workload": "ic-cold", "seed": seed, "side": "change",
+                           "metrics": {"sampling.ms_per_query": change_ms}})
+        out = br.traced_summary(traced)
+        self.assertEqual(out["parent"]["seeds"], [11, 12, 13])
+        self.assertEqual(out["parent"]["sampling.ms_per_query"],
+                         {"median": 19.0, "q1": 18.5, "q3": 20.0, "n": 3})
+        self.assertEqual(out["change"]["sampling.ms_per_query"],
+                         {"median": 13.3, "q1": 12.0, "q3": 14.0, "n": 3})
+        self.assertEqual(out["parent"]["graph.build_s"]["n"], 3)
+        self.assertNotIn("graph.build_s", out["change"])
 
 
 class ParseTest(unittest.TestCase):
