@@ -12,12 +12,12 @@
 
 #include "benchutil/cli.h"
 #include "benchutil/table.h"
-#include "benchutil/timer.h"
 #include "core/trim.h"
 #include "core/trim_two_group.h"
 #include "diffusion/monte_carlo.h"
 #include "graph/datasets.h"
 #include "parallel/thread_pool.h"
+#include "util/timer.h"
 
 int main(int argc, char** argv) {
   using namespace asti;

@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the sampling substrate:
-// RR vs mRR generation under IC and LT, coverage argmax, greedy coverage,
-// forward simulation, and realization sampling.
+// RR vs mRR generation under IC and LT, coverage argmax, CELF greedy
+// coverage, forward simulation, and realization sampling.
 //
 // Most rows run nethept at scale 0.3, whose graph stays in cache. The
 // *Youtube rows and BM_InvertedIndexBuild run the youtube surrogate at
@@ -184,12 +184,12 @@ void BM_CoverageArgMax(benchmark::State& state) {
   Rng rng(3);
   for (int i = 0; i < 4096; ++i) sampler.Generate(candidates, nullptr, collection, rng);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(collection.ArgMaxCoverage());
+    benchmark::DoNotOptimize(ArgMaxCoverage(collection, nullptr));
   }
 }
 BENCHMARK(BM_CoverageArgMax);
 
-void BM_GreedyMaxCoverage(benchmark::State& state) {
+void BM_LazyGreedyMaxCoverage(benchmark::State& state) {
   const DirectedGraph& graph = BenchGraph();
   RrSampler sampler(graph, DiffusionModel::kIndependentCascade);
   RrCollection collection(graph.NumNodes());
@@ -198,24 +198,39 @@ void BM_GreedyMaxCoverage(benchmark::State& state) {
   for (int i = 0; i < 4096; ++i) sampler.Generate(candidates, nullptr, collection, rng);
   const NodeId budget = static_cast<NodeId>(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(GreedyMaxCoverage(collection, budget));
-  }
-}
-BENCHMARK(BM_GreedyMaxCoverage)->Arg(1)->Arg(8)->Arg(64);
-
-void BM_LazyGreedyMaxCoverage(benchmark::State& state) {
-  const DirectedGraph& graph = BenchGraph();
-  RrSampler sampler(graph, DiffusionModel::kIndependentCascade);
-  RrCollection collection(graph.NumNodes());
-  const auto candidates = AllNodes(graph.NumNodes());
-  Rng rng(4);  // same stream as BM_GreedyMaxCoverage for a fair instance
-  for (int i = 0; i < 4096; ++i) sampler.Generate(candidates, nullptr, collection, rng);
-  const NodeId budget = static_cast<NodeId>(state.range(0));
-  for (auto _ : state) {
     benchmark::DoNotOptimize(LazyGreedyMaxCoverage(collection, budget));
   }
 }
 BENCHMARK(BM_LazyGreedyMaxCoverage)->Arg(1)->Arg(8)->Arg(64);
+
+// CELF on youtube at scale 1.0, index build included. Arg 0: budget n over
+// 8,192 IC RR sets, the shape of Bisection's one pass (8,192 is
+// BisectionOptions::samples), which ends in the zero-gain fill. Args 4 and
+// 16: b = 4 and 16 over 1,252 IC mRR sets at η = 3 % of n, the size of
+// ic-cold's first ASTI-4 rung (the instance of BM_InvertedIndexBuild/1252).
+void BM_LazyGreedyYoutube(benchmark::State& state) {
+  const DirectedGraph& graph = YoutubeGraph();
+  const NodeId n = graph.NumNodes();
+  const auto candidates = AllNodes(n);
+  RrCollection collection(n);
+  if (state.range(0) == 0) {
+    RrSampler sampler(graph, DiffusionModel::kIndependentCascade);
+    Rng rng(9);
+    for (int i = 0; i < 8192; ++i) sampler.Generate(candidates, nullptr, collection, rng);
+  } else {
+    MrrSampler sampler(graph, DiffusionModel::kIndependentCascade);
+    const RootSizeSampler root_size(n, n * 3 / 100);
+    Rng rng(8);
+    for (int i = 0; i < 1252; ++i) {
+      sampler.Generate(candidates, nullptr, root_size.Sample(rng), collection, rng);
+    }
+  }
+  const NodeId budget = state.range(0) == 0 ? n : static_cast<NodeId>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(LazyGreedyMaxCoverage(collection, budget));
+  }
+}
+BENCHMARK(BM_LazyGreedyYoutube)->Arg(0)->Arg(4)->Arg(16)->Unit(benchmark::kMillisecond);
 
 Realization SampleWorld(const DirectedGraph& graph, DiffusionModel model, Rng& rng) {
   return model == DiffusionModel::kIndependentCascade ? Realization::SampleIc(graph, rng)

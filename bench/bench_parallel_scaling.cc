@@ -30,7 +30,6 @@
 
 #include "benchutil/cli.h"
 #include "benchutil/table.h"
-#include "benchutil/timer.h"
 #include "coverage/lazy_greedy.h"
 #include "coverage/max_coverage.h"
 #include "graph/generators.h"
@@ -38,6 +37,7 @@
 #include "parallel/thread_pool.h"
 #include "sampling/root_size.h"
 #include "util/check.h"
+#include "util/timer.h"
 
 namespace asti {
 namespace {

@@ -108,8 +108,8 @@ class SeedMinEngine {
     size_t max_queue_depth = 64;
     /// Byte budget for each graph's shared sampler cache: when an Acquire
     /// pushes the cache's resident bytes past this, least-recently-used
-    /// (kind, model, η, rounding) entries are evicted until it fits (the
-    /// entry just served always survives). 0 = unlimited. Eviction never
+    /// (kind, model, η) entries are evicted until it fits (the entry just
+    /// served always survives). 0 = unlimited. Eviction never
     /// changes results — a re-created entry regenerates bit-identical sets
     /// — it trades recomputation for memory; asti_sampler_cache_evictions
     /// counts the drops.

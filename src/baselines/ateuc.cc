@@ -1,16 +1,14 @@
 #include "baselines/ateuc.h"
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 
-#include "coverage/inverted_index.h"
-#include "coverage/max_coverage.h"
+#include "coverage/lazy_greedy.h"
 #include "parallel/parallel_sampler.h"
-#include "parallel/thread_pool.h"
 #include "sampling/rr_collection.h"
 #include "sampling/shared_collection.h"
 #include "stats/concentration.h"
-#include "util/bit_vector.h"
 #include "util/check.h"
 
 namespace asti {
@@ -18,42 +16,6 @@ namespace asti {
 namespace {
 
 constexpr double kOneMinusInvE = 1.0 - 1.0 / 2.718281828459045;
-
-// Greedy coverage maximization recording the cumulative coverage after
-// every pick, until all sets are covered or `cap` picks were made.
-struct GreedyCurve {
-  std::vector<NodeId> picks;
-  std::vector<uint32_t> cumulative_coverage;  // after pick i
-};
-
-GreedyCurve GreedyCoverageCurve(const CollectionView& collection, size_t cap,
-                                ThreadPool* pool, const CancelScope* cancel,
-                                RequestProfile* profile) {
-  PhaseSpan span(profile, RequestPhase::kCoverage);
-  const size_t num_sets = collection.NumSets();
-  const InvertedIndex index = BuildInvertedIndex(collection, pool);
-
-  std::vector<uint32_t> gain(collection.CoverageCounts());
-  BitVector covered(num_sets);
-  GreedyCurve curve;
-  uint32_t covered_count = 0;
-  while (curve.picks.size() < cap && covered_count < num_sets) {
-    if (Fired(cancel)) break;
-    const NodeId best = ArgMaxScore(gain, nullptr, nullptr, pool);
-    if (best == kInvalidNode || gain[best] == 0) break;  // nothing left to cover
-    curve.picks.push_back(best);
-    covered_count += gain[best];
-    curve.cumulative_coverage.push_back(covered_count);
-    const auto [begin, end] = index.Range(best);
-    for (size_t i = begin; i < end; ++i) {
-      const uint32_t s = index.sets[i];
-      if (covered.Get(s)) continue;
-      covered.Set(s);
-      for (NodeId u : collection.Set(s)) --gain[u];
-    }
-  }
-  return curve;
-}
 
 }  // namespace
 
@@ -96,9 +58,16 @@ AteucResult RunAteuc(const DirectedGraph& graph, DiffusionModel model, NodeId et
     const double theta = static_cast<double>(sets.NumSets());
     // Greedy can never need more than η picks: each pick either covers a
     // new set or coverage is exhausted.
-    const GreedyCurve curve = GreedyCoverageCurve(sets, eta, options.pool,
-                                                  options.cancel, options.profile);
+    const MaxCoverageResult greedy = LazyGreedyMaxCoverage(
+        sets, eta, nullptr, options.pool, options.cancel, options.profile);
     if (Fired(options.cancel)) return result;  // curve truncated mid-pick; bounds unusable
+    // The greedy curve: the picks up to the first zero gain (every set
+    // covered) and the coverage after each.
+    const auto gains = greedy.marginal_coverage.begin();
+    const size_t length = std::find(gains, greedy.marginal_coverage.end(), 0u) - gains;
+    const std::vector<NodeId> picks(greedy.selected.begin(), greedy.selected.begin() + length);
+    std::vector<uint32_t> cumulative_coverage(length);
+    std::partial_sum(gains, gains + length, cumulative_coverage.begin());
     // Everything from here to the doubling decision is bound evaluation.
     PhaseSpan certify(options.profile, RequestPhase::kCertify);
 
@@ -109,9 +78,9 @@ AteucResult RunAteuc(const DirectedGraph& graph, DiffusionModel model, NodeId et
     // drive s_l and the gap condition.
     size_t s_u = 0;
     const double target = options.target_slack * static_cast<double>(eta);
-    for (size_t j = 0; j < curve.picks.size(); ++j) {
+    for (size_t j = 0; j < picks.size(); ++j) {
       const double estimate =
-          n_d * static_cast<double>(curve.cumulative_coverage[j]) / theta;
+          n_d * static_cast<double>(cumulative_coverage[j]) / theta;
       if (estimate >= target) {
         s_u = j + 1;
         break;
@@ -122,9 +91,9 @@ AteucResult RunAteuc(const DirectedGraph& graph, DiffusionModel model, NodeId et
     // inflated greedy coverage (best size-j coverage ≤ greedy_j/(1−1/e))
     // upper-bounds below η.
     size_t s_l = 1;
-    for (size_t j = 0; j < curve.picks.size(); ++j) {
+    for (size_t j = 0; j < picks.size(); ++j) {
       const double optimistic = CoverageUpperBound(
-          static_cast<double>(curve.cumulative_coverage[j]) / kOneMinusInvE, a);
+          static_cast<double>(cumulative_coverage[j]) / kOneMinusInvE, a);
       if (n_d * optimistic / theta < static_cast<double>(eta)) {
         s_l = j + 2;  // no size-(j+1) set reaches η
       } else {
@@ -135,10 +104,10 @@ AteucResult RunAteuc(const DirectedGraph& graph, DiffusionModel model, NodeId et
     result.doublings = round;
     result.num_samples = sets.NumSets();
     if (s_u > 0) {
-      result.seeds.assign(curve.picks.begin(), curve.picks.begin() + s_u);
+      result.seeds.assign(picks.begin(), picks.begin() + s_u);
       result.optimal_lower_bound = s_l;
       result.estimated_spread =
-          n_d * static_cast<double>(curve.cumulative_coverage[s_u - 1]) / theta;
+          n_d * static_cast<double>(cumulative_coverage[s_u - 1]) / theta;
       const bool gap_met = s_u <= 2 * s_l;
       const bool stabilized =
           s_u == previous_s_u && sets.NumSets() >= options.stable_after;
@@ -147,12 +116,12 @@ AteucResult RunAteuc(const DirectedGraph& graph, DiffusionModel model, NodeId et
     } else if (round == options.max_doublings) {
       // Certification never succeeded (tiny graphs / extreme η): fall back
       // to the full greedy curve, which covers every sampled set.
-      result.seeds = curve.picks;
+      result.seeds = picks;
       result.optimal_lower_bound = s_l;
       result.estimated_spread =
-          curve.cumulative_coverage.empty()
+          cumulative_coverage.empty()
               ? 0.0
-              : n_d * static_cast<double>(curve.cumulative_coverage.back()) / theta;
+              : n_d * static_cast<double>(cumulative_coverage.back()) / theta;
       return result;
     }
     target_samples *= 2;

@@ -2,7 +2,7 @@
 
 #include <numeric>
 
-#include "coverage/max_coverage.h"
+#include "coverage/lazy_greedy.h"
 #include "parallel/parallel_sampler.h"
 #include "sampling/rr_collection.h"
 #include "sampling/shared_collection.h"
@@ -20,9 +20,6 @@ BisectionResult RunBisectionSeedMin(const DirectedGraph& graph, DiffusionModel m
   std::vector<NodeId> all_nodes(n);
   std::iota(all_nodes.begin(), all_nodes.end(), 0);
 
-  // One shared RR collection serves every k (the greedy curve is nested in
-  // k, so a single greedy pass would suffice — but we keep the literal
-  // bisection protocol, whose cost profile is what this baseline is for).
   RrCollection collection(n);
   ParallelRrSampler parallel_sampler(graph, model, options.pool, options.cancel,
                                      options.profile);
@@ -39,37 +36,23 @@ BisectionResult RunBisectionSeedMin(const DirectedGraph& graph, DiffusionModel m
   const double theta = static_cast<double>(sets.NumSets());
   const double target = options.target_slack * static_cast<double>(eta);
 
-  auto spread_of_k = [&](NodeId k) {
-    ++result.im_evaluations;
-    const MaxCoverageResult greedy = GreedyMaxCoverage(
-        sets, k, nullptr, options.pool, options.cancel, options.profile);
-    return static_cast<double>(n) * static_cast<double>(greedy.covered_sets) / theta;
-  };
-
-  // Exponential search for a feasible upper bound, then bisection. A fired
-  // scope aborts between IM evaluations (each one is a full greedy pass).
-  NodeId high = 1;
-  while (high < n && spread_of_k(high) < target) {
-    if (Fired(options.cancel)) return result;
-    high = std::min<NodeId>(n, high * 2);
+  // One greedy pass over all n nodes. Greedy picks are prefix-consistent
+  // and the estimate n·Λ/θ only rises with k, so the shortest prefix that
+  // reaches the target is the k (and the seed list) that a search over k
+  // with one greedy solve per probe would find; all n picks when none does.
+  const MaxCoverageResult greedy = LazyGreedyMaxCoverage(
+      sets, n, nullptr, options.pool, options.cancel, options.profile);
+  if (Fired(options.cancel)) return result;  // truncated mid-pass; discard
+  uint32_t covered = 0;
+  size_t k = 0;
+  double estimate = 0.0;
+  while (k < greedy.selected.size()) {
+    covered += greedy.marginal_coverage[k++];
+    estimate = static_cast<double>(n) * static_cast<double>(covered) / theta;
+    if (estimate >= target) break;
   }
-  NodeId low = high > 1 ? high / 2 : 1;
-  while (low < high) {
-    if (Fired(options.cancel)) return result;
-    const NodeId mid = low + (high - low) / 2;
-    if (spread_of_k(mid) >= target) {
-      high = mid;
-    } else {
-      low = mid + 1;
-    }
-  }
-  if (Fired(options.cancel)) return result;
-
-  const MaxCoverageResult final_greedy = GreedyMaxCoverage(
-      sets, high, nullptr, options.pool, options.cancel, options.profile);
-  result.seeds = final_greedy.selected;
-  result.estimated_spread =
-      static_cast<double>(n) * static_cast<double>(final_greedy.covered_sets) / theta;
+  result.seeds.assign(greedy.selected.begin(), greedy.selected.begin() + k);
+  result.estimated_spread = estimate;
   return result;
 }
 

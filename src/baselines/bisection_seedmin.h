@@ -2,13 +2,17 @@
 // (Goyal et al. 2013, discussed in §2.4 of the ASTI paper).
 //
 // Existing work turns a non-adaptive influence-*maximization* routine into
-// a seed-*minimization* one by binary-searching the budget k: solve IM for
-// k, check whether the estimated spread reaches η, halve the interval.
-// We instantiate the inner IM solver with RR-set greedy (IMM-style). Like
-// ATEUC it is non-adaptive and inherits the per-realization reliability
-// problem; unlike ATEUC it pays O(log n) IM solves. Included as a second
-// non-adaptive baseline and as the "what the pre-ATEUC literature did"
-// reference point.
+// a seed-*minimization* one by searching the budget k: solve IM for k,
+// check whether the estimated spread reaches η, narrow the interval. We
+// instantiate the inner IM solver with RR-set greedy (IMM-style) over one
+// RR collection. Greedy picks are prefix-consistent and the estimate
+// n·Λ(S_k)/θ only rises with k, so one greedy pass answers every probe:
+// the run makes a single CELF call with budget n and keeps the shortest
+// prefix whose estimate reaches the target — the k and the seed list the
+// exponential search and bisection over k would find. Like ATEUC it is
+// non-adaptive and inherits the per-realization reliability problem.
+// Included as a second non-adaptive baseline and as the "what the
+// pre-ATEUC literature did" reference point.
 
 #pragma once
 
@@ -27,13 +31,13 @@ class ThreadPool;
 
 /// Tuning knobs for the bisection baseline.
 struct BisectionOptions {
-  size_t samples = 8192;      // RR-sets per IM evaluation
+  size_t samples = 8192;      // RR-sets in the one collection
   double target_slack = 1.2;  // aim E[I(S)] at slack·η, like ATEUC
   /// Shared external pool for RR generation and greedy coverage;
   /// semantics as TrimOptions::pool.
   ThreadPool* pool = nullptr;
-  /// Cooperative stop condition; polled per IM evaluation, generation
-  /// stride, and greedy pick. A fired scope returns a partial result the
+  /// Cooperative stop condition; polled per generation stride and per
+  /// greedy heap round. A fired scope returns a partial result the
   /// caller must discard; semantics as AteucOptions::cancel.
   const CancelScope* cancel = nullptr;
   /// Per-request phase profile; semantics as TrimOptions::profile.
@@ -47,7 +51,6 @@ struct BisectionOptions {
 /// Result of the bisection run.
 struct BisectionResult {
   std::vector<NodeId> seeds;     // final seed set (greedy order prefix)
-  size_t im_evaluations = 0;     // inner IM solves performed
   double estimated_spread = 0.0; // n·Λ(S)/θ at the final k
   size_t num_samples = 0;        // RR-sets generated in total
 };

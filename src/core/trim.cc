@@ -230,10 +230,11 @@ SelectionResult Trim::SelectBatch(const ResidualView& view, Rng& rng) {
   // whose pick is memoized on the cache entry. The cached path consumes
   // ZERO draws from `rng`, so all later rounds see identical request
   // streams whether this round hit the memo, extended, or sampled a cold
-  // entry.
-  if (options_.sampler_cache != nullptr && ni == graph_->NumNodes()) {
-    return CertifyOnCache(*options_.sampler_cache,
-                          SamplerCacheKey::Mrr(model_, eta_i, options_.rounding), schedule,
+  // entry. The cache holds randomized-rounding entries only, so the
+  // rounding ablation's other rules sample their own collection.
+  if (options_.sampler_cache != nullptr && ni == graph_->NumNodes() &&
+      options_.rounding == RootRounding::kRandomized) {
+    return CertifyOnCache(*options_.sampler_cache, SamplerCacheKey::Mrr(model_, eta_i), schedule,
                           *view.inactive_nodes, gain_scale, options_.pool, options_.cancel,
                           options_.profile);
   }

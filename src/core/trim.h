@@ -44,7 +44,9 @@ namespace asti {
 struct TrimOptions {
   double epsilon = 0.5;   // approximation slack ε ∈ (0, 1)
   NodeId batch_size = 1;  // b ≥ 1 seeds per round; b = 1 is Algorithm 2
-  RootRounding rounding = RootRounding::kRandomized;  // ablation hook
+  /// Ablation hook; a rule other than kRandomized bypasses the sampler
+  /// cache, whose mRR entries use randomized rounding only.
+  RootRounding rounding = RootRounding::kRandomized;
   /// Externally owned worker pool for sampling and coverage (not owned;
   /// may be null = everything runs on the calling thread). Results are
   /// bit-identical for every pool size, including none (see

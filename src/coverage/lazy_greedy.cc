@@ -1,7 +1,6 @@
 #include "coverage/lazy_greedy.h"
 
 #include <algorithm>
-#include <queue>
 
 #include "coverage/inverted_index.h"
 #include "util/bit_vector.h"
@@ -45,18 +44,25 @@ MaxCoverageResult LazyGreedyMaxCoverage(const CollectionView& collection, NodeId
   // duplicate in `candidates` would otherwise be selected twice).
   // Uniqueness also makes the heap's (gain, node) comparator a total order,
   // so the pop sequence — and hence the selection — is independent of push
-  // order.
-  std::vector<HeapEntry> initial;
+  // order. The heap is a plain vector (std::make_heap) so that the
+  // zero-gain fill below can read the entries left in it.
+  std::vector<HeapEntry> heap;
   if (candidates == nullptr) {
-    initial.reserve(n);
-    for (NodeId v = 0; v < n; ++v) initial.push_back({collection.Coverage(v), v, 0});
+    heap.reserve(n);
+    for (NodeId v = 0; v < n; ++v) heap.push_back({collection.Coverage(v), v, 0});
   } else {
     for (NodeId v : DedupeCandidates(*candidates, n)) {
-      initial.push_back({collection.Coverage(v), v, 0});
+      heap.push_back({collection.Coverage(v), v, 0});
     }
   }
-  const size_t pool_size = initial.size();
-  std::priority_queue<HeapEntry> heap(std::less<HeapEntry>(), std::move(initial));
+  const size_t pool_size = heap.size();
+  std::make_heap(heap.begin(), heap.end());
+  auto pop = [&heap] {
+    std::pop_heap(heap.begin(), heap.end());
+    const HeapEntry top = heap.back();
+    heap.pop_back();
+    return top;
+  };
 
   BitVector covered(collection.NumSets());
   const size_t picks = std::min<size_t>(budget, pool_size);
@@ -88,12 +94,22 @@ MaxCoverageResult LazyGreedyMaxCoverage(const CollectionView& collection, NodeId
   size_t drain = base_drain;
   std::vector<HeapEntry> batch;
   while (result.selected.size() < picks && !heap.empty()) {
-    // Polled per heap round (a pick or a stale-drain batch), the CELF
-    // analogue of the eager solver's per-pick check.
+    // Polled per heap round (a pick or a stale-drain batch).
     if (Fired(cancel)) return result;
-    const HeapEntry top = heap.top();
-    if (top.round_evaluated == round) {
-      heap.pop();
+    if (heap.front().gain == 0) {
+      // Every true gain is 0 (cached gains bound them from above), and
+      // CELF would pop the rest in ascending id: append that order.
+      BitVector remaining(n);
+      for (const HeapEntry& entry : heap) remaining.Set(entry.node);
+      for (NodeId v = 0; result.selected.size() < picks; ++v) {
+        if (!remaining.Get(v)) continue;
+        result.selected.push_back(v);
+        result.marginal_coverage.push_back(0);
+      }
+      break;
+    }
+    if (heap.front().round_evaluated == round) {
+      const HeapEntry top = pop();
       result.selected.push_back(top.node);
       result.marginal_coverage.push_back(top.gain);
       result.covered_sets += top.gain;
@@ -107,9 +123,8 @@ MaxCoverageResult LazyGreedyMaxCoverage(const CollectionView& collection, NodeId
     // already the next pick — see above).
     batch.clear();
     while (!heap.empty() && batch.size() < drain &&
-           heap.top().round_evaluated != round) {
-      batch.push_back(heap.top());
-      heap.pop();
+           heap.front().round_evaluated != round) {
+      batch.push_back(pop());
     }
     if (parallel && batch.size() >= min_parallel_batch) {
       pool->ParallelFor(batch.size(), [&](size_t, size_t begin, size_t end) {
@@ -120,7 +135,8 @@ MaxCoverageResult LazyGreedyMaxCoverage(const CollectionView& collection, NodeId
     }
     for (HeapEntry& entry : batch) {
       entry.round_evaluated = round;
-      heap.push(entry);
+      heap.push_back(entry);
+      std::push_heap(heap.begin(), heap.end());
     }
     // Geometric growth bounds total re-evaluations per pick by ~2× the
     // sequential CELF count while giving each dispatch enough work. The

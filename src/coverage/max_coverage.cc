@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "coverage/inverted_index.h"
+#include "util/bit_vector.h"
 #include "util/check.h"
 
 namespace asti {
@@ -28,24 +28,22 @@ std::vector<NodeId> DedupeCandidates(const std::vector<NodeId>& candidates, Node
   return unique;
 }
 
-NodeId ArgMaxScore(const std::vector<uint32_t>& score, const std::vector<NodeId>* domain,
-                   const BitVector* skip, ThreadPool* pool, RequestProfile* profile) {
+NodeId ArgMaxCoverage(const CollectionView& collection, ThreadPool* pool,
+                      RequestProfile* profile) {
   PhaseSpan span(profile, RequestPhase::kCoverage);
-  const size_t count = domain != nullptr ? domain->size() : score.size();
-  auto node_at = [&](size_t i) {
-    return domain != nullptr ? (*domain)[i] : static_cast<NodeId>(i);
+  ASM_CHECK(collection.num_nodes() > 0);
+  const std::vector<uint32_t>& coverage = collection.CoverageCounts();
+  const size_t count = coverage.size();
+  // Chunk-local scans use the same (coverage, lowest id) rule as the merge,
+  // so the winner matches a single ascending scan for any chunking.
+  auto better = [&](NodeId v, NodeId best) {
+    return best == kInvalidNode || coverage[v] > coverage[best] ||
+           (coverage[v] == coverage[best] && v < best);
   };
-  // Chunk-local scans use the same (score, lowest id) rule as the merge, so
-  // the winner matches a single ascending scan for any chunking.
   auto scan = [&](size_t begin, size_t end) {
     NodeId best = kInvalidNode;
     for (size_t i = begin; i < end; ++i) {
-      const NodeId v = node_at(i);
-      if (skip != nullptr && skip->Get(v)) continue;
-      if (best == kInvalidNode || score[v] > score[best] ||
-          (score[v] == score[best] && v < best)) {
-        best = v;
-      }
+      if (better(static_cast<NodeId>(i), best)) best = static_cast<NodeId>(i);
     }
     return best;
   };
@@ -58,64 +56,9 @@ NodeId ArgMaxScore(const std::vector<uint32_t>& score, const std::vector<NodeId>
   });
   NodeId best = kInvalidNode;
   for (NodeId v : chunk_best) {
-    if (v == kInvalidNode) continue;
-    if (best == kInvalidNode || score[v] > score[best] ||
-        (score[v] == score[best] && v < best)) {
-      best = v;
-    }
+    if (v != kInvalidNode && better(v, best)) best = v;
   }
   return best;
-}
-
-NodeId ArgMaxCoverage(const CollectionView& collection, ThreadPool* pool,
-                      RequestProfile* profile) {
-  ASM_CHECK(collection.num_nodes() > 0);
-  return ArgMaxScore(collection.CoverageCounts(), nullptr, nullptr, pool, profile);
-}
-
-MaxCoverageResult GreedyMaxCoverage(const CollectionView& collection, NodeId budget,
-                                    const std::vector<NodeId>* candidates,
-                                    ThreadPool* pool, const CancelScope* cancel,
-                                    RequestProfile* profile) {
-  // The span covers the whole solve; the internal ArgMaxScore calls get a
-  // null profile so the time is not double-counted.
-  PhaseSpan span(profile, RequestPhase::kCoverage);
-  ASM_CHECK(budget >= 1);
-  const NodeId n = collection.num_nodes();
-  const size_t num_sets = collection.NumSets();
-  MaxCoverageResult result;
-
-  const InvertedIndex index = BuildInvertedIndex(collection, pool);
-
-  std::vector<NodeId> unique_candidates;
-  if (candidates != nullptr) unique_candidates = DedupeCandidates(*candidates, n);
-  const std::vector<NodeId>* domain = candidates != nullptr ? &unique_candidates : nullptr;
-
-  std::vector<uint32_t> gain(collection.CoverageCounts());
-  BitVector covered(num_sets);
-  BitVector taken(n);
-  const size_t pool_size =
-      domain == nullptr ? static_cast<size_t>(n) : domain->size();
-  const size_t picks = std::min<size_t>(budget, pool_size);
-  for (size_t pick = 0; pick < picks; ++pick) {
-    if (Fired(cancel)) return result;
-    const NodeId best = ArgMaxScore(gain, domain, &taken, pool);
-    ASM_CHECK(best != kInvalidNode);
-    taken.Set(best);
-    result.selected.push_back(best);
-    result.marginal_coverage.push_back(gain[best]);
-    result.covered_sets += gain[best];
-    // Mark best's uncovered sets covered; members of those sets lose gain.
-    const auto [begin, end] = index.Range(best);
-    for (size_t i = begin; i < end; ++i) {
-      const uint32_t s = index.sets[i];
-      if (covered.Get(s)) continue;
-      covered.Set(s);
-      for (NodeId u : collection.Set(s)) --gain[u];
-    }
-    ASM_DCHECK(gain[best] == 0);
-  }
-  return result;
 }
 
 double GreedyCoverageRatio(NodeId budget) {
@@ -123,45 +66,6 @@ double GreedyCoverageRatio(NodeId budget) {
   if (budget == 1) return 1.0;
   const double b = static_cast<double>(budget);
   return 1.0 - std::pow(1.0 - 1.0 / b, b);
-}
-
-namespace {
-
-void EnumerateSubsets(const CollectionView& collection, NodeId budget, NodeId first,
-                      std::vector<NodeId>& current, MaxCoverageResult& best) {
-  if (current.size() == budget) {
-    BitVector covered(collection.NumSets());
-    uint32_t count = 0;
-    for (size_t s = 0; s < collection.NumSets(); ++s) {
-      for (NodeId v : collection.Set(s)) {
-        if (std::find(current.begin(), current.end(), v) != current.end()) {
-          covered.Set(s);
-          ++count;
-          break;
-        }
-      }
-    }
-    if (count > best.covered_sets || best.selected.empty()) {
-      best.covered_sets = count;
-      best.selected = current;
-    }
-    return;
-  }
-  for (NodeId v = first; v < collection.num_nodes(); ++v) {
-    current.push_back(v);
-    EnumerateSubsets(collection, budget, v + 1, current, best);
-    current.pop_back();
-  }
-}
-
-}  // namespace
-
-MaxCoverageResult ExactMaxCoverage(const CollectionView& collection, NodeId budget) {
-  ASM_CHECK(budget >= 1 && budget <= collection.num_nodes());
-  MaxCoverageResult best;
-  std::vector<NodeId> current;
-  EnumerateSubsets(collection, budget, 0, current, best);
-  return best;
 }
 
 }  // namespace asti

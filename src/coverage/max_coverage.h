@@ -1,15 +1,18 @@
-// Maximum-coverage solvers over an RR collection.
+// Shared vocabulary of the max-coverage solver over an RR collection.
 //
 // TRIM-B's per-round subproblem (Alg. 3 line 8) is budgeted maximum
-// coverage: pick b nodes covering the most stored sets. GreedyMaxCoverage
-// is the classical linear-time greedy with approximation factor
-// ρ_b = 1 − (1 − 1/b)^b; ExactMaxCoverage is exponential-time brute force
-// used by tests to validate that factor.
+// coverage: pick b nodes covering the most stored sets. The one solver is
+// CELF in coverage/lazy_greedy.h, which returns the classical greedy's
+// picks (ties: lowest node id) with approximation factor
+// ρ_b = 1 − (1 − 1/b)^b; Bisection and ATEUC read its pick curve too.
+// There is no eager solver here: the eager greedy and the brute-force
+// optimum that tests validate CELF and ρ_b against live in
+// tests/coverage_reference.h.
 //
-// Every solver accepts an optional ThreadPool. With a multi-worker pool the
-// inverted-index build and the argmax / gain scans fan out across workers
-// while keeping the (gain, lowest-node-id) selection rule exact, so results
-// are bit-identical to the sequential path at every thread count.
+// With a multi-worker pool the inverted-index build, CELF's stale-gain
+// re-evaluations and the argmax scan fan out across workers while keeping
+// the (gain, lowest-node-id) selection rule exact, so results are
+// bit-identical to the sequential path at every thread count.
 
 #pragma once
 
@@ -18,8 +21,6 @@
 #include "obs/span.h"
 #include "parallel/thread_pool.h"
 #include "sampling/shared_collection.h"
-#include "util/bit_vector.h"
-#include "util/cancellation.h"
 
 namespace asti {
 
@@ -30,54 +31,24 @@ struct MaxCoverageResult {
   std::vector<uint32_t> marginal_coverage;  // newly covered sets per pick
 };
 
-/// Greedy max coverage with budget b (ties: lowest node id). Runs in
-/// O(Σ|R| + b·n). Picks fewer than b nodes only if b exceeds the candidate
-/// pool. When `candidates` is non-null, only those nodes may be picked —
-/// TRIM-B passes the residual node list so zero-gain filler picks can never
-/// land on an already-active node. Duplicate candidate entries are
-/// deduplicated (a node is selected at most once; the pool size counts
-/// unique nodes). `pool` parallelizes the per-pick argmax scans. A
-/// non-null `cancel` is polled before every pick: once it fires, the
-/// partial result so far is returned (callers observing the scope must
-/// discard it — completed runs are unaffected by the polls). A non-null
-/// `profile` accrues the call's wall time into its coverage slot; it is
-/// never read by the solver, so selections are unchanged by it.
-MaxCoverageResult GreedyMaxCoverage(const CollectionView& collection, NodeId budget,
-                                    const std::vector<NodeId>* candidates = nullptr,
-                                    ThreadPool* pool = nullptr,
-                                    const CancelScope* cancel = nullptr,
-                                    RequestProfile* profile = nullptr);
-
 /// ρ_b = 1 − (1 − 1/b)^b, the greedy guarantee used throughout TRIM-B.
 double GreedyCoverageRatio(NodeId budget);
 
-/// Exhaustive optimum over all size-`budget` subsets of [0, n).
-/// Exponential; only for small test instances (n choose b ≤ ~1e6).
-MaxCoverageResult ExactMaxCoverage(const CollectionView& collection, NodeId budget);
-
-/// Node maximizing score[v] with the (score, lowest id) rule, scanning
-/// [0, score.size()) or `domain` when non-null, skipping nodes with
-/// skip.Get(v) set when `skip` is non-null. A multi-worker `pool` splits
-/// the scan into chunk-local argmaxes merged in chunk order — same result
-/// as the sequential scan for every thread count. Returns kInvalidNode iff
-/// no node is eligible. `profile` (optional) accrues the scan's wall time
-/// into the coverage slot.
-NodeId ArgMaxScore(const std::vector<uint32_t>& score, const std::vector<NodeId>* domain,
-                   const BitVector* skip, ThreadPool* pool,
-                   RequestProfile* profile = nullptr);
-
 /// Λ_R argmax over the collection's coverage counts ((coverage, lowest id)
-/// rule) — RrCollection::ArgMaxCoverage with an optional pool behind it.
-/// The b = 1 selection TRIM/AdaptIM run every certify iteration.
+/// rule): the b = 1 selection TRIM/AdaptIM run every certify iteration. A
+/// multi-worker `pool` splits the scan into chunk-local argmaxes merged in
+/// chunk order — same node as the sequential scan for every thread count.
+/// `profile` (optional) accrues the scan's wall time into the coverage
+/// slot. Requires n > 0.
 NodeId ArgMaxCoverage(const CollectionView& collection, ThreadPool* pool,
                       RequestProfile* profile = nullptr);
 
 /// First occurrence of every node in `candidates`, later duplicates
-/// dropped; checks every entry against [0, n). The shared guard behind the
-/// greedy solvers' candidate contract: a duplicated candidate must not
-/// yield two picks of the same node (the second would re-evaluate to gain
-/// 0 and be accepted as a filler pick, corrupting TRIM-B's residual-list
-/// contract), and the effective pool size counts unique nodes.
+/// dropped; checks every entry against [0, n). The guard behind the
+/// solver's candidate contract: a duplicated candidate must not yield two
+/// picks of the same node (the second would re-evaluate to gain 0 and be
+/// accepted as a filler pick, corrupting TRIM-B's residual-list contract),
+/// and the effective pool size counts unique nodes.
 std::vector<NodeId> DedupeCandidates(const std::vector<NodeId>& candidates, NodeId n);
 
 }  // namespace asti

@@ -2,19 +2,6 @@
 
 namespace asti {
 
-NodeId RrCollection::ArgMaxCoverage() const {
-  ASM_CHECK(num_nodes_ > 0);
-  NodeId best = 0;
-  uint32_t best_coverage = coverage_[0];
-  for (NodeId v = 1; v < num_nodes_; ++v) {
-    if (coverage_[v] > best_coverage) {
-      best = v;
-      best_coverage = coverage_[v];
-    }
-  }
-  return best;
-}
-
 void RrCollection::Clear() {
   offsets_.assign(1, 0);
   pool_.clear();

@@ -69,9 +69,6 @@ class RrCollection {
   std::span<const uint64_t> Offsets() const { return offsets_; }
   std::span<const NodeId> Pool() const { return pool_; }
 
-  /// Node maximizing Λ_R(v) (lowest id on ties). Requires n > 0.
-  NodeId ArgMaxCoverage() const;
-
   /// Removes all sets; coverage resets to zero.
   void Clear();
 

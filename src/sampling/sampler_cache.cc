@@ -13,10 +13,12 @@ SamplerCache::Entry::Entry(const DirectedGraph& graph, const SamplerCacheKey& ke
                .Split(static_cast<uint64_t>(key.kind))
                .Split(static_cast<uint64_t>(key.model))
                .Split(key.eta)
-               .Split(static_cast<uint64_t>(key.rounding))) {
+               // The key once carried the rounding; its split stays, so
+               // that no stream moves.
+               .Split(static_cast<uint64_t>(RootRounding::kRandomized))) {
   if (key.kind == SamplerCacheKey::Kind::kMrr) {
     // Round-1 root-count law: n_i = n, η_i = η (full residual).
-    root_size.emplace(graph.NumNodes(), key.eta, key.rounding);
+    root_size.emplace(graph.NumNodes(), key.eta, RootRounding::kRandomized);
   }
 }
 

@@ -10,10 +10,12 @@
 // sets take the sealed prefix of length exactly θ — the OPIM-C grow-only
 // reuse argument — and extend only the shortfall.
 //
-// Key: (kind rr/mrr, diffusion model); mRR entries additionally carry
-// (η, rounding) because the randomized root-count distribution depends on
-// them. The graph snapshot itself is NOT in the key: one SamplerCache hangs
-// off one engine GraphState, which is already keyed by (name, epoch), so
+// Key: (kind rr/mrr, diffusion model); mRR entries additionally carry η
+// because the root-count distribution depends on it. Cached mRR entries
+// always use the paper's randomized rounding of n/η (a Trim with another
+// rounding, the rounding ablation, bypasses the cache). The graph snapshot
+// itself is NOT in the key: one SamplerCache hangs off one engine
+// GraphState, which is already keyed by (name, epoch), so
 // GraphCatalog::Swap/Retire invalidate by construction — a hot-swap makes
 // requests resolve a fresh GraphState with an empty cache, and live views
 // on the old cache stay valid through their chunk pins.
@@ -89,18 +91,17 @@ struct SamplerCacheKey {
   DiffusionModel model = DiffusionModel::kIndependentCascade;
   /// mRR only (root-count distribution); 0 for single-root RR.
   NodeId eta = 0;
-  /// mRR only; kRandomized for single-root RR.
-  RootRounding rounding = RootRounding::kRandomized;
 
   /// Single-root RR over the full graph (ATEUC / Bisection / AdaptIM
   /// round 1 all share this entry).
   static SamplerCacheKey Rr(DiffusionModel model) {
-    return SamplerCacheKey{Kind::kRr, model, 0, RootRounding::kRandomized};
+    return SamplerCacheKey{Kind::kRr, model, 0};
   }
 
-  /// Full-residual mRR with the round-1 root-count law (n_i = n, η_i = η).
-  static SamplerCacheKey Mrr(DiffusionModel model, NodeId eta, RootRounding rounding) {
-    return SamplerCacheKey{Kind::kMrr, model, eta, rounding};
+  /// Full-residual mRR with the round-1 root-count law (n_i = n, η_i = η)
+  /// under randomized rounding.
+  static SamplerCacheKey Mrr(DiffusionModel model, NodeId eta) {
+    return SamplerCacheKey{Kind::kMrr, model, eta};
   }
 
   friend auto operator<=>(const SamplerCacheKey&, const SamplerCacheKey&) = default;
@@ -188,7 +189,7 @@ class SamplerCache {
   /// bit-identical to a cold entry extended to the same length, so the
   /// cached-vs-fresh determinism contract is unchanged. `byte_budget`
   /// (0 = unlimited) bounds TotalBytes with LRU eviction over whole
-  /// (kind, model, η, rounding) entries: after an Acquire pushes the cache
+  /// (kind, model, η) entries: after an Acquire pushes the cache
   /// past the budget, the least-recently-acquired OTHER entries are
   /// dropped until it fits (the entry just served is never evicted — one
   /// working set always fits). Eviction is invisible to correctness: live

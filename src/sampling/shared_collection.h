@@ -64,7 +64,7 @@ class CollectionView {
   CollectionView() = default;
 
   /// Implicit non-owning borrow of a whole owned collection — the bridge
-  /// keeping every `Solve`-path call site (`GreedyMaxCoverage(collection,
+  /// keeping every `Solve`-path call site (`LazyGreedyMaxCoverage(collection,
   /// ...)`) source-compatible after the solvers moved to views. The
   /// collection must outlive the view and not grow while viewed.
   CollectionView(const RrCollection& collection)  // NOLINT(google-explicit-constructor)

@@ -105,7 +105,7 @@ static_assert(sizeof(GraphMetaSection) == 24);
 struct CollectionSectionHeader {
   uint8_t kind;      // SamplerCacheKey::Kind
   uint8_t model;     // DiffusionModel
-  uint8_t rounding;  // RootRounding
+  uint8_t rounding;  // RootRounding: written kRandomized; others are skipped
   uint8_t reserved0;
   uint32_t eta;
   /// Must equal kCacheStreamSeed for the section to be adopted:

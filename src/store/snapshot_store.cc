@@ -287,9 +287,10 @@ StatusOr<Parsed> Parse(std::span<const std::byte> bytes, const std::string& path
 
   // Collection sections: shape, then provenance (the certification
   // AdoptSealedPrefix's caller is responsible for). A section for another
-  // graph is an error; one written under another stream seed or sampler
-  // contract version is stale, not broken — it is skipped (never adopted,
-  // never counted) so the graph sections stay usable.
+  // graph is an error; one written under another stream seed, sampler
+  // contract version or root rounding (the cache serves randomized rounding
+  // only) is stale, not broken — it is skipped (never adopted, never
+  // counted) so the graph sections stay usable.
   std::map<SamplerCacheKey, size_t> seen_keys;
   for (const size_t i : collection_sections) {
     const SectionEntry& entry = table[i];
@@ -330,7 +331,6 @@ StatusOr<Parsed> Parse(std::span<const std::byte> bytes, const std::string& path
     record.key.kind = static_cast<SamplerCacheKey::Kind>(ch.kind);
     record.key.model = static_cast<DiffusionModel>(ch.model);
     record.key.eta = static_cast<NodeId>(ch.eta);
-    record.key.rounding = static_cast<RootRounding>(ch.rounding);
     uint64_t cursor = entry.offset + sizeof(CollectionSectionHeader);
     record.offsets = SpanAt<uint64_t>(bytes, cursor, ch.num_sets + 1);
     cursor += (ch.num_sets + 1) * sizeof(uint64_t);
@@ -344,8 +344,9 @@ StatusOr<Parsed> Parse(std::span<const std::byte> bytes, const std::string& path
                            std::to_string(ch.total_entries) + " pool entries");
     }
     if (ch.stream_seed != kCacheStreamSeed ||
-        ch.contract_version != kSamplerContractVersion) {
-      continue;  // stale: another stream family or traversal contract
+        ch.contract_version != kSamplerContractVersion ||
+        ch.rounding != static_cast<uint8_t>(RootRounding::kRandomized)) {
+      continue;  // stale: another stream family, traversal contract or rounding
     }
     if (const auto [it, inserted] = seen_keys.emplace(record.key, i); !inserted) {
       return Bad(path, label + ": duplicate collection key (also section " +

@@ -68,7 +68,7 @@ std::unique_ptr<FlatCollection> Flatten(const SealedCollectionExport& exported) 
   std::memset(&h, 0, sizeof(h));
   h.kind = static_cast<uint8_t>(exported.key.kind);
   h.model = static_cast<uint8_t>(exported.key.model);
-  h.rounding = static_cast<uint8_t>(exported.key.rounding);
+  h.rounding = static_cast<uint8_t>(RootRounding::kRandomized);
   h.eta = exported.key.eta;
   h.stream_seed = kCacheStreamSeed;
   h.contract_version = kSamplerContractVersion;

@@ -22,7 +22,6 @@
 #include "api/graph_catalog.h"
 #include "api/seedmin_engine.h"
 #include "coverage/lazy_greedy.h"
-#include "coverage/max_coverage.h"
 #include "graph/generators.h"
 #include "parallel/parallel_sampler.h"
 #include "parallel/thread_pool.h"
@@ -384,10 +383,6 @@ TEST(CoverageCancellationTest, FiredScopeStopsGreedyBeforeAnyPick) {
   CancelToken cancel;
   cancel.Cancel();
   const CancelScope scope(&cancel, CancelScope::kNoDeadline);
-  const MaxCoverageResult eager =
-      GreedyMaxCoverage(collection, 3, nullptr, nullptr, &scope);
-  EXPECT_TRUE(eager.selected.empty());
-  EXPECT_EQ(eager.covered_sets, 0u);
   const MaxCoverageResult lazy =
       LazyGreedyMaxCoverage(collection, 3, nullptr, nullptr, &scope);
   EXPECT_TRUE(lazy.selected.empty());
@@ -399,8 +394,8 @@ TEST(CoverageCancellationTest, LiveScopeChangesNothing) {
   CancelToken cancel;
   const CancelScope scope(&cancel, CancelScope::kNoDeadline);
   const MaxCoverageResult with_scope =
-      GreedyMaxCoverage(collection, 2, nullptr, nullptr, &scope);
-  const MaxCoverageResult without = GreedyMaxCoverage(collection, 2);
+      LazyGreedyMaxCoverage(collection, 2, nullptr, nullptr, &scope);
+  const MaxCoverageResult without = LazyGreedyMaxCoverage(collection, 2);
   EXPECT_EQ(with_scope.selected, without.selected);
   EXPECT_EQ(with_scope.covered_sets, without.covered_sets);
 }

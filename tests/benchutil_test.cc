@@ -11,8 +11,8 @@
 #include "benchutil/cli.h"
 #include "benchutil/experiment.h"
 #include "benchutil/table.h"
-#include "benchutil/timer.h"
 #include "graph/generators.h"
+#include "util/timer.h"
 
 namespace asti {
 namespace {

@@ -1,13 +1,19 @@
-// Tests for baselines/bisection_seedmin.h.
+// Tests for baselines/bisection_seedmin.h, including its one greedy pass
+// against the search over k it replaces (coverage_reference.h's eager
+// greedy per probe).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
 
 #include "baselines/ateuc.h"
 #include "baselines/bisection_seedmin.h"
+#include "coverage_reference.h"
 #include "diffusion/monte_carlo.h"
 #include "graph/generators.h"
+#include "sampling/sampler_cache.h"
 
 namespace asti {
 namespace {
@@ -41,14 +47,74 @@ TEST(BisectionTest, SeedsAreDistinct) {
   EXPECT_EQ(unique.size(), result.seeds.size());
 }
 
-TEST(BisectionTest, UsesLogarithmicEvaluations) {
-  const DirectedGraph graph = RandomWcGraph(150, 700, 246);
-  Rng rng(247);
-  const BisectionResult result = RunBisectionSeedMin(
-      graph, DiffusionModel::kIndependentCascade, 50, BisectionOptions{}, rng);
-  // Exponential search + bisection: at most ~2·log2(n) + 1 IM solves.
-  EXPECT_LE(result.im_evaluations, 2u * 8u + 2u);
-  EXPECT_GE(result.im_evaluations, 1u);
+// The search Bisection is named for, over the eager greedy reference:
+// exponential search for a k whose estimate n·Λ/θ reaches `target`, then
+// bisection, one full greedy solve per probe; k = n when none does.
+BisectionResult SearchOverK(const CollectionView& sets, double target) {
+  const NodeId n = sets.num_nodes();
+  const double theta = static_cast<double>(sets.NumSets());
+  auto solve = [&](NodeId k) { return oracle::EagerGreedyMaxCoverage(sets, k); };
+  auto spread_of_k = [&](NodeId k) {
+    return static_cast<double>(n) * static_cast<double>(solve(k).covered_sets) / theta;
+  };
+  NodeId high = 1;
+  while (high < n && spread_of_k(high) < target) high = std::min<NodeId>(n, high * 2);
+  NodeId low = high > 1 ? high / 2 : 1;
+  while (low < high) {
+    const NodeId mid = low + (high - low) / 2;
+    if (spread_of_k(mid) >= target) {
+      high = mid;
+    } else {
+      low = mid + 1;
+    }
+  }
+  BisectionResult result;
+  result.seeds = solve(high).selected;
+  result.estimated_spread = spread_of_k(high);
+  result.num_samples = sets.NumSets();
+  return result;
+}
+
+TEST(BisectionTest, OnePassMatchesSearch) {
+  // One CELF pass at budget n keeps the shortest prefix reaching the
+  // target: the k and the seeds of the search over k. η = 1 stops at the
+  // first pick; η = n puts the target (1.2·η) above n, so no prefix
+  // reaches it and all n picks come back, zero-gain fill included.
+  struct Case {
+    NodeId n;
+    size_t m;
+    uint64_t seed;
+    DiffusionModel model;
+  };
+  for (const Case& c : {Case{120, 700, 241, DiffusionModel::kIndependentCascade},
+                        Case{150, 700, 246, DiffusionModel::kIndependentCascade},
+                        Case{100, 500, 255, DiffusionModel::kLinearThreshold},
+                        Case{60, 200, 253, DiffusionModel::kIndependentCascade}}) {
+    const DirectedGraph graph = RandomWcGraph(c.n, c.m, c.seed);
+    for (const NodeId eta : {NodeId{1}, c.n / 10, c.n / 4, c.n / 2, c.n * 4 / 5, c.n}) {
+      SCOPED_TRACE("n " + std::to_string(c.n) + " seed " + std::to_string(c.seed) +
+                   " eta " + std::to_string(eta));
+      SamplerCache cache(graph);
+      BisectionOptions options;
+      options.samples = 2048;
+      options.sampler_cache = &cache;
+      Rng rng(c.seed + 1);
+      const BisectionResult one_pass = RunBisectionSeedMin(graph, c.model, eta, options, rng);
+      const CollectionView sets = cache.Acquire(SamplerCacheKey::Rr(c.model), options.samples,
+                                                nullptr, nullptr, nullptr);
+      const BisectionResult search =
+          SearchOverK(sets, options.target_slack * static_cast<double>(eta));
+      EXPECT_EQ(one_pass.seeds, search.seeds);
+      EXPECT_EQ(one_pass.estimated_spread, search.estimated_spread);
+      EXPECT_EQ(one_pass.num_samples, search.num_samples);
+      if (eta == 1) {
+        EXPECT_EQ(one_pass.seeds.size(), 1u);
+      }
+      if (eta == c.n) {
+        EXPECT_EQ(one_pass.seeds.size(), c.n);
+      }
+    }
+  }
 }
 
 TEST(BisectionTest, MonotoneInEta) {

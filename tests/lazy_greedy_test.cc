@@ -1,14 +1,19 @@
 // Tests for coverage/lazy_greedy.h: exact agreement with the eager greedy
-// across random instances and the candidate-restriction contract.
+// reference (coverage_reference.h) across random instances, budgets past
+// the covering picks included, and the candidate-restriction contract.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <numeric>
 #include <set>
+#include <string>
 
 #include "coverage/lazy_greedy.h"
-#include "coverage/max_coverage.h"
+#include "coverage_reference.h"
 #include "graph/generators.h"
+#include "parallel/thread_pool.h"
 #include "sampling/rr_set.h"
 #include "util/rng.h"
 
@@ -28,17 +33,57 @@ RrCollection RandomCollection(NodeId n, int num_sets, uint64_t seed) {
   return collection;
 }
 
+// Two thirds of [0, n) in a shuffled order, with every fifth entry listed
+// twice: neither sorted nor unique.
+std::vector<NodeId> ShuffledCandidatesWithDuplicates(NodeId n, uint64_t seed) {
+  std::vector<NodeId> candidates;
+  for (NodeId v = 0; v < n; ++v) {
+    if (v % 3 != 1) candidates.push_back(v);
+  }
+  const size_t unique = candidates.size();
+  for (size_t i = 0; i < unique; i += 5) candidates.push_back(candidates[i]);
+  Rng rng(seed);
+  for (size_t i = candidates.size(); i > 1; --i) {
+    std::swap(candidates[i - 1], candidates[rng.NextBounded(i)]);
+  }
+  return candidates;
+}
+
 TEST(LazyGreedyTest, MatchesEagerGreedyOnRandomInstances) {
+  // Budgets run past the picks that cover every set, up to the node count,
+  // so CELF's zero-gain fill is compared too: without candidates and with
+  // an unsorted candidate list that has duplicates, at 1/2/4/8 threads.
+  constexpr NodeId kNodes = 40;
+  std::vector<std::unique_ptr<ThreadPool>> pools;  // 1 thread: no pool
+  pools.push_back(nullptr);
+  for (size_t threads : {2, 4, 8}) pools.push_back(std::make_unique<ThreadPool>(threads));
+  size_t filled_runs = 0;
   for (uint64_t seed = 1; seed <= 20; ++seed) {
-    const RrCollection collection = RandomCollection(40, 200, seed);
-    for (NodeId budget : {1u, 3u, 8u}) {
-      const MaxCoverageResult eager = GreedyMaxCoverage(collection, budget);
-      const MaxCoverageResult lazy = LazyGreedyMaxCoverage(collection, budget);
-      EXPECT_EQ(lazy.selected, eager.selected) << "seed " << seed << " b " << budget;
-      EXPECT_EQ(lazy.covered_sets, eager.covered_sets);
-      EXPECT_EQ(lazy.marginal_coverage, eager.marginal_coverage);
+    const RrCollection collection = RandomCollection(kNodes, 200, seed);
+    const std::vector<NodeId> shuffled = ShuffledCandidatesWithDuplicates(kNodes, seed);
+    const std::vector<NodeId>* all_nodes = nullptr;
+    for (const std::vector<NodeId>* candidates : {all_nodes, &shuffled}) {
+      for (NodeId budget : {1u, 3u, 8u, 20u, 30u, kNodes}) {
+        const MaxCoverageResult eager =
+            oracle::EagerGreedyMaxCoverage(collection, budget, candidates);
+        if (!eager.marginal_coverage.empty() && eager.marginal_coverage.back() == 0) {
+          ++filled_runs;
+        }
+        for (const std::unique_ptr<ThreadPool>& pool : pools) {
+          const MaxCoverageResult lazy =
+              LazyGreedyMaxCoverage(collection, budget, candidates, pool.get());
+          const std::string context =
+              "seed " + std::to_string(seed) + " b " + std::to_string(budget) +
+              (candidates != nullptr ? " shuffled candidates" : " all nodes") + " threads " +
+              std::to_string(pool != nullptr ? pool->NumThreads() : 1);
+          EXPECT_EQ(lazy.selected, eager.selected) << context;
+          EXPECT_EQ(lazy.covered_sets, eager.covered_sets) << context;
+          EXPECT_EQ(lazy.marginal_coverage, eager.marginal_coverage) << context;
+        }
+      }
     }
   }
+  EXPECT_GT(filled_runs, 20u);  // the zero-gain fill was exercised
 }
 
 TEST(LazyGreedyTest, MatchesOnRealRrSets) {
@@ -52,10 +97,13 @@ TEST(LazyGreedyTest, MatchesOnRealRrSets) {
   std::iota(all_nodes.begin(), all_nodes.end(), 0);
   Rng rng(232);
   for (int i = 0; i < 3000; ++i) sampler.Generate(all_nodes, nullptr, collection, rng);
-  const MaxCoverageResult eager = GreedyMaxCoverage(collection, 16);
-  const MaxCoverageResult lazy = LazyGreedyMaxCoverage(collection, 16);
-  EXPECT_EQ(lazy.selected, eager.selected);
-  EXPECT_EQ(lazy.covered_sets, eager.covered_sets);
+  for (NodeId budget : {16u, 300u}) {
+    const MaxCoverageResult eager = oracle::EagerGreedyMaxCoverage(collection, budget);
+    const MaxCoverageResult lazy = LazyGreedyMaxCoverage(collection, budget);
+    EXPECT_EQ(lazy.selected, eager.selected) << "b " << budget;
+    EXPECT_EQ(lazy.marginal_coverage, eager.marginal_coverage) << "b " << budget;
+    EXPECT_EQ(lazy.covered_sets, eager.covered_sets) << "b " << budget;
+  }
 }
 
 TEST(LazyGreedyTest, HonorsCandidateRestriction) {
@@ -66,7 +114,7 @@ TEST(LazyGreedyTest, HonorsCandidateRestriction) {
   for (NodeId v : lazy.selected) {
     EXPECT_TRUE(std::find(candidates.begin(), candidates.end(), v) != candidates.end());
   }
-  const MaxCoverageResult eager = GreedyMaxCoverage(collection, 3, &candidates);
+  const MaxCoverageResult eager = oracle::EagerGreedyMaxCoverage(collection, 3, &candidates);
   EXPECT_EQ(lazy.selected, eager.selected);
 }
 
@@ -98,7 +146,7 @@ TEST(LazyGreedyTest, BudgetBeyondCandidatesClamps) {
 TEST(LazyGreedyTest, EmptyCollectionStillSelects) {
   RrCollection collection(6);
   const MaxCoverageResult lazy = LazyGreedyMaxCoverage(collection, 2);
-  EXPECT_EQ(lazy.selected.size(), 2u);
+  EXPECT_EQ(lazy.selected, (std::vector<NodeId>{0, 1}));  // zero gains: lowest ids
   EXPECT_EQ(lazy.covered_sets, 0u);
 }
 

@@ -1,5 +1,6 @@
-// Tests for coverage/max_coverage.h: greedy correctness on hand instances,
-// the ρ_b guarantee against the exact optimum, and ratio math.
+// Tests for the greedy max-coverage solver (coverage/lazy_greedy.h) on hand
+// instances, its ρ_b guarantee against the exact optimum of
+// coverage_reference.h, and the ratio math of coverage/max_coverage.h.
 
 #include <gtest/gtest.h>
 
@@ -7,7 +8,9 @@
 #include <numeric>
 #include <set>
 
+#include "coverage/lazy_greedy.h"
 #include "coverage/max_coverage.h"
+#include "coverage_reference.h"
 #include "util/rng.h"
 
 namespace asti {
@@ -26,7 +29,7 @@ RrCollection FromSets(NodeId n, const std::vector<std::vector<NodeId>>& sets) {
 TEST(GreedyMaxCoverageTest, SinglePickIsArgMax) {
   const RrCollection collection =
       FromSets(4, {{0, 1}, {1, 2}, {1, 3}, {0}});
-  const MaxCoverageResult result = GreedyMaxCoverage(collection, 1);
+  const MaxCoverageResult result = LazyGreedyMaxCoverage(collection, 1);
   ASSERT_EQ(result.selected.size(), 1u);
   EXPECT_EQ(result.selected[0], 1u);
   EXPECT_EQ(result.covered_sets, 3u);
@@ -35,7 +38,7 @@ TEST(GreedyMaxCoverageTest, SinglePickIsArgMax) {
 TEST(GreedyMaxCoverageTest, TwoPicksCoverAll) {
   const RrCollection collection =
       FromSets(4, {{0, 1}, {1, 2}, {1, 3}, {0}});
-  const MaxCoverageResult result = GreedyMaxCoverage(collection, 2);
+  const MaxCoverageResult result = LazyGreedyMaxCoverage(collection, 2);
   ASSERT_EQ(result.selected.size(), 2u);
   EXPECT_EQ(result.selected[0], 1u);
   EXPECT_EQ(result.selected[1], 0u);
@@ -52,7 +55,7 @@ TEST(GreedyMaxCoverageTest, MarginalCoverageDiminishes) {
     for (NodeId v : set) collection.PushNode(v);
     collection.SealSet();
   }
-  const MaxCoverageResult result = GreedyMaxCoverage(collection, 10);
+  const MaxCoverageResult result = LazyGreedyMaxCoverage(collection, 10);
   for (size_t i = 1; i < result.marginal_coverage.size(); ++i) {
     EXPECT_LE(result.marginal_coverage[i], result.marginal_coverage[i - 1]);
   }
@@ -63,14 +66,14 @@ TEST(GreedyMaxCoverageTest, MarginalCoverageDiminishes) {
 
 TEST(GreedyMaxCoverageTest, BudgetLargerThanNodes) {
   const RrCollection collection = FromSets(3, {{0}, {1}, {2}});
-  const MaxCoverageResult result = GreedyMaxCoverage(collection, 10);
+  const MaxCoverageResult result = LazyGreedyMaxCoverage(collection, 10);
   EXPECT_EQ(result.selected.size(), 3u);
   EXPECT_EQ(result.covered_sets, 3u);
 }
 
 TEST(GreedyMaxCoverageTest, EmptyCollection) {
   RrCollection collection(5);
-  const MaxCoverageResult result = GreedyMaxCoverage(collection, 2);
+  const MaxCoverageResult result = LazyGreedyMaxCoverage(collection, 2);
   EXPECT_EQ(result.covered_sets, 0u);
   EXPECT_EQ(result.selected.size(), 2u);  // picks exist but gain nothing
 }
@@ -80,7 +83,7 @@ TEST(ExactMaxCoverageTest, MatchesBruteForceExpectation) {
   // might pick 1 first (covers 0 and 2) then anything — classic gap case.
   const RrCollection collection =
       FromSets(4, {{0, 1}, {0}, {1, 3}, {3}});
-  const MaxCoverageResult exact = ExactMaxCoverage(collection, 2);
+  const MaxCoverageResult exact = oracle::ExactMaxCoverage(collection, 2);
   EXPECT_EQ(exact.covered_sets, 4u);
 }
 
@@ -98,8 +101,8 @@ TEST(GreedyVsExactTest, GreedyWithinRhoBOnRandomInstances) {
       collection.SealSet();
     }
     for (NodeId b = 1; b <= 3; ++b) {
-      const MaxCoverageResult greedy = GreedyMaxCoverage(collection, b);
-      const MaxCoverageResult exact = ExactMaxCoverage(collection, b);
+      const MaxCoverageResult greedy = LazyGreedyMaxCoverage(collection, b);
+      const MaxCoverageResult exact = oracle::ExactMaxCoverage(collection, b);
       EXPECT_GE(greedy.covered_sets + 1e-9,
                 GreedyCoverageRatio(b) * exact.covered_sets)
           << "instance " << instance << " b=" << b;
@@ -114,7 +117,7 @@ TEST(GreedyMaxCoverageTest, CandidateRestrictionHonored) {
   // TRIM-B selecting an active node as zero-gain filler).
   const RrCollection collection = FromSets(4, {{1}, {1}, {2}});
   const std::vector<NodeId> candidates = {1, 2, 3};
-  const MaxCoverageResult result = GreedyMaxCoverage(collection, 3, &candidates);
+  const MaxCoverageResult result = LazyGreedyMaxCoverage(collection, 3, &candidates);
   ASSERT_EQ(result.selected.size(), 3u);
   for (NodeId v : result.selected) {
     EXPECT_NE(v, 0u);
@@ -126,18 +129,18 @@ TEST(GreedyMaxCoverageTest, NeverPicksTheSameNodeTwice) {
   // All gains collapse to zero after one pick; filler picks must be
   // distinct nodes, not node 0 repeated.
   const RrCollection collection = FromSets(5, {{2}, {2}});
-  const MaxCoverageResult result = GreedyMaxCoverage(collection, 4);
+  const MaxCoverageResult result = LazyGreedyMaxCoverage(collection, 4);
   std::set<NodeId> unique(result.selected.begin(), result.selected.end());
   EXPECT_EQ(unique.size(), result.selected.size());
 }
 
 TEST(GreedyMaxCoverageTest, DuplicateCandidatesSelectedAtMostOnce) {
-  // Same guard as LazyGreedyMaxCoverage: duplicates in `candidates` must
-  // not inflate the pick pool (the eager path used to crash its
-  // best != kInvalidNode check once every unique candidate was taken).
+  // Duplicates in `candidates` must not inflate the pick pool (the eager
+  // solver once crashed its best != kInvalidNode check when every unique
+  // candidate was taken).
   const RrCollection collection = FromSets(6, {{1, 5}, {5}, {3}});
   const std::vector<NodeId> candidates = {5, 5, 3, 5};
-  const MaxCoverageResult result = GreedyMaxCoverage(collection, 4, &candidates);
+  const MaxCoverageResult result = LazyGreedyMaxCoverage(collection, 4, &candidates);
   EXPECT_EQ(result.selected.size(), 2u);
   std::set<NodeId> unique(result.selected.begin(), result.selected.end());
   EXPECT_EQ(unique.size(), result.selected.size());

@@ -1,12 +1,15 @@
 // Tests for the parallel deterministic greedy-coverage path: bit-identical
-// selected/marginal_coverage/covered_sets to the sequential reference at
-// every thread count (with and without a candidate restriction), inverted
+// selected/marginal_coverage/covered_sets to the sequential path at every
+// thread count (with and without a candidate restriction, budgets up to
+// the node count), agreement with the eager greedy reference, inverted
 // index equality, parallel argmax parity, and a TRIM-B end-to-end
 // thread-count-invariance regression exercising the shared pool.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "core/asti.h"
@@ -14,6 +17,7 @@
 #include "coverage/inverted_index.h"
 #include "coverage/lazy_greedy.h"
 #include "coverage/max_coverage.h"
+#include "coverage_reference.h"
 #include "diffusion/world.h"
 #include "graph/generators.h"
 #include "parallel/thread_pool.h"
@@ -80,34 +84,67 @@ TEST(ParallelCoverageTest, InvertedIndexFewLargeSetsTrailingEmptyChunks) {
   EXPECT_EQ(parallel.sets, reference.sets);
 }
 
+size_t ZeroGainPicks(const MaxCoverageResult& result) {
+  return std::count(result.marginal_coverage.begin(), result.marginal_coverage.end(), 0u);
+}
+
 TEST(ParallelCoverageTest, LazyGreedyThreadCountInvariant) {
-  const RrCollection collection = RrInstance(350, 5000, 21);
-  for (NodeId budget : {1u, 8u, 32u}) {
-    const MaxCoverageResult reference =
-        LazyGreedyMaxCoverage(collection, budget, nullptr, nullptr);
-    for (size_t threads : {1, 2, 4, 8}) {
-      ThreadPool pool(threads);
-      const MaxCoverageResult parallel =
-          LazyGreedyMaxCoverage(collection, budget, nullptr, &pool);
-      ExpectSameResult(parallel, reference, "full node pool");
+  // Budgets past the covering picks, up to the node count, run the
+  // zero-gain fill after the sequential and after the batched drain. At
+  // budget n, 5,000 sets leave a few zero-gain picks and 600 sets about
+  // half of them.
+  for (size_t num_sets : {600, 5000}) {
+    const RrCollection collection = RrInstance(350, num_sets, 21);
+    for (NodeId budget : {1u, 8u, 32u, 200u, 350u}) {
+      const MaxCoverageResult reference =
+          LazyGreedyMaxCoverage(collection, budget, nullptr, nullptr);
+      if (budget == 350) {
+        EXPECT_GT(ZeroGainPicks(reference), num_sets == 600 ? 100u : 1u);
+      }
+      const std::string context =
+          std::to_string(num_sets) + " sets, b " + std::to_string(budget);
+      for (size_t threads : {1, 2, 4, 8}) {
+        ThreadPool pool(threads);
+        const MaxCoverageResult parallel =
+            LazyGreedyMaxCoverage(collection, budget, nullptr, &pool);
+        ExpectSameResult(parallel, reference, context.c_str());
+      }
     }
   }
 }
 
 TEST(ParallelCoverageTest, LazyGreedyThreadCountInvariantWithCandidates) {
-  const RrCollection collection = RrInstance(350, 5000, 31);
+  // An unsorted candidate list with duplicates: 233 unique nodes (v % 3 !=
+  // 0) in descending order, every seventh listed twice. The fill must
+  // still come out in ascending id.
   std::vector<NodeId> candidates;
-  for (NodeId v = 0; v < 350; ++v) {
-    if (v % 3 != 0) candidates.push_back(v);
+  for (NodeId v = 350; v-- > 0;) {
+    if (v % 3 == 0) continue;
+    candidates.push_back(v);
+    if (v % 7 == 0) candidates.push_back(v);
   }
-  const MaxCoverageResult reference =
-      LazyGreedyMaxCoverage(collection, 16, &candidates, nullptr);
-  for (NodeId v : reference.selected) EXPECT_NE(v % 3, 0u);
-  for (size_t threads : {1, 2, 4, 8}) {
-    ThreadPool pool(threads);
-    const MaxCoverageResult parallel =
-        LazyGreedyMaxCoverage(collection, 16, &candidates, &pool);
-    ExpectSameResult(parallel, reference, "restricted candidates");
+  for (size_t num_sets : {600, 5000}) {
+    const RrCollection collection = RrInstance(350, num_sets, 31);
+    for (NodeId budget : {16u, 150u, 233u, 350u}) {
+      const std::string context =
+          std::to_string(num_sets) + " sets, b " + std::to_string(budget);
+      const MaxCoverageResult reference =
+          LazyGreedyMaxCoverage(collection, budget, &candidates, nullptr);
+      ASSERT_EQ(reference.selected.size(), std::min<size_t>(budget, 233)) << context;
+      for (NodeId v : reference.selected) EXPECT_NE(v % 3, 0u);
+      if (budget == 350 && num_sets == 600) {
+        EXPECT_GT(ZeroGainPicks(reference), 50u);
+      }
+      ExpectSameResult(reference,
+                       oracle::EagerGreedyMaxCoverage(collection, budget, &candidates),
+                       ("eager reference, " + context).c_str());
+      for (size_t threads : {1, 2, 4, 8}) {
+        ThreadPool pool(threads);
+        const MaxCoverageResult parallel =
+            LazyGreedyMaxCoverage(collection, budget, &candidates, &pool);
+        ExpectSameResult(parallel, reference, context.c_str());
+      }
+    }
   }
 }
 
@@ -147,47 +184,47 @@ TEST(ParallelCoverageTest, HeavyStaleDrainThreadCountInvariant) {
 }
 
 TEST(ParallelCoverageTest, LazyGreedyParallelMatchesEagerGreedy) {
-  // The full equivalence chain: parallel CELF == sequential CELF == eager
-  // greedy, pinned on one instance.
+  // The full equivalence chain: parallel CELF == eager greedy reference,
+  // pinned on one instance, past the covering picks too.
   const RrCollection collection = RrInstance(300, 4000, 41);
   ThreadPool pool(4);
-  const MaxCoverageResult eager = GreedyMaxCoverage(collection, 12, nullptr, nullptr);
-  const MaxCoverageResult parallel_eager =
-      GreedyMaxCoverage(collection, 12, nullptr, &pool);
-  const MaxCoverageResult parallel_lazy =
-      LazyGreedyMaxCoverage(collection, 12, nullptr, &pool);
-  ExpectSameResult(parallel_eager, eager, "parallel eager vs eager");
-  ExpectSameResult(parallel_lazy, eager, "parallel lazy vs eager");
+  for (NodeId budget : {12u, 300u}) {
+    const MaxCoverageResult eager = oracle::EagerGreedyMaxCoverage(collection, budget);
+    const MaxCoverageResult parallel_lazy =
+        LazyGreedyMaxCoverage(collection, budget, nullptr, &pool);
+    ExpectSameResult(parallel_lazy, eager,
+                     ("parallel lazy vs eager, b " + std::to_string(budget)).c_str());
+  }
+}
+
+// The (coverage, lowest id) argmax by one ascending scan.
+NodeId ScanArgMax(const std::vector<uint32_t>& coverage) {
+  NodeId best = 0;
+  for (NodeId v = 1; v < coverage.size(); ++v) {
+    if (coverage[v] > coverage[best]) best = v;
+  }
+  return best;
 }
 
 TEST(ParallelCoverageTest, ArgMaxCoverageMatchesSequentialMember) {
-  const RrCollection collection = RrInstance(5000, 3000, 51);
-  const NodeId reference = collection.ArgMaxCoverage();
-  EXPECT_EQ(ArgMaxCoverage(collection, nullptr), reference);
-  for (size_t threads : {2, 4, 8}) {
-    ThreadPool pool(threads);
-    EXPECT_EQ(ArgMaxCoverage(collection, &pool), reference) << threads << " threads";
-  }
-}
-
-TEST(ParallelCoverageTest, ArgMaxScoreHonorsSkipAndDomain) {
   // 5000 nodes so the parallel scan path engages (threshold 4096).
-  std::vector<uint32_t> score(5000, 1);
-  score[123] = 9;
-  score[4321] = 9;
-  ThreadPool pool(4);
-  // Ties break to the lowest id, across chunk boundaries.
-  EXPECT_EQ(ArgMaxScore(score, nullptr, nullptr, &pool), 123u);
-  BitVector skip(5000);
-  skip.Set(123);
-  EXPECT_EQ(ArgMaxScore(score, nullptr, &skip, &pool), 4321u);
-  std::vector<NodeId> domain;
-  for (NodeId v = 0; v < 5000; ++v) {
-    if (v != 123 && v != 4321) domain.push_back(v);
+  const RrCollection collection = RrInstance(5000, 3000, 51);
+  // Nodes 4321 and 123 tie at the top, in different chunks at every pool
+  // size: the lower id wins.
+  RrCollection tied(5000);
+  for (NodeId v : {4321u, 123u, 4321u, 123u, 77u}) {
+    tied.PushNode(v);
+    tied.SealSet();
   }
-  EXPECT_EQ(ArgMaxScore(score, &domain, nullptr, &pool), 0u);
-  skip = BitVector(5000, true);
-  EXPECT_EQ(ArgMaxScore(score, nullptr, &skip, &pool), kInvalidNode);
+  ASSERT_EQ(ScanArgMax(tied.CoverageCounts()), 123u);
+  for (const RrCollection* instance : {&collection, static_cast<const RrCollection*>(&tied)}) {
+    const NodeId reference = ScanArgMax(instance->CoverageCounts());
+    EXPECT_EQ(ArgMaxCoverage(*instance, nullptr), reference);
+    for (size_t threads : {2, 4, 8}) {
+      ThreadPool pool(threads);
+      EXPECT_EQ(ArgMaxCoverage(*instance, &pool), reference) << threads << " threads";
+    }
+  }
 }
 
 TEST(ParallelCoverageTest, TrimBThreadCountInvariant) {

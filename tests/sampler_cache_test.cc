@@ -158,8 +158,7 @@ TEST(SharedRrCollectionTest, UnderDeliveryIsDiscardedWhole) {
 
 TEST(SamplerCacheTest, PrefixContentIsIndependentOfAcquisitionHistory) {
   const DirectedGraph graph = TestGraph();
-  const SamplerCacheKey key = SamplerCacheKey::Mrr(
-      DiffusionModel::kIndependentCascade, 20, RootRounding::kRandomized);
+  const SamplerCacheKey key = SamplerCacheKey::Mrr(DiffusionModel::kIndependentCascade, 20);
 
   // Cache A grows in many small steps, cache B in one jump.
   SamplerCache stepped(graph);
@@ -179,8 +178,7 @@ TEST(SamplerCacheTest, PoolAndSequentialExtensionsAreBitIdentical) {
   for (const SamplerCacheKey& key :
        {SamplerCacheKey::Rr(DiffusionModel::kIndependentCascade),
         SamplerCacheKey::Rr(DiffusionModel::kLinearThreshold),
-        SamplerCacheKey::Mrr(DiffusionModel::kIndependentCascade, 12,
-                             RootRounding::kRandomized)}) {
+        SamplerCacheKey::Mrr(DiffusionModel::kIndependentCascade, 12)}) {
     SamplerCache sequential(graph);
     const std::string reference =
         Fingerprint(sequential.Acquire(key, 150, nullptr, nullptr, nullptr), 150);
@@ -233,8 +231,7 @@ TEST(SamplerCacheTest, PreFiredCancellationYieldsOnlySealedSets) {
 // observes must be a prefix of the same key-derived stream.
 TEST(SamplerCacheTest, ConcurrentReadersAndExtendersSeeOneStream) {
   const DirectedGraph graph = TestGraph(402, 120);
-  const SamplerCacheKey key = SamplerCacheKey::Mrr(
-      DiffusionModel::kIndependentCascade, 15, RootRounding::kRandomized);
+  const SamplerCacheKey key = SamplerCacheKey::Mrr(DiffusionModel::kIndependentCascade, 15);
 
   // Reference stream from an isolated cache.
   constexpr size_t kMaxSets = 240;
@@ -428,8 +425,7 @@ SelectionResult SelectRoundOne(const DirectedGraph& graph, SamplerCache& cache,
     return adaptim.SelectBatch(view, rng);
   }
   return CertifyOnCache(
-      cache, SamplerCacheKey::Mrr(DiffusionModel::kLinearThreshold, kMemoEta,
-                                  RootRounding::kRandomized),
+      cache, SamplerCacheKey::Mrr(DiffusionModel::kLinearThreshold, kMemoEta),
       ComputeTrimSchedule(graph.NumNodes(), kMemoEta, batch, epsilon), inactive,
       static_cast<double>(kMemoEta), pool, cancel, profile);
 }

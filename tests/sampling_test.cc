@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "coverage/max_coverage.h"
 #include "diffusion/monte_carlo.h"
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
@@ -88,7 +89,7 @@ TEST(RrCollectionTest, CoverageTracksSets) {
   EXPECT_EQ(collection.Coverage(3), 2u);
   EXPECT_EQ(collection.Coverage(1), 1u);
   EXPECT_EQ(collection.Coverage(0), 0u);
-  EXPECT_EQ(collection.ArgMaxCoverage(), 3u);
+  EXPECT_EQ(ArgMaxCoverage(collection, nullptr), 3u);
 }
 
 TEST(RrCollectionTest, SetContentsPreserved) {
@@ -120,7 +121,7 @@ TEST(RrCollectionTest, ArgMaxTieBreaksLowestId) {
   collection.SealSet();
   collection.PushNode(1);
   collection.SealSet();
-  EXPECT_EQ(collection.ArgMaxCoverage(), 1u);
+  EXPECT_EQ(ArgMaxCoverage(collection, nullptr), 1u);
 }
 
 // --- DrawLiveSlots: the IC count draw --------------------------------------

@@ -507,6 +507,75 @@ TEST(SnapshotCorruptionTest, StaleCollectionSectionIsSkippedAndGraphStaysUsable)
   std::filesystem::remove(path);
 }
 
+TEST(SnapshotCorruptionTest, NonRandomizedRoundingSectionIsSkipped) {
+  // The cache's mRR entries use randomized root rounding only, and the
+  // writer stamps kRandomized. A section stamped kFloor or kCeil (the key
+  // once carried a rounding) is stale: skipped at open under both tiers, so
+  // its key starts cold. A byte past kCeil names no rounding and is refused.
+  const DirectedGraph graph = MakeTestGraph(427);
+  const auto key = SamplerCacheKey::Mrr(DiffusionModel::kIndependentCascade, 12);
+  SamplerCache cold_cache(graph);
+  const CollectionView cold = cold_cache.Acquire(key, 48, nullptr, nullptr, nullptr);
+  ASSERT_EQ(cold.NumSets(), 48u);
+  const std::string path = TempPath("rounding.asms");
+  ASSERT_TRUE(store::WriteSnapshot(graph, "rounding", WeightScheme::kWeightedCascade,
+                                   cold_cache.ExportSealed(), path)
+                  .ok());
+  const FileSurgeon pristine = FileSurgeon::Load(path);
+  auto stamp = [&](uint8_t rounding) {
+    FileSurgeon surgeon = pristine;
+    size_t stamped = 0;
+    const std::vector<SectionEntry> table = surgeon.Table();
+    for (size_t i = 0; i < table.size(); ++i) {
+      if (table[i].type != static_cast<uint32_t>(SectionType::kRrCollection)) continue;
+      store::CollectionSectionHeader header;
+      std::memcpy(&header, surgeon.bytes.data() + table[i].offset, sizeof(header));
+      EXPECT_EQ(header.rounding, static_cast<uint8_t>(RootRounding::kRandomized));
+      header.rounding = rounding;
+      std::memcpy(surgeon.bytes.data() + table[i].offset, &header, sizeof(header));
+      SectionEntry entry = table[i];
+      entry.payload_crc =
+          Crc32(surgeon.bytes.data() + entry.offset, static_cast<size_t>(entry.bytes));
+      surgeon.PutEntry(i, entry);
+      ++stamped;
+    }
+    EXPECT_EQ(stamped, 1u);
+    surgeon.Reseal();
+    surgeon.Store();
+  };
+
+  for (const RootRounding rounding : {RootRounding::kFloor, RootRounding::kCeil}) {
+    SCOPED_TRACE(rounding == RootRounding::kFloor ? "kFloor" : "kCeil");
+    stamp(static_cast<uint8_t>(rounding));
+    for (const SnapshotVerify verify :
+         {SnapshotVerify::kStructural, SnapshotVerify::kChecksums}) {
+      auto snapshot = store::OpenSnapshot(path, verify);
+      ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+      EXPECT_EQ(snapshot->collection_sections, 0u);
+      EXPECT_EQ(snapshot->warm, nullptr);
+      SamplerCache warm_cache(snapshot->graph, snapshot->warm);
+      const CollectionView view = warm_cache.Acquire(key, 48, nullptr, nullptr, nullptr);
+      EXPECT_EQ(warm_cache.Stats().warm_starts, 0u);
+      EXPECT_EQ(warm_cache.Stats().misses, 1u);
+      ASSERT_EQ(view.NumSets(), 48u);
+      for (size_t i = 0; i < 48; ++i) {
+        const auto want = cold.Set(i);
+        const auto got = view.Set(i);
+        ASSERT_TRUE(std::equal(want.begin(), want.end(), got.begin(), got.end()))
+            << "set " << i;
+      }
+    }
+  }
+
+  stamp(static_cast<uint8_t>(RootRounding::kCeil) + 1);
+  auto refused = store::OpenSnapshot(path);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_NE(refused.status().ToString().find("unknown kind/model/rounding"),
+            std::string::npos)
+      << refused.status().ToString();
+  std::filesystem::remove(path);
+}
+
 // --- Warm start: adopted prefixes are bit-identical to cold generation ------
 
 TEST(SnapshotWarmStartTest, AdoptedPrefixMatchesColdGenerationExactly) {
