@@ -13,8 +13,8 @@ SamplerCache::Entry::Entry(const DirectedGraph& graph, const SamplerCacheKey& ke
                .Split(static_cast<uint64_t>(key.kind))
                .Split(static_cast<uint64_t>(key.model))
                .Split(key.eta)
-               // The key once carried the rounding; its split stays, so
-               // that no stream moves.
+               // The rounding cached entries use. Every entry's stream
+               // takes this split, persisted and pinned sets included.
                .Split(static_cast<uint64_t>(RootRounding::kRandomized))) {
   if (key.kind == SamplerCacheKey::Kind::kMrr) {
     // Round-1 root-count law: n_i = n, η_i = η (full residual).
